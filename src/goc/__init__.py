@@ -14,7 +14,6 @@ from goc.envelope import (
     OffsetDomain,
     build_envelope_table,
     concave_envelope,
-    h_eta,
     k_eta,
     k_inverse,
     nu_eta,
@@ -35,7 +34,6 @@ from goc.environment import (
     empirical_conditional_mse,
     envelope_witness_mixture,
     step_bernoulli,
-    step_physical,
 )
 from goc.learners import (
     ArmState,
@@ -43,7 +41,6 @@ from goc.learners import (
     LearnerOutcome,
     derive_budget,
     elimination_radius,
-    regret,
     run_elimination,
     run_etc,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "k_eta",
     "nu_eta",
     "k_inverse",
-    "h_eta",
     "UtilitySpec",
     "LipschitzProfile",
     "LipschitzEstimate",
@@ -74,7 +70,6 @@ __all__ = [
     "MixtureAdversary",
     "RoundObservation",
     "step_bernoulli",
-    "step_physical",
     "empirical_conditional_mse",
     "envelope_witness_mixture",
     "LearnerConfig",
@@ -84,7 +79,6 @@ __all__ = [
     "elimination_radius",
     "run_etc",
     "run_elimination",
-    "regret",
     "OracleResult",
     "two_point_oracle",
     "three_point_spot_check",

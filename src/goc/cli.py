@@ -14,7 +14,7 @@ import numpy as np
 
 from goc.config import ConfigError, ExperimentConfig, load_config
 from goc.envelope import build_envelope_table
-from goc.environment import MixtureAdversary, make_rng, physical_rounds, step_bernoulli
+from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
     ELIMINATION,
     ETC,
@@ -22,13 +22,12 @@ from goc.experiments import (
     emit_curves,
     prepare_instance,
     run_experiment,
-    run_trial,
     run_trials,
     trial_rows,
     write_csv,
 )
-from goc.oracle import best_response
-from goc.verify import two_point_oracle
+from goc.oracle import best_response, best_response_curve
+from goc.verify import verify_grid
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -99,14 +98,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    scenario = cfg.scenario()
-    spec = cfg.utility_spec()
-    etas = args.eta_list or list(np.linspace(cfg["learner.a"], cfg["learner.b"], args.points))
-    rows = []
-    for eta in etas:
-        table = build_envelope_table(scenario, float(eta), cfg["envelope.grid"], cfg["envelope.alpha_min"])
-        br = best_response(table, spec)
-        rows.append((float(eta), br.alpha_star, br.mmse, br.dc_value, br.ad_value))
+    etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
+    curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), etas,
+                                cfg["envelope.grid"], cfg["envelope.alpha_min"])
+    rows = [(br.eta, br.alpha_star, br.mmse, br.dc_value, br.ad_value) for br in curve]
     write_csv(args.out, ("eta", "alpha_star", "mmse", "u_dc", "u_ad"), rows,
               cfg.hash(), cfg["experiment.base_seed"])
     return 0
@@ -117,11 +112,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = cfg.scenario()
     seed = cfg["experiment.base_seed"]
     rng = make_rng(seed, 0, 0)
-    rows = []
     if args.mode == "physical":
         if args.adv is None:
             raise SystemExit("simulate --mode physical requires --adv")
         batch = physical_rounds(scenario, args.eta, args.adv, rng, args.rounds)
+        rows = []
         for i in range(args.rounds):
             acc = bool(batch.accepted[i])
             rows.append(
@@ -131,9 +126,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec = cfg.utility_spec()
         table = build_envelope_table(scenario, args.eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
         alpha = best_response(table, spec).alpha_star
-        for i in range(args.rounds):
-            obs = step_bernoulli(scenario, spec, table, rng, round_index=i, alpha=alpha)
-            rows.append((i, args.eta, obs.accepted, "", ""))
+        # one bulk draw equals the per-round draws of step_bernoulli on the same stream
+        accepted = rng.random(args.rounds) < alpha
+        rows = [(i, args.eta, acc, "", "") for i, acc in enumerate(accepted)]
     write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), rows,
               cfg.hash(), seed)
     return 0
@@ -145,23 +140,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
         cfg = cfg.with_overrides(**{"experiment.trials": args.trials})
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     art = prepare_instance(cfg)
-    trace_rows = []
-    if args.trace is None:
-        results = run_trials(art, algos, threads=args.threads)
-    else:
-        results = []
-        for algo in algos:
-            for t in range(cfg["experiment.trials"]):
-                res = run_trial(art, t, algo, keep_outcome=True)
-                results.append(res)
-                for s in res.outcome.arm_trace:
-                    trace_rows.append(
-                        (t, algo, s.index, s.eta, s.rounds_played, s.accept_count,
-                         s.alpha_hat, s.u_hat, s.eliminated,
-                         "" if s.eliminated_at_round is None else s.eliminated_at_round)
-                    )
+    results = run_trials(art, algos, threads=args.threads, keep_outcome=args.trace is not None)
     write_csv(args.out, TRIAL_HEADER, trial_rows(results), cfg.hash(), cfg["experiment.base_seed"])
     if args.trace is not None:
+        trace_rows = [
+            (r.trial, r.algo, s.index, s.eta, s.rounds_played, s.accept_count,
+             s.alpha_hat, s.u_hat, s.eliminated,
+             "" if s.eliminated_at_round is None else s.eliminated_at_round)
+            for r in results
+            for s in r.outcome.arm_trace
+        ]
         write_csv(
             args.trace,
             ("trial", "algo", "arm", "eta", "rounds_played", "accept_count",
@@ -173,14 +161,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    scenario = cfg.scenario()
-    rows = []
-    for eta in args.eta_list:
-        table = build_envelope_table(scenario, eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
-        for alpha in args.alpha_list:
-            res = two_point_oracle(scenario, eta, alpha, args.z_grid, args.w_grid, table=table)
-            z1, z2, w = res.witness
-            rows.append((eta, alpha, res.oracle_value, res.envelope_value, res.gap, z1, z2, w))
+    results = verify_grid(cfg.scenario(), args.eta_list, args.alpha_list, cfg["envelope.grid"],
+                          cfg["envelope.alpha_min"], args.z_grid, args.w_grid)
+    rows = [(r.eta, r.alpha, r.oracle_value, r.envelope_value, r.gap, *r.witness) for r in results]
     write_csv(args.out, ("eta", "alpha", "oracle", "envelope", "gap", "z1", "z2", "w"), rows,
               cfg.hash(), cfg["experiment.base_seed"])
     return 0
@@ -199,13 +182,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     gap = None
     if args.verify_etas:
-        scenario = cfg.scenario()
-        gap = 0.0
-        for eta in args.verify_etas:
-            table = build_envelope_table(scenario, eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
-            for alpha in args.verify_alphas:
-                res = two_point_oracle(scenario, eta, alpha, table=table)
-                gap = max(gap, abs(res.gap))
+        results = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
+                              cfg["envelope.grid"], cfg["envelope.alpha_min"])
+        gap = max((abs(r.gap) for r in results), default=0.0)
     report, _ = run_experiment(cfg, algos=algos, out_dir=args.out, threads=args.threads,
                                envelope_max_gap=gap)
     for s in report.per_algo:

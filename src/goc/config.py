@@ -8,24 +8,17 @@ resolved configuration hashes to a stable digest recorded in every CSV.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE
 from goc.noise import TRUNCATED_GAUSSIAN, UNIFORM, HonestNoiseModel, Scenario
-from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec
+from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec, UtilitySpecError
 
 
 class ConfigError(ValueError):
     """Configuration problem; the message starts with the offending key."""
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -61,14 +54,23 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "lipschitz.ell": ("float", None),
     "lipschitz.L": ("float", None),
     "lipschitz.d": ("float", None),
-    "envelope.grid": ("int", 2001),
-    "envelope.alpha_min": ("float", 1e-3),
+    "envelope.grid": ("int", DEFAULT_GRID_SIZE),
+    "envelope.alpha_min": ("float", DEFAULT_ALPHA_MIN),
     "estimator.resolution": ("int", 801),
     "env.mode": ("str", "bernoulli"),
-    "env.samples_per_round": ("int", 1),
     "experiment.trials": ("int", 200),
     "experiment.base_seed": ("int", 42),
     "experiment.budget_scale": ("float", 1.0),
+}
+
+# the config key behind each UtilitySpec field
+_SPEC_KEYS = {
+    "dc_kind": "utility.dc.kind",
+    "dc_gamma": "utility.dc.gamma",
+    "ad_kind": "utility.ad.kind",
+    "ad_w_mse": "utility.ad.w_mse",
+    "ad_w_pa": "utility.ad.w_pa",
+    "ad_theta": "utility.ad.theta",
 }
 
 
@@ -157,6 +159,10 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
     for key in values:
         if key not in _SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
+    for key, (tag, _) in _SCHEMA.items():
+        value = resolved[key]
+        if tag == "float" and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
 
     kind = resolved["noise.kind"]
     if kind not in (UNIFORM, TRUNCATED_GAUSSIAN):
@@ -178,9 +184,8 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     try:
         cfg.utility_spec()
-    except ValueError as exc:
-        first = "utility.dc.kind" if "collector" in str(exc) else "utility.ad.kind"
-        raise ConfigError(f"{first}: {exc}") from None
+    except UtilitySpecError as exc:
+        raise ConfigError(f"{_SPEC_KEYS[exc.field]}: {exc}") from None
     cfg.lipschitz_override()
 
     a, b = resolved["learner.a"], resolved["learner.b"]
@@ -200,8 +205,6 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError("estimator.resolution: must be >= 51")
     if resolved["env.mode"] not in ("bernoulli", "physical"):
         raise ConfigError(f"env.mode: unknown mode {resolved['env.mode']!r}")
-    if resolved["env.samples_per_round"] < 1:
-        raise ConfigError("env.samples_per_round: must be >= 1")
     if resolved["experiment.trials"] < 1:
         raise ConfigError("experiment.trials: must be >= 1")
     if not 0.0 < resolved["experiment.budget_scale"] <= 1.0:
@@ -220,8 +223,6 @@ def load_config_text(text: str) -> ExperimentConfig:
             typed[key] = _parse_float(key, value)
         elif tag == "int":
             typed[key] = _parse_int(key, value)
-        elif tag == "bool":
-            typed[key] = _parse_bool(key, value)
         else:
             typed[key] = value
     return validate_config(typed)

@@ -21,7 +21,6 @@ from goc.noise import Scenario
 DEFAULT_GRID_SIZE = 2001
 DEFAULT_ALPHA_MIN = 1e-3
 
-_BISECT_ITERS = 80
 _DOMAIN_FUZZ = 1e-9
 
 
@@ -72,8 +71,7 @@ def nu_eta(scenario: Scenario, eta: float, z):
     """Accepted squared-gap mass of a point offset: integral of (x+z)^2 f(x) above ``z - eta*delta``.
 
     Expanded into partial moments of the noise law, all closed-form for the
-    built-in families; ``goc.integrate.adaptive_simpson`` provides the
-    independent quadrature cross-check.
+    built-in families; the tests cross-check it by adaptive quadrature.
     """
     z = _check_domain(scenario, eta, z)
     m0, m1, m2 = scenario.noise.partial_moments(z - eta * scenario.delta)
@@ -82,42 +80,17 @@ def nu_eta(scenario: Scenario, eta: float, z):
 
 
 def k_inverse(scenario: Scenario, eta: float, q):
-    """Offset ``z`` with ``k_eta(z) = q``, by bisection on the monotone ``k_eta``."""
-    _check_eta(eta)
-    q = np.asarray(q, dtype=float)
-    if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
-        raise ValueError("q must lie in [0, 1]")
-    q = np.clip(q, 0.0, 1.0)
-    dom = offset_domain(scenario, eta)
-    lo = np.full_like(q, dom.z_lo, dtype=float)
-    hi = np.full_like(q, dom.z_hi, dtype=float)
-    # k is nonincreasing in z: k(lo) = 1 >= q >= 0 = k(hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        km = k_eta(scenario, eta, mid)
-        too_high = km > q
-        lo = np.where(too_high, mid, lo)
-        hi = np.where(too_high, hi, mid)
-    out = 0.5 * (lo + hi)
-    return out if out.ndim else float(out)
+    """Offset ``z`` with ``k_eta(z) = q``, from the noise quantile.
 
-
-def _k_inverse_exact(scenario: Scenario, eta: float, q):
-    """Fast inverse via the noise quantile: ``k(z) = 1 - F(z - eta delta)``.
-
-    Used internally where many inversions are needed; agrees with the
-    bisection route to quantile accuracy (tested).
+    Exact because ``k(z) = 1 - F(z - eta delta)`` with ``F`` the noise CDF.
     """
     dom = offset_domain(scenario, eta)
     q = np.asarray(q, dtype=float)
-    z = eta * scenario.delta + scenario.noise.ppf(1.0 - q)
+    if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
+        raise ValueError("q must lie in [0, 1]")
+    z = eta * scenario.delta + scenario.noise.ppf(1.0 - np.clip(q, 0.0, 1.0))
     out = np.clip(z, dom.z_lo, dom.z_hi)
     return out if out.ndim else float(out)
-
-
-def h_eta(scenario: Scenario, eta: float, q):
-    """Squared-gap mass as a function of acceptance level: ``nu_eta`` after inverting ``k_eta``."""
-    return nu_eta(scenario, eta, k_inverse(scenario, eta, q))
 
 
 def concave_envelope(q, values) -> np.ndarray:
@@ -226,7 +199,7 @@ def build_envelope_table(
     if not 0.0 < alpha_min < 1.0:
         raise ValueError("alpha_min must lie in (0, 1)")
     q = np.linspace(0.0, 1.0, grid_size)
-    z = _k_inverse_exact(scenario, eta, q)
+    z = k_inverse(scenario, eta, q)
     h = nu_eta(scenario, eta, z)
     h[0] = 0.0  # exact by construction: empty integration range at q = 0
     hull = _upper_hull_indices(q, h)

@@ -5,17 +5,18 @@ accept/reject coin with the best-response acceptance rate, and a physical
 mode that simulates the full report pair against an offset-mixture
 adversary. Randomness comes from per-(trial, arm) streams addressed by a
 seed key, so the draw for any given round is independent of execution
-order; the bulk paths produce bit-identical values to stepping.
+order; splitting a run into consecutive blocks yields the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, _k_inverse_exact
+from goc.envelope import EnvelopeTable, k_inverse
 from goc.noise import Scenario
 from goc.oracle import best_response
 from goc.utility import UtilitySpec
@@ -65,14 +66,11 @@ class MixtureAdversary:
 
 @dataclass(frozen=True)
 class RoundObservation:
-    """One round as seen by the collector (plus test-only ground truth in physical mode)."""
+    """One round as seen by the collector."""
 
     round: int
     eta_committed: float
     accepted: bool
-    estimate: float | None = None
-    u_true: float | None = None
-    honest_first: bool | None = None
 
 
 def step_bernoulli(
@@ -104,22 +102,6 @@ class PhysicalBatch:
     u_true: np.ndarray
     honest_first: np.ndarray
 
-    def observations(self, start_round: int = 0) -> list[RoundObservation]:
-        out = []
-        for i in range(self.accepted.size):
-            acc = bool(self.accepted[i])
-            out.append(
-                RoundObservation(
-                    round=start_round + i,
-                    eta_committed=self.eta,
-                    accepted=acc,
-                    estimate=float(self.estimate[i]) if acc else None,
-                    u_true=float(self.u_true[i]),
-                    honest_first=bool(self.honest_first[i]),
-                )
-            )
-        return out
-
 
 def _physical_from_uniforms(
     scenario: Scenario, eta: float, adv: MixtureAdversary, draws: np.ndarray
@@ -147,25 +129,6 @@ def _physical_from_uniforms(
     )
 
 
-def step_physical(
-    scenario: Scenario,
-    eta: float,
-    adv: MixtureAdversary,
-    rng: np.random.Generator,
-    round_index: int = 0,
-) -> RoundObservation:
-    """One full game: draw the value and both reports, apply the acceptance rule.
-
-    Accepted rounds carry the midpoint estimate; the true value and
-    presentation order are kept for tests.
-    """
-    if eta < 2.0:
-        raise ValueError("eta must be >= 2")
-    adv.check_span(scenario)
-    batch = _physical_from_uniforms(scenario, eta, adv, rng.random((1, _PHYS_DRAWS)))
-    return batch.observations(start_round=round_index)[0]
-
-
 def physical_rounds(
     scenario: Scenario,
     eta: float,
@@ -173,32 +136,24 @@ def physical_rounds(
     rng: np.random.Generator,
     n_rounds: int,
 ) -> PhysicalBatch:
-    """Vectorized physical rounds, bit-identical to ``n_rounds`` calls of ``step_physical``."""
+    """Vectorized physical rounds drawing five uniforms per round, in round order, from ``rng``.
+
+    Consecutive calls on one stream therefore reproduce a single call for
+    all their rounds.
+    """
     if eta < 2.0:
         raise ValueError("eta must be >= 2")
     adv.check_span(scenario)
     return _physical_from_uniforms(scenario, eta, adv, rng.random((n_rounds, _PHYS_DRAWS)))
 
 
-def empirical_conditional_mse(observations: Iterable[RoundObservation] | PhysicalBatch) -> float:
+def empirical_conditional_mse(batch: PhysicalBatch) -> float:
     """Mean squared estimation error over accepted rounds; raises if none were accepted."""
-    if isinstance(observations, PhysicalBatch):
-        mask = observations.accepted
-        if not np.any(mask):
-            raise ValueError("no accepted rounds: conditional MSE undefined")
-        err = observations.u_true[mask] - observations.estimate[mask]
-        return float(np.mean(np.square(err)))
-    total = 0.0
-    count = 0
-    for obs in observations:
-        if obs.accepted:
-            if obs.estimate is None or obs.u_true is None:
-                raise ValueError("accepted observation lacks estimate or ground truth")
-            total += (obs.u_true - obs.estimate) ** 2
-            count += 1
-    if count == 0:
+    mask = batch.accepted
+    if not np.any(mask):
         raise ValueError("no accepted rounds: conditional MSE undefined")
-    return total / count
+    err = batch.u_true[mask] - batch.estimate[mask]
+    return float(np.mean(np.square(err)))
 
 
 def envelope_witness_mixture(
@@ -217,20 +172,20 @@ def envelope_witness_mixture(
     j = int(np.searchsorted(q, alpha, side="right"))
     j = min(max(j, 1), q.size - 1)
     q_lo, q_hi = float(q[j - 1]), float(q[j])
-    z_lo = float(_k_inverse_exact(scenario, table.eta, q_lo))
-    z_hi = float(_k_inverse_exact(scenario, table.eta, q_hi))
+    z_lo = float(k_inverse(scenario, table.eta, q_lo))
+    z_hi = float(k_inverse(scenario, table.eta, q_hi))
     if q_hi == q_lo or alpha >= q_hi:
         return MixtureAdversary.point_mass(z_hi)
     w_lo = (q_hi - alpha) / (q_hi - q_lo)
     return MixtureAdversary((z_lo, z_hi), (w_lo, 1.0 - w_lo))
 
 
-class BernoulliArmEnv:
-    """Per-arm accept/reject streams for one learning trial.
+class _ArmEnv:
+    """Per-arm streams for one learning trial; subclasses supply the block sampler.
 
     Arm ``i`` owns the stream keyed ``(seed, trial, i)``; blocks must be
     requested in round order per arm, and all arms share the block schedule
-    so matched-seed algorithm comparisons see identical coins.
+    so matched-seed algorithm comparisons see identical draws.
     """
 
     def __init__(
@@ -255,62 +210,47 @@ class BernoulliArmEnv:
     @property
     def n_arms(self) -> int:
         return len(self.tables)
+
+    def _advance(self, r0: int, r1: int) -> int:
+        """Claim rounds ``r0 .. r1-1``, which must follow the last block; returns their count."""
+        if r0 != self._pos or r1 < r0:
+            raise ValueError("blocks must be requested sequentially")
+        self._pos = r1
+        return r1 - r0
+
+
+class BernoulliArmEnv(_ArmEnv):
+    """Accept/reject coins with each arm's best-response acceptance rate."""
 
     def acceptance_block(self, r0: int, r1: int) -> np.ndarray:
         """Boolean matrix (arm, round) for rounds ``r0 .. r1-1``; sequential access only."""
-        if r0 != self._pos or r1 < r0:
-            raise ValueError("blocks must be requested sequentially")
-        n = r1 - r0
+        n = self._advance(r0, r1)
         out = np.empty((self.n_arms, n), dtype=bool)
         for i, gen in enumerate(self._gens):
             out[i] = gen.random(n) < self.alphas[i]
-        self._pos = r1
         return out
 
 
-class PhysicalArmEnv:
-    """Physical-mode version of the per-arm environment.
+class PhysicalArmEnv(_ArmEnv):
+    """Full simulated games against each arm's envelope-witness mixture.
 
-    Each arm faces the envelope-witness mixture realizing its best-response
-    acceptance level, so acceptance statistics match the Bernoulli mode in
-    law while every round is a full simulated game.
+    The mixture realizes the arm's best-response acceptance level, so
+    acceptance statistics match the Bernoulli mode in law.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        spec: UtilitySpec,
-        etas: Sequence[float],
-        tables: Sequence[EnvelopeTable],
-        base_seed: int,
-        trial: int,
-    ) -> None:
-        if len(etas) != len(tables):
-            raise ValueError("etas and tables must align")
-        self.scenario = scenario
-        self.spec = spec
-        self.etas = np.asarray(etas, dtype=float)
-        self.tables = list(tables)
-        self.alphas = np.array([best_response(t, spec).alpha_star for t in tables])
-        self.adversaries = [
-            envelope_witness_mixture(scenario, t, a) for t, a in zip(tables, self.alphas)
+    @cached_property
+    def adversaries(self) -> list[MixtureAdversary]:
+        return [
+            envelope_witness_mixture(self.scenario, t, a) for t, a in zip(self.tables, self.alphas)
         ]
-        self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
-        self._pos = 0
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.tables)
 
     def acceptance_block(self, r0: int, r1: int) -> np.ndarray:
-        if r0 != self._pos or r1 < r0:
-            raise ValueError("blocks must be requested sequentially")
-        n = r1 - r0
+        """Boolean matrix (arm, round) for rounds ``r0 .. r1-1``; sequential access only."""
+        n = self._advance(r0, r1)
         out = np.empty((self.n_arms, n), dtype=bool)
         for i, gen in enumerate(self._gens):
             batch = _physical_from_uniforms(
                 self.scenario, float(self.etas[i]), self.adversaries[i], gen.random((n, _PHYS_DRAWS))
             )
             out[i] = batch.accepted
-        self._pos = r1
         return out

@@ -20,7 +20,7 @@ from goc.envelope import EnvelopeTable, build_envelope_table
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
 from goc.noise import Scenario
-from goc.oracle import best_response, realized_u
+from goc.oracle import best_response, best_response_curve
 from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz
 
 ETC = "etc"
@@ -73,7 +73,7 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     u_grid = np.array([best_response(t, spec).dc_value for t in tables])
     ref_etas = np.linspace(a, b, REFERENCE_DENSITY * (learner.n + 1))
     ref_u = np.array(
-        [realized_u(scenario, spec, e, grid_size=grid_size, alpha_min=alpha_min) for e in ref_etas]
+        [br.dc_value for br in best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)]
     )
     return InstanceArtifacts(
         config=config,
@@ -140,10 +140,9 @@ def _worker_init(values: dict) -> None:
     _WORKER_ART = prepare_instance(validate_config(dict(values)))
 
 
-def _worker_run(task: tuple[int, str]) -> TrialResult:
-    trial, algo = task
+def _worker_run(task: tuple[int, str, bool]) -> TrialResult:
     assert _WORKER_ART is not None
-    return run_trial(_WORKER_ART, trial, algo)
+    return run_trial(_WORKER_ART, *task)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -161,13 +160,14 @@ def run_trials(
     algos: Sequence[str],
     trials: int | None = None,
     threads: int | None = None,
+    keep_outcome: bool = False,
 ) -> list[TrialResult]:
     """All (trial, algo) runs, in deterministic (algo, trial) order."""
     trials = art.config["experiment.trials"] if trials is None else trials
-    tasks = [(t, algo) for algo in algos for t in range(trials)]
+    tasks = [(t, algo, keep_outcome) for algo in algos for t in range(trials)]
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(tasks) < 4:
-        return [run_trial(art, t, algo) for t, algo in tasks]
+        return [run_trial(art, *task) for task in tasks]
     with ProcessPoolExecutor(
         max_workers=n_threads, initializer=_worker_init, initargs=(art.config.values,)
     ) as pool:
@@ -313,17 +313,10 @@ def curve_rows(
     config: ExperimentConfig, points: int = 201
 ) -> list[tuple[float, float, float, float]]:
     """Realized-utility curve samples: (eta, acceptance, conditional MSE, utility)."""
-    scenario = config.scenario()
-    spec = config.utility_spec()
-    grid_size = config["envelope.grid"]
-    alpha_min = config["envelope.alpha_min"]
     etas = np.linspace(config["learner.a"], config["learner.b"], points)
-    rows = []
-    for eta in etas:
-        table = build_envelope_table(scenario, float(eta), grid_size, alpha_min)
-        br = best_response(table, spec)
-        rows.append((float(eta), br.alpha_star, br.mmse, br.dc_value))
-    return rows
+    curve = best_response_curve(config.scenario(), config.utility_spec(), etas,
+                                config["envelope.grid"], config["envelope.alpha_min"])
+    return [(br.eta, br.alpha_star, br.mmse, br.dc_value) for br in curve]
 
 
 CURVE_HEADER = ("eta", "alpha", "mmse", "u")

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from goc.envelope import EnvelopeTable
-from goc.noise import Scenario
-from goc.oracle import realized_u
 from goc.utility import LipschitzProfile, UtilitySpec, q_dc
 
 _ELIM_BLOCK = 4096
@@ -50,9 +48,14 @@ def derive_budget(
     return n, k
 
 
-def elimination_radius(ell: float, n: int, delta: float, r: int) -> float:
-    """Confidence radius after ``r`` rounds: ``2 ell sqrt(ln(4(n+1)/delta) / (2r))``."""
-    return 2.0 * ell * math.sqrt(math.log(4.0 * (n + 1) / delta) / (2.0 * r))
+def elimination_radius(ell: float, n: int, delta: float, r):
+    """Confidence radius after ``r`` rounds: ``2 ell sqrt(ln(4(n+1)/delta) / (2r))``.
+
+    ``r`` may be an array of round counts.
+    """
+    r = np.asarray(r, dtype=float)
+    out = 2.0 * ell * np.sqrt(math.log(4.0 * (n + 1) / delta) / (2.0 * r))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,9 @@ class LearnerConfig:
     budget_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (2.0 <= self.a < self.b):
-            raise ValueError("need 2 <= a < b")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
+        n_min, k_min = derive_budget(self.a, self.b, self.delta, self.lam, self.lip)
         if not 0.0 < self.budget_scale <= 1.0:
             raise ValueError("budget_scale must lie in (0, 1]")
-        n_min, k_min = derive_budget(self.a, self.b, self.delta, self.lam, self.lip)
         if self.n < n_min:
             raise ValueError(f"n = {self.n} below the required {n_min}")
         if self.budget_scale == 1.0 and self.k < k_min:
@@ -129,12 +126,6 @@ class LearnerOutcome:
     arm_trace: tuple[ArmState, ...]
     elimination_log: tuple[tuple[int, int], ...] = ()  # (round, 1-based arm index)
     clamp_count: int = 0
-
-
-@dataclass(frozen=True)
-class RegretResult:
-    raw: float
-    capped: float
 
 
 def _u_hat_rows(
@@ -210,8 +201,6 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         raise ValueError("environment arm count does not match the config grid")
     etas = config.etas()
     k = config.k
-    ell = config.lip.ell
-    ln_term = math.log(4.0 * n_arms / config.delta)
 
     alive = np.ones(n_arms, dtype=bool)
     counts = np.zeros(n_arms, dtype=np.int64)
@@ -232,7 +221,7 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         r_vec = np.arange(pos + 1, pos + b + 1, dtype=float)
         alpha_hat = cum / r_vec[None, :]
         u_hat, _ = _u_hat_rows(spec, env.tables, alpha_hat)
-        eps = 2.0 * ell * np.sqrt(ln_term / (2.0 * r_vec))
+        eps = elimination_radius(config.lip.ell, config.n, config.delta, r_vec)
         alive_at_start = alive.copy()
         j = 0
         while j < b:
@@ -288,22 +277,3 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         elimination_log=tuple(log),
         clamp_count=clamp_count,
     )
-
-
-def regret(
-    outcome: LearnerOutcome,
-    reference_u_star: float,
-    scenario: Scenario,
-    spec: UtilitySpec,
-    table: EnvelopeTable | None = None,
-    grid_size: int = 2001,
-    alpha_min: float = 1e-3,
-) -> RegretResult:
-    """Reference utility minus the realized utility of the chosen threshold.
-
-    The raw value can be negative when the reference grid is coarser than
-    the landscape; the capped value floors it at zero for reporting.
-    """
-    u = realized_u(scenario, spec, outcome.eta_hat, table=table, grid_size=grid_size, alpha_min=alpha_min)
-    raw = reference_u_star - u
-    return RegretResult(raw=raw, capped=max(0.0, raw))

@@ -13,7 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, build_envelope_table
+from goc.envelope import (
+    DEFAULT_ALPHA_MIN,
+    DEFAULT_GRID_SIZE,
+    EnvelopeTable,
+    build_envelope_table,
+)
 from goc.noise import Scenario
 from goc.utility import UtilitySpec, q_ad, q_dc
 
@@ -62,8 +67,8 @@ def realized_u(
     spec: UtilitySpec,
     eta: float,
     table: EnvelopeTable | None = None,
-    grid_size: int = 2001,
-    alpha_min: float = 1e-3,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> float:
     """Collector utility against the best-responding adversary at ``eta``."""
     if table is None:
@@ -71,13 +76,27 @@ def realized_u(
     return best_response(table, spec).dc_value
 
 
+def best_response_curve(
+    scenario: Scenario,
+    spec: UtilitySpec,
+    eta_grid: Sequence[float],
+    grid_size: int = DEFAULT_GRID_SIZE,
+    alpha_min: float = DEFAULT_ALPHA_MIN,
+) -> list[BestResponse]:
+    """Best responses along an eta grid, one freshly built table per point."""
+    return [
+        best_response(build_envelope_table(scenario, eta, grid_size, alpha_min), spec)
+        for eta in eta_grid
+    ]
+
+
 def solve_complete_info(
     scenario: Scenario,
     spec: UtilitySpec,
     eta_grid: Sequence[float],
     tables: Sequence[EnvelopeTable] | None = None,
-    grid_size: int = 2001,
-    alpha_min: float = 1e-3,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> tuple[float, float]:
     """Known-utility benchmark: argmax over the grid of the tie-broken collector utility.
 
@@ -87,21 +106,9 @@ def solve_complete_info(
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")
     if tables is None:
-        tables = [build_envelope_table(scenario, eta, grid_size, alpha_min) for eta in eta_grid]
-    values = [best_response(t, spec).dc_value for t in tables]
+        responses = best_response_curve(scenario, spec, eta_grid, grid_size, alpha_min)
+    else:
+        responses = [best_response(t, spec) for t in tables]
+    values = [br.dc_value for br in responses]
     i = int(np.argmax(values))
     return float(eta_grid[i]), float(values[i])
-
-
-def best_response_curve(
-    scenario: Scenario,
-    spec: UtilitySpec,
-    eta_grid: Sequence[float],
-    grid_size: int = 2001,
-    alpha_min: float = 1e-3,
-) -> list[BestResponse]:
-    """Best responses along an eta grid (one table per point)."""
-    return [
-        best_response(build_envelope_table(scenario, eta, grid_size, alpha_min), spec)
-        for eta in eta_grid
-    ]

@@ -13,13 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, build_envelope_table
+from goc.envelope import (
+    DEFAULT_ALPHA_MIN,
+    DEFAULT_GRID_SIZE,
+    EnvelopeTable,
+    build_envelope_table,
+)
 from goc.noise import Scenario
 
 DC_LINEAR = "linear"  # pa - gamma * mse
 DC_RATIO = "ratio"  # pa / (1 + mse)
 AD_WEIGHTED_SUM = "weighted_sum"  # w_mse * mse + w_pa * pa
 AD_PRODUCT = "product"  # pa^theta * mse
+
+
+class UtilitySpecError(ValueError):
+    """Invalid utility parameter; ``field`` names the ``UtilitySpec`` field at fault."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field} {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -35,16 +48,22 @@ class UtilitySpec:
 
     def __post_init__(self) -> None:
         if self.dc_kind not in (DC_LINEAR, DC_RATIO):
-            raise ValueError(f"unknown collector utility kind {self.dc_kind!r}")
+            raise UtilitySpecError(
+                "dc_kind", f"must be {DC_LINEAR!r} or {DC_RATIO!r}, got {self.dc_kind!r}"
+            )
         if self.ad_kind not in (AD_WEIGHTED_SUM, AD_PRODUCT):
-            raise ValueError(f"unknown adversary utility kind {self.ad_kind!r}")
+            raise UtilitySpecError(
+                "ad_kind", f"must be {AD_WEIGHTED_SUM!r} or {AD_PRODUCT!r}, got {self.ad_kind!r}"
+            )
         # gamma = 0 is allowed: the collector then cares about acceptance only.
         if self.dc_kind == DC_LINEAR and not self.dc_gamma >= 0.0:
-            raise ValueError("dc_gamma must be >= 0")
-        if self.ad_kind == AD_WEIGHTED_SUM and not (self.ad_w_mse > 0.0 and self.ad_w_pa > 0.0):
-            raise ValueError("weighted_sum needs strictly positive weights")
+            raise UtilitySpecError("dc_gamma", "must be >= 0")
+        if self.ad_kind == AD_WEIGHTED_SUM:
+            for name in ("ad_w_mse", "ad_w_pa"):
+                if not getattr(self, name) > 0.0:
+                    raise UtilitySpecError(name, "must be > 0 for weighted_sum")
         if self.ad_kind == AD_PRODUCT and not self.ad_theta > 0.0:
-            raise ValueError("product needs theta > 0")
+            raise UtilitySpecError("ad_theta", "must be > 0 for product")
 
 
 def q_dc(spec: UtilitySpec, mse, pa):
@@ -123,8 +142,8 @@ def estimate_lipschitz(
     spec: UtilitySpec,
     eta_range: tuple[float, float],
     resolution: int = 801,
-    grid_size: int = 2001,
-    alpha_min: float = 1e-3,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    alpha_min: float = DEFAULT_ALPHA_MIN,
     ell_eta_points: int = 17,
     window_fraction: float = 1.0 / 200.0,
     jump_factor: float = 50.0,
@@ -138,7 +157,7 @@ def estimate_lipschitz(
     ``jump_factor`` times the median flag piece boundaries and are excluded
     from ``L``. Overestimates only inflate the learners' budgets.
     """
-    from goc.oracle import realized_u  # local import: oracle depends on this module
+    from goc.oracle import best_response_curve  # local import: oracle depends on this module
 
     a, b = eta_range
     if not (2.0 <= a < b):
@@ -154,7 +173,7 @@ def estimate_lipschitz(
 
     etas = np.linspace(a, b, resolution)
     u = np.array(
-        [realized_u(scenario, spec, e, grid_size=grid_size, alpha_min=alpha_min) for e in etas]
+        [br.dc_value for br in best_response_curve(scenario, spec, etas, grid_size, alpha_min)]
     )
     step = etas[1] - etas[0]
     m = max(1, int(round(window_fraction * (b - a) / step)))

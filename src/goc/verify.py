@@ -10,6 +10,7 @@ curve; a three-offset spot check guards the assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -110,6 +111,26 @@ def two_point_oracle(
         envelope_value=envelope_value,
         witness=best_witness,
     )
+
+
+def verify_grid(
+    scenario: Scenario,
+    etas: Sequence[float],
+    alphas: Sequence[float],
+    grid_size: int,
+    alpha_min: float,
+    z_grid_size: int = DEFAULT_Z_GRID,
+    w_grid_size: int = DEFAULT_W_GRID,
+) -> list[OracleResult]:
+    """Oracle results over the (eta, alpha) matrix in eta-major order, one table per eta."""
+    results = []
+    for eta in etas:
+        table = build_envelope_table(scenario, eta, grid_size, alpha_min)
+        for alpha in alphas:
+            results.append(
+                two_point_oracle(scenario, eta, alpha, z_grid_size, w_grid_size, table=table)
+            )
+    return results
 
 
 def three_point_spot_check(

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from goc.config import default_config
-from goc.envelope import build_envelope_table, h_eta, k_eta, nu_eta
+from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.verify import two_point_oracle
+
+from reference import h_eta
 
 ETA_MATRIX = (2.0, 2.5, 3.0, 4.0, 6.0)
 ALPHA_MATRIX = tuple(round(0.1 * i, 1) for i in range(1, 11))

@@ -1,0 +1,69 @@
+"""The benchmark tracer in ``bench/spans.py`` must keep working against the library.
+
+The tracer wraps library functions by name from outside the package, so
+renaming or restructuring a traced function breaks it without any library
+test failing. These checks install it in a fresh interpreter, which keeps
+its wrappers out of this test process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = textwrap.dedent(
+    """
+    import importlib, json, sys
+    from pathlib import Path
+
+    import spans
+    from goc.envelope import build_envelope_table
+    from goc.noise import uniform_scenario
+    from goc.utility import UtilitySpec
+
+    missing = []
+    for module_name, attr, _ in spans.TRACED:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{attr}")
+
+    tracer = spans.Tracer(run_id="probe", span_dir=Path(sys.argv[1]))
+    spans.install(tracer)
+    from goc.environment import BernoulliArmEnv, PhysicalArmEnv
+
+    scenario = uniform_scenario()
+    spec = UtilitySpec()
+    etas = [2.0, 3.0]
+    tables = [build_envelope_table(scenario, e, 201) for e in etas]
+    blocks = {}
+    for cls in (BernoulliArmEnv, PhysicalArmEnv):
+        env = cls(scenario, spec, etas, tables, base_seed=1, trial=0)
+        before = len(tracer.spans)
+        env.acceptance_block(0, 10)
+        new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
+        blocks[cls.__name__] = [s[6] for s in new]
+    print(json.dumps({"missing": missing, "blocks": blocks}))
+    """
+)
+
+
+def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    res = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["missing"] == []
+    # two arms x ten rounds; physical rounds draw five uniforms each
+    assert out["blocks"] == {
+        "BernoulliArmEnv": [{"arm_rounds": 20, "uniforms": 20}],
+        "PhysicalArmEnv": [{"arm_rounds": 20, "uniforms": 100}],
+    }

@@ -71,3 +71,41 @@ def test_hash_stable_and_sensitive():
 def test_with_overrides_validates():
     with pytest.raises(ConfigError, match="nonsense"):
         default_config().with_overrides(nonsense=1)
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("learner.lambda", "nan"),
+    ("learner.b", "inf"),
+    ("utility.ad.theta", "inf"),
+    ("scenario.big_m", "-inf"),
+])
+def test_non_finite_float_named(key, raw):
+    with pytest.raises(ConfigError, match=rf"^{key}: must be finite"):
+        load_config_text(f"{key} = {raw}\n")
+
+
+def test_non_finite_override_named():
+    with pytest.raises(ConfigError, match=r"^learner.a: must be finite"):
+        default_config().with_overrides(**{"learner.a": float("nan")})
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("utility.dc.kind", "nope"),
+    ("utility.dc.gamma", "-0.5"),
+    ("utility.dc.gamma", "nan"),
+    ("utility.ad.kind", "nope"),
+    ("utility.ad.theta", "0"),
+    ("utility.ad.w_mse", "0"),
+    ("utility.ad.w_pa", "-1"),
+])
+def test_utility_errors_name_their_key(key, raw):
+    text = f"{key} = {raw}\n"
+    if key.startswith("utility.ad.w_"):
+        text += "utility.ad.kind = weighted_sum\n"
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        load_config_text(text)
+
+
+def test_removed_key_rejected():
+    with pytest.raises(ConfigError, match="env.samples_per_round: unknown"):
+        load_config_text("env.samples_per_round = 1\n")

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goc.envelope import (
-    _k_inverse_exact,
     build_envelope_table,
     concave_envelope,
-    h_eta,
     k_eta,
     k_inverse,
     nu_eta,
     offset_domain,
 )
-from goc.integrate import adaptive_simpson
+from goc.noise import truncated_gaussian_scenario, uniform_scenario
 
 from conftest import rng
+from reference import adaptive_simpson, h_eta, k_inverse_bisect
 
 
 def chord_max_envelope(q, v):
@@ -88,26 +87,29 @@ def test_nu_closed_form_vs_quadrature(unif, tgauss):
 
 
 def test_k_inverse_endpoints(unif):
-    assert k_inverse(unif, 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert k_inverse(unif, 2.0, 0.0) == pytest.approx(3.0, abs=1e-9)
-    assert k_inverse(unif, 2.0, 0.5) == pytest.approx(2.0, abs=1e-10)
+    for inverse in (k_inverse, k_inverse_bisect):
+        assert inverse(unif, 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert inverse(unif, 2.0, 0.0) == pytest.approx(3.0, abs=1e-9)
+        assert inverse(unif, 2.0, 0.5) == pytest.approx(2.0, abs=1e-10)
+        with pytest.raises(ValueError):
+            inverse(unif, 2.0, 1.5)
 
 
 @pytest.mark.parametrize("eta", [2.0, 3.0])
 def test_k_inverse_roundtrip(unif, tgauss, eta):
     q = np.linspace(0.0, 1.0, 101)
     for scenario in (unif, tgauss):
-        z = k_inverse(scenario, eta, q)
-        back = k_eta(scenario, eta, z)
-        assert np.max(np.abs(back - q)) <= 1e-10
+        for inverse in (k_inverse, k_inverse_bisect):
+            back = k_eta(scenario, eta, inverse(scenario, eta, q))
+            assert np.max(np.abs(back - q)) <= 1e-10
 
 
 def test_k_inverse_exact_agrees_with_bisection(unif, tgauss):
     q = np.linspace(0.0, 1.0, 101)
     for scenario in (unif, tgauss):
         for eta in (2.0, 3.5, 6.0):
-            z_bis = k_inverse(scenario, eta, q)
-            z_ppf = _k_inverse_exact(scenario, eta, q)
+            z_bis = k_inverse_bisect(scenario, eta, q)
+            z_ppf = k_inverse(scenario, eta, q)
             assert np.max(np.abs(z_bis - z_ppf)) <= 1e-9
 
 
@@ -182,6 +184,33 @@ def test_table_invariants(unif, tgauss):
             assert np.all(hull_second <= 1e-9)
             assert t.alpha_grid[0] >= t.alpha_min - 1e-15
             assert t.alpha_grid[-1] == 1.0
+
+
+@given(
+    sigma=st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.0)),
+    eta=st.floats(min_value=2.0, max_value=8.0),
+    grid_size=st.integers(min_value=101, max_value=1201),
+    alpha_min=st.floats(min_value=1e-4, max_value=0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
+    # the hull inside build_envelope_table, checked on the table it returns;
+    # sigma None draws the uniform family
+    if sigma is None:
+        scenario = uniform_scenario(delta=1.0, big_m=1e4)
+    else:
+        scenario = truncated_gaussian_scenario(sigma=sigma, delta=1.0, big_m=1e4)
+    t = build_envelope_table(scenario, eta, grid_size, alpha_min)
+    assert np.all(t.h_star_values >= t.h_values - 1e-12)
+    assert np.all(np.diff(t.h_star_values, 2) <= 1e-9)
+    assert np.all(t.c_values >= 0.0)
+    q = np.linspace(0.0, 1.0, grid_size)
+    h = nu_eta(scenario, eta, k_inverse(scenario, eta, q))
+    h[0] = 0.0
+    keep = q >= alpha_min - 1e-15
+    assert np.array_equal(t.alpha_grid, q[keep])
+    assert np.array_equal(t.h_values, h[keep])
+    assert np.array_equal(t.h_star_values, concave_envelope(q, h)[keep])
 
 
 def test_table_rejects_bad_grid(unif):

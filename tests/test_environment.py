@@ -10,7 +10,6 @@ from goc.environment import (
     make_rng,
     physical_rounds,
     step_bernoulli,
-    step_physical,
 )
 from goc.noise import truncated_gaussian_scenario
 from goc.oracle import best_response
@@ -73,15 +72,6 @@ def test_no_accepted_rounds_signals(unif):
     batch = physical_rounds(unif, 2.0, adv, make_rng(3, 2), 100)
     with pytest.raises(ValueError, match="no accepted rounds"):
         empirical_conditional_mse(batch)
-    with pytest.raises(ValueError, match="no accepted rounds"):
-        empirical_conditional_mse(batch.observations())
-
-
-def test_observation_list_mse_matches_batch(unif):
-    batch = physical_rounds(unif, 2.0, MixtureAdversary.point_mass(1.5), make_rng(3, 3), 500)
-    assert empirical_conditional_mse(batch.observations()) == pytest.approx(
-        empirical_conditional_mse(batch), abs=1e-12
-    )
 
 
 def test_order_randomization(unif):
@@ -90,17 +80,16 @@ def test_order_randomization(unif):
     assert abs(frac - 0.5) <= 0.01
 
 
-def test_step_matches_bulk(unif):
+def test_physical_rounds_chunk_invariant(unif):
     adv = MixtureAdversary((1.2, 2.4), (0.5, 0.5))
     bulk = physical_rounds(unif, 2.5, adv, make_rng(4, 5), 64)
-    # same stream stepped one round at a time must reproduce the bulk draws
+    # the same stream split into consecutive calls, single rounds included,
+    # must reproduce the bulk rounds exactly
     gen = make_rng(4, 5)
-    for i in range(64):
-        obs = step_physical(unif, 2.5, adv, gen, round_index=i)
-        assert obs.accepted == bool(bulk.accepted[i])
-        assert obs.u_true == pytest.approx(float(bulk.u_true[i]), abs=0.0)
-        if obs.accepted:
-            assert obs.estimate == pytest.approx(float(bulk.estimate[i]), abs=0.0)
+    parts = [physical_rounds(unif, 2.5, adv, gen, n) for n in (1, 1, 17, 45)]
+    for field in ("accepted", "estimate", "u_true", "honest_first"):
+        joined = np.concatenate([getattr(b, field) for b in parts])
+        assert np.array_equal(joined, getattr(bulk, field)), field
 
 
 def test_step_bernoulli_rate_and_determinism(unif, spec_default, table_unif_25):
@@ -159,7 +148,7 @@ def test_mixture_validation(unif):
         MixtureAdversary((), ())
     big = MixtureAdversary.point_mass(unif.big_m * 2)
     with pytest.raises(ValueError):
-        step_physical(unif, 2.0, big, make_rng(0))
+        physical_rounds(unif, 2.0, big, make_rng(0), 1)
 
 
 def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ def test_trials_deterministic(smoke_art):
     assert a == b
     c = run_trial(smoke_art, 1, ELIMINATION)
     assert c.rounds_used <= a.rounds_used
+
+
+def test_regret_caps_and_reports_raw(smoke_art):
+    from goc.oracle import realized_u
+
+    res = run_trial(smoke_art, 0, ETC)
+    cfg = smoke_art.config
+    u_chosen = realized_u(smoke_art.scenario, smoke_art.spec, res.eta_hat,
+                          grid_size=cfg["envelope.grid"], alpha_min=cfg["envelope.alpha_min"])
+    assert smoke_art.u_star - res.regret_raw == pytest.approx(u_chosen, abs=1e-12)
+    low = run_trial(dataclasses.replace(smoke_art, u_star=u_chosen - 1.0), 0, ETC)
+    assert low.regret_raw == pytest.approx(-1.0, abs=1e-9)
+    assert low.regret_capped == 0.0
+    high = run_trial(dataclasses.replace(smoke_art, u_star=u_chosen + 0.25), 0, ETC)
+    assert high.regret_raw == pytest.approx(0.25, abs=1e-9)
+    assert high.regret_capped == pytest.approx(0.25, abs=1e-9)
 
 
 def test_summary_counts_match_trials(smoke_art, smoke_cfg):

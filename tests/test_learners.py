@@ -9,7 +9,6 @@ from goc.learners import (
     LearnerConfig,
     derive_budget,
     elimination_radius,
-    regret,
     run_elimination,
     run_etc,
 )
@@ -224,21 +223,6 @@ def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     if not out_b.elimination_log:
         for sa, sb in zip(out_a.arm_trace, out_b.arm_trace):
             assert sa.accept_count == sb.accept_count
-
-
-def test_regret_caps_and_reports_raw(unif, spec_default, table_unif_2):
-    cfg, etas, tables = _tiny_instance(unif, spec_default)
-    env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=13, trial=0)
-    out = run_etc(cfg, env, spec_default)
-    from goc.oracle import realized_u
-
-    u_hat = realized_u(unif, spec_default, out.eta_hat)
-    res_low = regret(out, u_hat - 1.0, unif, spec_default)
-    assert res_low.raw == pytest.approx(-1.0, abs=1e-9)
-    assert res_low.capped == 0.0
-    res_high = regret(out, u_hat + 0.25, unif, spec_default)
-    assert res_high.raw == pytest.approx(0.25, abs=1e-9)
-    assert res_high.capped == pytest.approx(0.25, abs=1e-9)
 
 
 def test_hoeffding_concentration_of_rate_estimates():

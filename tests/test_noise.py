@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from goc.integrate import adaptive_simpson
 from goc.noise import HonestNoiseModel, Scenario, uniform_scenario
 
 from conftest import rng
+from reference import adaptive_simpson
 
 
 def test_uniform_pdf_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table, k_eta, nu_eta, offset_domain
-from goc.verify import three_point_spot_check, two_point_oracle
+from goc.verify import three_point_spot_check, two_point_oracle, verify_grid
 
 from conftest import rng
 
@@ -75,3 +75,10 @@ def test_oracle_validates_inputs(unif):
         two_point_oracle(unif, 2.0, 0.5, z_grid_size=100)
     with pytest.raises(ValueError):
         two_point_oracle(unif, 2.0, 0.5, w_grid_size=50)
+
+
+def test_verify_grid_is_eta_major_and_matches_cells(unif):
+    results = verify_grid(unif, [2.0, 3.0], [0.5, 1.0], 401, 1e-3, 201, 101)
+    assert [(r.eta, r.alpha) for r in results] == [(2.0, 0.5), (2.0, 1.0), (3.0, 0.5), (3.0, 1.0)]
+    table = build_envelope_table(unif, 3.0, 401, 1e-3)
+    assert results[2] == two_point_oracle(unif, 3.0, 0.5, 201, 101, table=table)
