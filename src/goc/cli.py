@@ -1,8 +1,8 @@
 """Command-line interface: deterministic CSV-emitting subcommands.
 
-Every subcommand accepts ``--config`` (key = value file), ``--seed``
-(overrides the configured base seed), ``--out``, and ``--threads``; given
-the same configuration and seed the output bytes are identical across runs.
+Every subcommand accepts ``--config`` (key = value file), ``--seed`` (overrides
+the configured base seed) and ``--out``; ``learn`` and ``report`` also take ``--threads``.
+Given the same configuration and seed the output bytes are identical across runs.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from goc.config import ConfigError, ExperimentConfig, load_config
 from goc.envelope import build_envelope_table
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
+    CURVE_HEADER,
     ELIMINATION,
     ETC,
     TRIAL_HEADER,
-    emit_curves,
+    curve_rows,
     prepare_instance,
     run_experiment,
     run_trials,
@@ -70,6 +71,8 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         cfg = cfg.with_overrides(**{"experiment.base_seed": args.seed})
     if getattr(args, "budget_scale", None) is not None:
         cfg = cfg.with_overrides(**{"experiment.budget_scale": args.budget_scale})
+    if getattr(args, "trials", None) is not None:
+        cfg = cfg.with_overrides(**{"experiment.trials": args.trials})
     return cfg
 
 
@@ -77,7 +80,15 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key = value configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override experiment.base_seed")
     parser.add_argument("--out", required=True, help="output path")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes (default GOC_THREADS or 1)")
+
+
+def _trial_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--algo", choices=(ETC, ELIMINATION, "both"), default="both")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None, help="worker processes (default "
+                        "GOC_THREADS or 1; at most the CPU count)")
+    parser.add_argument("--budget-scale", type=float, default=None,
+                        help="smoke-test knob: scale the per-arm budget down (acceptance uses 1.0)")
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
@@ -86,11 +97,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     grid = args.grid or cfg["envelope.grid"]
     rows = []
     for eta in args.eta_list:
-        table = build_envelope_table(scenario, eta, grid, cfg["envelope.alpha_min"])
-        for i in range(table.alpha_grid.size):
-            rows.append(
-                (eta, table.alpha_grid[i], table.h_values[i], table.h_star_values[i], table.c_values[i])
-            )
+        t = build_envelope_table(scenario, eta, grid, cfg["envelope.alpha_min"])
+        rows += [(eta, *r) for r in zip(t.alpha_grid, t.h_values, t.h_star_values, t.c_values)]
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), rows,
               cfg.hash(), cfg["experiment.base_seed"])
     return 0
@@ -107,37 +115,42 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+SIMULATE_BLOCK = 1 << 16  # rounds drawn and written per block
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    if args.rounds < 0:
+        raise ValueError("--rounds must be >= 0")
+    if args.mode == "physical" and args.adv is None:
+        raise SystemExit("simulate --mode physical requires --adv")
     scenario = cfg.scenario()
-    seed = cfg["experiment.base_seed"]
-    rng = make_rng(seed, 0, 0)
-    if args.mode == "physical":
-        if args.adv is None:
-            raise SystemExit("simulate --mode physical requires --adv")
-        batch = physical_rounds(scenario, args.eta, args.adv, rng, args.rounds)
-        rows = []
-        for i in range(args.rounds):
-            acc = bool(batch.accepted[i])
-            rows.append(
-                (i, args.eta, acc, batch.estimate[i] if acc else "", batch.u_true[i])
-            )
-    else:
-        spec = cfg.utility_spec()
+    rng = make_rng(cfg["experiment.base_seed"], 0, 0)
+    if args.mode == "bernoulli":
         table = build_envelope_table(scenario, args.eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
-        alpha = best_response(table, spec).alpha_star
-        # one bulk draw equals the per-round draws of step_bernoulli on the same stream
-        accepted = rng.random(args.rounds) < alpha
-        rows = [(i, args.eta, acc, "", "") for i, acc in enumerate(accepted)]
-    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), rows,
-              cfg.hash(), seed)
+        alpha = best_response(table, cfg.utility_spec()).alpha_star
+
+    def rows():
+        # Consecutive bulk draws equal one draw of every round (in Bernoulli mode, also
+        # step_bernoulli's per-round draws). Zero rounds still draw one empty block,
+        # which checks eta and --adv.
+        for start in range(0, max(args.rounds, 1), SIMULATE_BLOCK):
+            n = min(SIMULATE_BLOCK, args.rounds - start)
+            if args.mode == "bernoulli":
+                acc, est, u = (rng.random(n) < alpha).tolist(), [""] * n, [""] * n
+            else:
+                b = physical_rounds(scenario, args.eta, args.adv, rng, n)
+                acc, est, u = b.accepted.tolist(), b.estimate.tolist(), b.u_true.tolist()
+            for i, (a, e, v) in enumerate(zip(acc, est, u), start):
+                yield i, args.eta, a, e if a else "", v
+
+    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), rows(),
+              cfg.hash(), cfg["experiment.base_seed"])
     return 0
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.trials is not None:
-        cfg = cfg.with_overrides(**{"experiment.trials": args.trials})
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     art = prepare_instance(cfg)
     results = run_trials(art, algos, threads=args.threads, keep_outcome=args.trace is not None)
@@ -171,14 +184,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    emit_curves(cfg, args.out, points=args.points)
+    write_csv(args.out, CURVE_HEADER, curve_rows(cfg, args.points), cfg.hash(),
+              cfg["experiment.base_seed"])
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.trials is not None:
-        cfg = cfg.with_overrides(**{"experiment.trials": args.trials})
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     gap = None
     if args.verify_etas:
@@ -222,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="run seeded learning trials")
     _common(p)
-    p.add_argument("--algo", choices=(ETC, ELIMINATION, "both"), default="both")
-    p.add_argument("--trials", type=int, default=None)
+    _trial_flags(p)
     p.add_argument("--trace", default=None, help="optional per-arm trace CSV path")
-    p.add_argument("--budget-scale", type=float, default=None,
-                   help="smoke-test knob: scale the per-arm budget down (acceptance uses 1.0)")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("verify", help="brute-force oracle vs the value curve")
@@ -244,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="trial matrix plus summary statistics")
     _common(p)
-    p.add_argument("--algo", choices=(ETC, ELIMINATION, "both"), default="both")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--budget-scale", type=float, default=None)
+    _trial_flags(p)
     p.add_argument("--verify-etas", type=_parse_float_list, default=None)
     p.add_argument("--verify-alphas", type=_parse_float_list, default=None)
     p.set_defaults(func=cmd_report)

@@ -21,18 +21,8 @@ class ConfigError(ValueError):
     """Configuration problem; the message starts with the offending key."""
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+# parser tag -> (type, what a value of that type looks like)
+_PARSERS = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "text")}
 
 
 # key -> (parser tag, default); None default means "unset"
@@ -63,14 +53,17 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "experiment.budget_scale": ("float", 1.0),
 }
 
-# the config key behind each UtilitySpec field
-_SPEC_KEYS = {
+# the config key behind each UtilitySpec and LipschitzProfile field
+_FIELD_KEYS = {
     "dc_kind": "utility.dc.kind",
     "dc_gamma": "utility.dc.gamma",
     "ad_kind": "utility.ad.kind",
     "ad_w_mse": "utility.ad.w_mse",
     "ad_w_pa": "utility.ad.w_pa",
     "ad_theta": "utility.ad.theta",
+    "ell": "lipschitz.ell",
+    "big_l": "lipschitz.L",
+    "d": "lipschitz.d",
 }
 
 
@@ -111,12 +104,7 @@ class ExperimentConfig:
         return LipschitzProfile(ell=ell, big_l=big_l, d=d)
 
     def with_overrides(self, **pairs) -> "ExperimentConfig":
-        updated = dict(self.values)
-        for key, value in pairs.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"{key}: unknown configuration key")
-            updated[key] = value
-        return validate_config(updated)
+        return validate_config({**self.values, **pairs})
 
     def canonical_text(self) -> str:
         lines = []
@@ -184,9 +172,9 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     try:
         cfg.utility_spec()
+        cfg.lipschitz_override()
     except UtilitySpecError as exc:
-        raise ConfigError(f"{_SPEC_KEYS[exc.field]}: {exc}") from None
-    cfg.lipschitz_override()
+        raise ConfigError(f"{_FIELD_KEYS[exc.field]}: {exc}") from None
 
     a, b = resolved["learner.a"], resolved["learner.b"]
     if not 2.0 <= a:
@@ -218,13 +206,11 @@ def load_config_text(text: str) -> ExperimentConfig:
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
-        tag = _SCHEMA[key][0]
-        if tag == "float":
-            typed[key] = _parse_float(key, value)
-        elif tag == "int":
-            typed[key] = _parse_int(key, value)
-        else:
-            typed[key] = value
+        kind, expected = _PARSERS[_SCHEMA[key][0]]
+        try:
+            typed[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     return validate_config(typed)
 
 

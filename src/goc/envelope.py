@@ -12,7 +12,7 @@ acceptance probability at least ``alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -147,16 +147,17 @@ class EnvelopeTable:
     slack: float
 
     def __post_init__(self) -> None:
-        self.alpha_grid.setflags(write=False)
-        self.h_values.setflags(write=False)
-        self.h_star_values.setflags(write=False)
-        self.c_values.setflags(write=False)
-        self.hull_q.setflags(write=False)
-        self.hull_values.setflags(write=False)
+        for a in (self.alpha_grid, self.h_values, self.h_star_values, self.c_values,
+                  self.hull_q, self.hull_values):
+            a.setflags(write=False)
         if np.any(self.h_star_values < self.h_values - 1e-12):
             raise ValueError("envelope fails to dominate sampled values")
         if np.any(self.c_values < 0.0):
             raise ValueError("value curve must be nonnegative")
+
+    def __reduce__(self):
+        # unpickle through the constructor, so copies are read-only and checked too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def c_at(self, alpha):
         """Value curve at ``alpha`` (linear interpolation between grid points)."""

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from goc.config import ExperimentConfig, validate_config
+from goc.config import ExperimentConfig
 from goc.envelope import EnvelopeTable, build_envelope_table
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
@@ -135,9 +135,9 @@ def run_trial(
 _WORKER_ART: InstanceArtifacts | None = None
 
 
-def _worker_init(values: dict) -> None:
+def _worker_init(art: InstanceArtifacts) -> None:
     global _WORKER_ART
-    _WORKER_ART = prepare_instance(validate_config(dict(values)))
+    _WORKER_ART = art
 
 
 def _worker_run(task: tuple[int, str, bool]) -> TrialResult:
@@ -146,13 +146,13 @@ def _worker_run(task: tuple[int, str, bool]) -> TrialResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get("GOC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker count: ``explicit``, else ``GOC_THREADS``, else 1; capped at the CPU count."""
+    if explicit is None:
+        try:
+            explicit = int(os.environ.get("GOC_THREADS", "1"))
+        except ValueError:
+            explicit = 1
+    return max(1, min(explicit, os.cpu_count() or 1))
 
 
 def run_trials(
@@ -168,11 +168,11 @@ def run_trials(
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(tasks) < 4:
         return [run_trial(art, *task) for task in tasks]
+    # workers run art itself: forked ones inherit it, spawned ones unpickle it once each
     with ProcessPoolExecutor(
-        max_workers=n_threads, initializer=_worker_init, initargs=(art.config.values,)
+        max_workers=n_threads, initializer=_worker_init, initargs=(art,)
     ) as pool:
-        results = list(pool.map(_worker_run, tasks, chunksize=max(1, len(tasks) // (4 * n_threads))))
-    return results
+        return list(pool.map(_worker_run, tasks, chunksize=max(1, len(tasks) // (4 * n_threads))))
 
 
 @dataclass(frozen=True)
@@ -260,13 +260,17 @@ def write_csv(
     config_hash: str,
     seed: int,
 ) -> None:
-    """Write a CSV with a leading comment line recording config hash and seed."""
+    """CSV led by a ``# config_hash=... seed=...`` line; rows stream to a temp file renamed to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"# config_hash={config_hash} seed={seed}\n{','.join(header)}\n")
+            fh.writelines(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def trial_rows(results: Iterable[TrialResult]) -> list[tuple]:
@@ -320,12 +324,6 @@ def curve_rows(
 
 
 CURVE_HEADER = ("eta", "alpha", "mmse", "u")
-
-
-def emit_curves(config: ExperimentConfig, path: str | Path, points: int = 201) -> None:
-    """Write the realized-utility curve CSV for external plotting."""
-    write_csv(path, CURVE_HEADER, curve_rows(config, points), config.hash(),
-              config["experiment.base_seed"])
 
 
 def run_experiment(

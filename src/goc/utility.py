@@ -26,9 +26,13 @@ DC_RATIO = "ratio"  # pa / (1 + mse)
 AD_WEIGHTED_SUM = "weighted_sum"  # w_mse * mse + w_pa * pa
 AD_PRODUCT = "product"  # pa^theta * mse
 
+ELL_ETA_POINTS = 17  # estimate_lipschitz: etas in the ell sweep
+WINDOW_FRACTION = 1.0 / 200.0  # ... its slope window, as a share of [a, b]
+JUMP_FACTOR = 50.0  # ... windowed slopes above this multiple of the median flag a boundary
+
 
 class UtilitySpecError(ValueError):
-    """Invalid utility parameter; ``field`` names the ``UtilitySpec`` field at fault."""
+    """Invalid ``UtilitySpec`` or ``LipschitzProfile`` parameter; ``field`` names the field at fault."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field} {message}")
@@ -123,8 +127,9 @@ class LipschitzProfile:
     d: float
 
     def __post_init__(self) -> None:
-        if not (self.ell > 0.0 and self.big_l > 0.0 and self.d > 0.0):
-            raise ValueError("Lipschitz profile entries must be positive")
+        for name in ("ell", "big_l", "d"):
+            if not getattr(self, name) > 0.0:
+                raise UtilitySpecError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,6 @@ def estimate_lipschitz(
     resolution: int = 801,
     grid_size: int = DEFAULT_GRID_SIZE,
     alpha_min: float = DEFAULT_ALPHA_MIN,
-    ell_eta_points: int = 17,
-    window_fraction: float = 1.0 / 200.0,
-    jump_factor: float = 50.0,
 ) -> LipschitzEstimate:
     """Estimate (ell, L, d) from the computed curves.
 
@@ -154,7 +156,7 @@ def estimate_lipschitz(
     alpha -> q_dc(c(alpha), alpha) over a coarse eta sweep. ``L`` and ``d``
     come from finite differences of the realized-utility curve over a fixed
     physical window (stable under grid refinement); windowed slopes above
-    ``jump_factor`` times the median flag piece boundaries and are excluded
+    ``JUMP_FACTOR`` times the median flag piece boundaries and are excluded
     from ``L``. Overestimates only inflate the learners' budgets.
     """
     from goc.oracle import best_response_curve  # local import: oracle depends on this module
@@ -164,7 +166,7 @@ def estimate_lipschitz(
         raise ValueError("need 2 <= a < b")
     # slope bound in alpha, exact on the piecewise-linear tables
     ell = 0.0
-    for eta in np.linspace(a, b, ell_eta_points):
+    for eta in np.linspace(a, b, ELL_ETA_POINTS):
         table = build_envelope_table(scenario, eta, grid_size, alpha_min)
         u_alpha = q_dc(spec, table.c_values, table.alpha_grid)
         slopes = np.abs(np.diff(u_alpha) / np.diff(table.alpha_grid))
@@ -176,11 +178,11 @@ def estimate_lipschitz(
         [br.dc_value for br in best_response_curve(scenario, spec, etas, grid_size, alpha_min)]
     )
     step = etas[1] - etas[0]
-    m = max(1, int(round(window_fraction * (b - a) / step)))
+    m = max(1, int(round(WINDOW_FRACTION * (b - a) / step)))
     wslopes = np.abs(u[m:] - u[:-m]) / (m * step)
     med = float(np.median(wslopes))
     if med > 0.0:
-        jump_mask = wslopes > jump_factor * med
+        jump_mask = wslopes > JUMP_FACTOR * med
     else:
         jump_mask = np.zeros_like(wslopes, dtype=bool)
     boundaries: list[float] = []

@@ -1,5 +1,6 @@
 import pytest
 
+import goc.cli
 from goc.cli import _parse_adversary, _parse_float_list, main
 from goc.experiments import curve_rows
 from goc.config import default_config
@@ -77,6 +78,50 @@ def test_simulate_command_bernoulli(tmp_path, smoke_cfg):
     ])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 102
+
+
+@pytest.mark.parametrize("mode_args", [["--mode", "bernoulli"], ["--mode", "physical", "--adv", "z=2.0"]])
+def test_simulate_blocks_do_not_change_the_csv(tmp_path, monkeypatch, mode_args):
+    argv = ["simulate", *mode_args, "--eta", "2.5", "--rounds", "50", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+    monkeypatch.setattr(goc.cli, "SIMULATE_BLOCK", 7)
+    assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+
+def test_simulate_rejects_negative_rounds(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--mode", "bernoulli", "--eta", "2.5", "--out", str(out)]
+    assert main(argv + ["--rounds", "-3"]) == 2
+    assert "--rounds" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--rounds", "0"]) == 0
+    assert out.read_text().splitlines()[1:] == ["round,eta,accepted,estimate,u_true"]
+
+
+def test_failed_simulate_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main([
+        "simulate", "--mode", "physical", "--eta", "2.5", "--rounds", "100",
+        "--adv", "z=1e5", "--out", str(out),
+    ])
+    assert rc == 2
+    assert "span" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--eta-list", "2"],
+    ["solve"],
+    ["simulate", "--eta", "2.5", "--rounds", "1", "--adv", "z=2.0"],
+    ["verify", "--eta-list", "2", "--alpha-list", "0.5"],
+    ["curves"],
+])
+def test_threads_only_on_trial_commands(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_learn_command_with_trace(tmp_path, smoke_cfg):

@@ -97,11 +97,17 @@ def test_non_finite_override_named():
     ("utility.ad.theta", "0"),
     ("utility.ad.w_mse", "0"),
     ("utility.ad.w_pa", "-1"),
+    ("lipschitz.ell", "-1"),
+    ("lipschitz.L", "0"),
+    ("lipschitz.d", "-2"),
 ])
 def test_utility_errors_name_their_key(key, raw):
-    text = f"{key} = {raw}\n"
+    pairs = {key: raw}
     if key.startswith("utility.ad.w_"):
-        text += "utility.ad.kind = weighted_sum\n"
+        pairs["utility.ad.kind"] = "weighted_sum"
+    if key.startswith("lipschitz."):
+        pairs = {"lipschitz.ell": "2.0", "lipschitz.L": "0.5", "lipschitz.d": "4.0", key: raw}
+    text = "".join(f"{k} = {v}\n" for k, v in pairs.items())
     with pytest.raises(ConfigError, match=rf"^{key}: "):
         load_config_text(text)
 

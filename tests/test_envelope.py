@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +187,18 @@ def test_table_invariants(unif, tgauss):
             assert np.all(hull_second <= 1e-9)
             assert t.alpha_grid[0] >= t.alpha_min - 1e-15
             assert t.alpha_grid[-1] == 1.0
+
+
+def test_table_pickle_round_trip(tgauss):
+    table = build_envelope_table(tgauss, 2.5, 401)
+    copy = pickle.loads(pickle.dumps(table))
+    for f in dataclasses.fields(table):
+        value = getattr(copy, f.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, f.name
+            assert np.array_equal(value, getattr(table, f.name)), f.name
+        else:
+            assert value == getattr(table, f.name), f.name
 
 
 @given(

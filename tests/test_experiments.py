@@ -1,15 +1,21 @@
 import dataclasses
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
+from goc import experiments
 from goc.config import default_config
 from goc.experiments import (
     ELIMINATION,
     ETC,
     prepare_instance,
+    resolve_threads,
     run_experiment,
     run_trial,
+    run_trials,
     summarize,
     write_csv,
 )
@@ -111,21 +117,57 @@ def test_physical_mode_trials(smoke_cfg):
 
 
 def test_parallel_trials_match_sequential(smoke_cfg, smoke_art):
-    from goc.experiments import run_trials
-
     seq = run_trials(smoke_art, (ETC, ELIMINATION), threads=1)
     par = run_trials(smoke_art, (ETC, ELIMINATION), threads=2)
     assert seq == par
 
 
-def test_threads_env_var(monkeypatch):
-    from goc.experiments import resolve_threads
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the patched module")
+def test_workers_run_the_parents_instance(smoke_art, monkeypatch):
+    seq = run_trials(smoke_art, (ETC, ELIMINATION), threads=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
+    def no_rederivation(config):
+        raise AssertionError("a pool worker derived the instance again")
+
+    monkeypatch.setattr(experiments, "prepare_instance", no_rederivation)
+    assert run_trials(smoke_art, (ETC, ELIMINATION), threads=2) == seq
+
+
+def test_pickled_instance_runs_the_same_trials(smoke_art):
+    # the copy a spawned worker receives
+    copy = pickle.loads(pickle.dumps(smoke_art))
+    assert all(not t.alpha_grid.flags.writeable for t in copy.tables)
+    for algo in (ETC, ELIMINATION):
+        assert run_trial(copy, 1, algo) == run_trial(smoke_art, 1, algo)
+
+
+def test_threads_env_var(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("GOC_THREADS", "3")
     assert resolve_threads() == 3
     assert resolve_threads(2) == 2
     monkeypatch.setenv("GOC_THREADS", "junk")
     assert resolve_threads() == 1
+
+
+def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert resolve_threads(64) == 2
+    monkeypatch.setenv("GOC_THREADS", "1000")
+    assert resolve_threads() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads() == 1
+    # one CPU: a huge request runs serially and starts no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    seq = run_trials(smoke_art, (ETC,), threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    assert run_trials(smoke_art, (ETC,), threads=10**6) == seq
 
 
 def test_write_csv_formats(tmp_path):
@@ -135,3 +177,17 @@ def test_write_csv_formats(tmp_path):
     assert lines[0] == "# config_hash=deadbeef seed=7"
     assert lines[2] == "1,0.5,true"
     assert lines[3] == "2,1e-09,false"
+
+
+def test_write_csv_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+
+    def rows():
+        yield (1, 0.5)
+        raise ValueError("draw failed")
+
+    with pytest.raises(ValueError, match="draw failed"):
+        write_csv(path, ("a", "b"), rows(), "deadbeef", 7)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
