@@ -106,6 +106,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
     curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), etas,
                                 cfg["envelope.grid"], cfg["envelope.alpha_min"])
@@ -123,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.rounds < 0:
         raise ValueError("--rounds must be >= 0")
     if args.mode == "physical" and args.adv is None:
-        raise SystemExit("simulate --mode physical requires --adv")
+        raise ValueError("simulate --mode physical requires --adv")
     scenario = cfg.scenario()
     rng = make_rng(cfg["experiment.base_seed"], 0, 0)
     if args.mode == "bernoulli":
@@ -184,6 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     write_csv(args.out, CURVE_HEADER, curve_rows(cfg, args.points), cfg.hash(),
               cfg["experiment.base_seed"])
     return 0
@@ -266,9 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "verify_etas", None) and not getattr(args, "verify_alphas", None):
         parser.error("--verify-etas requires --verify-alphas")
+    if getattr(args, "verify_alphas", None) and not getattr(args, "verify_etas", None):
+        parser.error("--verify-alphas requires --verify-etas")
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

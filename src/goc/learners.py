@@ -130,22 +130,40 @@ class LearnerOutcome:
 
 def _u_hat_rows(
     spec: UtilitySpec, tables: list[EnvelopeTable], alpha_hat: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimated utility per (arm, round) entry, clamping the rate into the table range.
 
-    Returns the utility matrix and the number of clamped entries (rates
-    below the table's lower edge; the singular small-rate region is far
-    from optimal anyway).
+    Row ``i`` is read through ``tables[i]``. Returns the utility matrix and the
+    mask of clamped entries (rates below the table's lower edge; the singular
+    small-rate region is far from optimal anyway).
     """
     out = np.empty_like(alpha_hat)
-    clamped = 0
+    clamped = np.empty(alpha_hat.shape, dtype=bool)
     for i, table in enumerate(tables):
         row = alpha_hat[i]
-        clamped += int(np.count_nonzero(row < table.alpha_min))
+        clamped[i] = row < table.alpha_min
         safe = np.clip(row, table.alpha_min, 1.0)
         c = np.interp(safe, table.alpha_grid, table.c_values)
         out[i] = q_dc(spec, c, safe)
     return out, clamped
+
+
+def _outcome(etas, alive, stop, counts, alpha, u, log=(), clamps=0) -> LearnerOutcome:
+    """Commit to the best live arm (lowest index on ties) and record every arm.
+
+    ``stop[i]`` is the last round arm ``i`` played; ``counts``, ``alpha`` and ``u``
+    hold its accept count, rate and estimated utility at that round.
+    """
+    m = int(np.argmax(np.where(alive, u, -np.inf)))
+    trace = tuple(
+        ArmState(index=i + 1, eta=float(etas[i]), rounds_played=int(stop[i]),
+                 accept_count=int(counts[i]), alpha_hat=float(alpha[i]), u_hat=float(u[i]),
+                 eliminated=not alive[i], eliminated_at_round=None if alive[i] else int(stop[i]))
+        for i in range(len(etas))
+    )
+    return LearnerOutcome(eta_hat=float(etas[m]), eta_hat_index=m + 1,
+                          total_game_rounds=int(np.sum(stop)), arm_trace=trace,
+                          elimination_log=tuple(log), clamp_count=clamps)
 
 
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -158,32 +176,11 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     n_arms = config.n + 1
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
-    etas = config.etas()
-    draws = env.acceptance_block(0, config.k)
-    counts = draws.sum(axis=1)
-    alpha_hat = counts / config.k
-    u_hat, clamped = _u_hat_rows(spec, env.tables, alpha_hat[:, None])
-    u_hat = u_hat[:, 0]
-    m = int(np.argmax(u_hat))
-    trace = tuple(
-        ArmState(
-            index=i + 1,
-            eta=float(etas[i]),
-            rounds_played=config.k,
-            accept_count=int(counts[i]),
-            alpha_hat=float(alpha_hat[i]),
-            u_hat=float(u_hat[i]),
-            eliminated=False,
-        )
-        for i in range(n_arms)
-    )
-    return LearnerOutcome(
-        eta_hat=float(etas[m]),
-        eta_hat_index=m + 1,
-        total_game_rounds=n_arms * config.k,
-        arm_trace=trace,
-        clamp_count=clamped,
-    )
+    counts = env.acceptance_block(0, config.k).sum(axis=1)
+    alpha = counts / config.k
+    u, clamped = _u_hat_rows(spec, env.tables, alpha[:, None])
+    return _outcome(config.etas(), np.ones(n_arms, dtype=bool), np.full(n_arms, config.k),
+                    counts, alpha, u[:, 0], clamps=int(np.count_nonzero(clamped)))
 
 
 def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -194,35 +191,35 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     than the shrinking radius. Processing is blocked for speed, which is
     equivalent to the sequential rule because candidate streams are
     independent: an elimination restarts the scan inside the block with
-    the survivor set updated.
+    the survivor set updated. A block scores only the candidates alive at
+    its start.
     """
-    n_arms = config.n + 1
+    n_arms, k = config.n + 1, config.k
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
-    etas = config.etas()
-    k = config.k
-
+    # one record per arm: the last round it played, and its accept count, rate and
+    # estimated utility at that round
     alive = np.ones(n_arms, dtype=bool)
+    stop = np.zeros(n_arms, dtype=np.int64)
     counts = np.zeros(n_arms, dtype=np.int64)
-    elim_round = np.zeros(n_arms, dtype=np.int64)
-    snap_counts = np.zeros(n_arms, dtype=np.int64)
-    snap_alpha = np.zeros(n_arms)
-    snap_u = np.full(n_arms, -np.inf)
+    alpha = np.zeros(n_arms)
+    u = np.full(n_arms, -np.inf)
     log: list[tuple[int, int]] = []
-    clamp_count = 0
-    final_alpha = np.zeros(n_arms)
-    final_u = np.full(n_arms, -np.inf)
+    clamps = 0
 
     pos = 0
     while pos < k:
         b = min(_ELIM_BLOCK, k - pos)
         draws = env.acceptance_block(pos, pos + b)
-        cum = counts[:, None] + np.cumsum(draws, axis=1)
+        rows = np.flatnonzero(alive)
+        cum = counts[rows, None] + np.cumsum(draws[rows], axis=1)
         r_vec = np.arange(pos + 1, pos + b + 1, dtype=float)
         alpha_hat = cum / r_vec[None, :]
-        u_hat, _ = _u_hat_rows(spec, env.tables, alpha_hat)
+        u_live, clamped = _u_hat_rows(spec, [env.tables[i] for i in rows], alpha_hat)
+        u_hat = np.full((n_arms, b), -np.inf)
+        u_hat[rows] = u_live
         eps = elimination_radius(config.lip.ell, config.n, config.delta, r_vec)
-        alive_at_start = alive.copy()
+        last = np.full(n_arms, b - 1)
         j = 0
         while j < b:
             masked = np.where(alive[:, None], u_hat[:, j:], -np.inf)
@@ -233,47 +230,19 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
             if hit_cols.size == 0:
                 break
             jj = j + int(hit_cols[0])
-            dead = np.flatnonzero(viol[:, hit_cols[0]])
-            r_elim = pos + jj + 1
-            for i in dead:
+            for i in np.flatnonzero(viol[:, hit_cols[0]]):
                 alive[i] = False
-                elim_round[i] = r_elim
-                snap_counts[i] = cum[i, jj]
-                snap_alpha[i] = alpha_hat[i, jj]
-                snap_u[i] = u_hat[i, jj]
-                log.append((r_elim, int(i) + 1))
+                last[i] = jj
+                log.append((pos + jj + 1, int(i) + 1))
             j = jj + 1
-        # clamp accounting over rounds each arm actually played in this block
-        clamp_mask = alpha_hat < np.array([t.alpha_min for t in env.tables])[:, None]
-        for i in np.flatnonzero(alive_at_start):
-            limit = b if alive[i] else int(elim_round[i] - pos)
-            clamp_count += int(np.count_nonzero(clamp_mask[i, :limit]))
-        counts = cum[:, -1].copy()
-        final_alpha = alpha_hat[:, -1]
-        final_u = u_hat[:, -1]
+        col = last[rows]
+        played = np.arange(b)[None, :] <= col[:, None]
+        clamps += int(np.count_nonzero(clamped & played))
+        at = (np.arange(rows.size), col)  # each live arm at the last round it played
+        stop[rows] = pos + col + 1
+        counts[rows] = cum[at]
+        alpha[rows] = alpha_hat[at]
+        u[rows] = u_live[at]
         pos += b
 
-    winners = np.where(alive, final_u, -np.inf)
-    m = int(np.argmax(winners))
-    total = int(np.sum(np.where(alive, k, elim_round)))
-    trace = tuple(
-        ArmState(
-            index=i + 1,
-            eta=float(etas[i]),
-            rounds_played=int(k if alive[i] else elim_round[i]),
-            accept_count=int(counts[i] if alive[i] else snap_counts[i]),
-            alpha_hat=float(final_alpha[i] if alive[i] else snap_alpha[i]),
-            u_hat=float(final_u[i] if alive[i] else snap_u[i]),
-            eliminated=not bool(alive[i]),
-            eliminated_at_round=None if alive[i] else int(elim_round[i]),
-        )
-        for i in range(n_arms)
-    )
-    return LearnerOutcome(
-        eta_hat=float(etas[m]),
-        eta_hat_index=m + 1,
-        total_game_rounds=total,
-        arm_trace=trace,
-        elimination_log=tuple(log),
-        clamp_count=clamp_count,
-    )
+    return _outcome(config.etas(), alive, stop, counts, alpha, u, log, clamps)

@@ -48,7 +48,26 @@ PROBE = textwrap.dedent(
         env.acceptance_block(0, 10)
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
         blocks[cls.__name__] = [s[6] for s in new]
-    print(json.dumps({"missing": missing, "blocks": blocks}))
+
+    from goc.learners import LearnerConfig, run_elimination, run_etc
+    from goc.utility import LipschitzProfile
+
+    # tables whose lower edge is the first arm's best response, so elimination clamps
+    lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=300, budget_scale=0.5)
+    tables = [build_envelope_table(scenario, e, 801, 0.5) for e in etas]
+    learners = {}
+    for learner in (run_etc, run_elimination):
+        env = BernoulliArmEnv(scenario, spec, etas, tables, base_seed=1, trial=0)
+        before = len(tracer.spans)
+        out = learner(cfg, env, spec)
+        new = [s for s in tracer.spans[before:] if s[2] == "learners." + learner.__name__]
+        learners[learner.__name__] = {
+            "spans": [s[6] for s in new],
+            "outcome": {"rounds": out.total_game_rounds, "budget": (cfg.n + 1) * cfg.k,
+                        "clamps": out.clamp_count},
+        }
+    print(json.dumps({"missing": missing, "blocks": blocks, "learners": learners}))
     """
 )
 
@@ -67,3 +86,7 @@ def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
         "BernoulliArmEnv": [{"arm_rounds": 20, "uniforms": 20}],
         "PhysicalArmEnv": [{"arm_rounds": 20, "uniforms": 100}],
     }
+    # each learner records one span whose counters are the outcome's own
+    for name, got in out["learners"].items():
+        assert got["spans"] == [got["outcome"]], name
+    assert out["learners"]["run_elimination"]["outcome"]["clamps"] > 0

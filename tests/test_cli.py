@@ -186,3 +186,38 @@ def test_config_error_reported(tmp_path, capsys):
     rc = main(["curves", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "scenario.delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "curves"])
+@pytest.mark.parametrize("points", ["-2", "0"])
+def test_points_must_be_positive(tmp_path, capsys, command, points):
+    out = tmp_path / "x.csv"
+    assert main([command, "--points", points, "--out", str(out)]) == 2
+    assert "error: --points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_physical_requires_adv(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--mode", "physical", "--eta", "2.5", "--rounds", "5", "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given, missing", [("--verify-etas", "--verify-alphas"),
+                                            ("--verify-alphas", "--verify-etas")])
+def test_verify_flags_come_in_pairs(tmp_path, capsys, given, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", given, "2", "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert f"error: {given} requires {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_out_at_existing_file(tmp_path, smoke_cfg, capsys):
+    out = tmp_path / "rep"
+    out.write_text("keep")
+    assert main(["report", "--config", str(smoke_cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_text() == "keep"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from goc.envelope import build_envelope_table
+import goc.learners
+from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
 from goc.environment import BernoulliArmEnv, make_rng
 from goc.learners import (
     LearnerConfig,
@@ -95,12 +96,17 @@ def test_config_validation():
     assert scaled.k == 100
 
 
-def _tiny_instance(unif, spec, n_arms=3, k=400):
+def _tiny_instance(unif, spec, n_arms=3, k=400, alpha_min=DEFAULT_ALPHA_MIN):
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=1.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=n_arms - 1, k=k, budget_scale=0.5)
     etas = cfg.etas()
-    tables = [build_envelope_table(unif, float(e), 801) for e in etas]
+    tables = [build_envelope_table(unif, float(e), 801, alpha_min) for e in etas]
     return cfg, etas, tables
+
+
+# Tables whose lower edge sits at the best response of the first candidate,
+# so about half of that candidate's rate estimates fall below it and are clamped.
+CLAMPING_ALPHA_MIN = 0.5
 
 
 def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
@@ -129,17 +135,24 @@ def test_etc_identifies_best_arm(unif, spec_default):
 def test_etc_matches_manual_argmax(unif, spec_default):
     from goc.utility import q_dc
 
-    cfg, etas, tables = _tiny_instance(unif, spec_default, k=350)
-    env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=2)
-    out = run_etc(cfg, env, spec_default)
-    manual = []
-    env2 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=2)
-    draws = env2.acceptance_block(0, cfg.k)
-    for i, t in enumerate(tables):
-        a = np.clip(draws[i].sum() / cfg.k, t.alpha_min, 1.0)
-        manual.append(float(q_dc(spec_default, np.interp(a, t.alpha_grid, t.c_values), a)))
-    assert out.eta_hat_index == int(np.argmax(manual)) + 1
-    assert out.arm_trace[0].u_hat == pytest.approx(manual[0], abs=1e-12)
+    # the second instance clamps estimates
+    for alpha_min, trial in [(DEFAULT_ALPHA_MIN, 2), (CLAMPING_ALPHA_MIN, 3)]:
+        cfg, etas, tables = _tiny_instance(unif, spec_default, k=350, alpha_min=alpha_min)
+        env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=trial)
+        out = run_etc(cfg, env, spec_default)
+        manual = []
+        clamps = 0
+        env2 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=trial)
+        draws = env2.acceptance_block(0, cfg.k)
+        for i, t in enumerate(tables):
+            rate = draws[i].sum() / cfg.k
+            clamps += int(rate < t.alpha_min)
+            a = np.clip(rate, t.alpha_min, 1.0)
+            manual.append(float(q_dc(spec_default, np.interp(a, t.alpha_grid, t.c_values), a)))
+        assert out.eta_hat_index == int(np.argmax(manual)) + 1
+        assert out.arm_trace[0].u_hat == pytest.approx(manual[0], abs=1e-12)
+        assert out.clamp_count == clamps
+    assert clamps > 0
 
 
 def test_elimination_drops_separated_arms(unif, spec_gamma1):
@@ -160,39 +173,75 @@ def test_elimination_drops_separated_arms(unif, spec_gamma1):
     assert {i for _, i in out.elimination_log} == {s.index for s in out.arm_trace if s.eliminated}
 
 
-def test_elimination_matches_sequential_reference(unif, spec_default):
-    """Blocked implementation equals a literal round-by-round replay."""
+def _sequential_elimination(cfg, tables, draws, spec):
+    """Literal round-by-round elimination: per arm, the last round played, accept count,
+    rate and utility, plus the elimination log and the number of clamped estimates."""
     from goc.utility import q_dc
 
-    cfg, etas, tables = _tiny_instance(unif, spec_default, n_arms=4, k=300)
-    env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=7, trial=5)
-    out = run_elimination(cfg, env, spec_default)
-
-    env2 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=7, trial=5)
-    draws = env2.acceptance_block(0, cfg.k)
     n_arms = cfg.n + 1
     alive = [True] * n_arms
+    played = [0] * n_arms
     counts = [0] * n_arms
-    log = []
-    ln_term = math.log(4.0 * n_arms / cfg.delta)
+    rate = [0.0] * n_arms
     u_now = [-np.inf] * n_arms
+    log = []
+    clamps = 0
+    ln_term = math.log(4.0 * n_arms / cfg.delta)
     for r in range(1, cfg.k + 1):
         for i in range(n_arms):
             if alive[i]:
                 counts[i] += int(draws[i, r - 1])
-                a = np.clip(counts[i] / r, tables[i].alpha_min, 1.0)
+                played[i] = r
+                rate[i] = counts[i] / r
+                clamps += int(rate[i] < tables[i].alpha_min)
+                a = np.clip(rate[i], tables[i].alpha_min, 1.0)
                 c = float(np.interp(a, tables[i].alpha_grid, tables[i].c_values))
-                u_now[i] = float(q_dc(spec_default, c, a))
+                u_now[i] = float(q_dc(spec, c, a))
         best = max(u for i, u in enumerate(u_now) if alive[i])
         eps = 2.0 * cfg.lip.ell * math.sqrt(ln_term / (2.0 * r))
         for i in range(n_arms):
             if alive[i] and best - u_now[i] > eps:
                 alive[i] = False
                 log.append((r, i + 1))
-    assert list(out.elimination_log) == log
-    survivors = [i for i in range(n_arms) if alive[i]]
-    best_i = max(survivors, key=lambda i: u_now[i])
-    assert out.eta_hat_index == best_i + 1
+    return alive, played, counts, rate, u_now, log, clamps
+
+
+def test_elimination_matches_sequential_reference(unif, spec_default, monkeypatch):
+    """Blocked implementation equals a literal round-by-round replay, arm by arm."""
+    # (k, trial, alpha_min, fixed rates): the second instance eliminates arms and clamps far
+    # more often; the third eliminates an arm whose rate sits below alpha_min
+    instances = [
+        (300, 5, DEFAULT_ALPHA_MIN, None),
+        (1000, 0, CLAMPING_ALPHA_MIN, None),
+        (1000, 0, CLAMPING_ALPHA_MIN, (0.9, 0.45, 0.7, 0.55)),
+    ]
+    for k, trial, alpha_min, alphas in instances:
+        cfg, etas, tables = _tiny_instance(unif, spec_default, n_arms=4, k=k, alpha_min=alpha_min)
+
+        def make_env():
+            if alphas is None:
+                return BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=7, trial=trial)
+            return FixedAlphaEnv(alphas, tables, base_seed=7, trial=trial)
+
+        draws = make_env().acceptance_block(0, cfg.k)
+        alive, played, counts, rate, u_now, log, clamps = _sequential_elimination(
+            cfg, tables, draws, spec_default)
+        assert clamps > 0
+        assert log or alpha_min == DEFAULT_ALPHA_MIN
+        survivors = [i for i in range(cfg.n + 1) if alive[i]]
+        best_i = max(survivors, key=lambda i: u_now[i])
+        for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
+            monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
+            out = run_elimination(cfg, make_env(), spec_default)
+            assert list(out.elimination_log) == log
+            assert out.eta_hat_index == best_i + 1
+            for i, s in enumerate(out.arm_trace):
+                assert (s.rounds_played, s.accept_count) == (played[i], counts[i])
+                assert s.eliminated_at_round == (None if alive[i] else played[i])
+                assert s.alpha_hat == pytest.approx(rate[i], abs=1e-12)
+                assert s.u_hat == pytest.approx(u_now[i], abs=1e-12)
+            assert out.clamp_count == clamps
+            assert out.total_game_rounds == sum(played)
 
 
 def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_unif_25):
