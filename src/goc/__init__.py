@@ -13,7 +13,6 @@ from goc.envelope import (
     EnvelopeTable,
     OffsetDomain,
     build_envelope_table,
-    concave_envelope,
     k_eta,
     k_inverse,
     nu_eta,
@@ -22,7 +21,6 @@ from goc.utility import (
     LipschitzEstimate,
     LipschitzProfile,
     UtilitySpec,
-    dc_utility_curve,
     estimate_lipschitz,
     q_ad,
     q_dc,
@@ -44,7 +42,7 @@ from goc.learners import (
     run_elimination,
     run_etc,
 )
-from goc.verify import OracleResult, three_point_spot_check, two_point_oracle
+from goc.verify import OracleResult, two_point_oracle
 
 __all__ = [
     "HonestNoiseModel",
@@ -52,7 +50,6 @@ __all__ = [
     "EnvelopeTable",
     "OffsetDomain",
     "build_envelope_table",
-    "concave_envelope",
     "k_eta",
     "nu_eta",
     "k_inverse",
@@ -61,7 +58,6 @@ __all__ = [
     "LipschitzEstimate",
     "q_dc",
     "q_ad",
-    "dc_utility_curve",
     "estimate_lipschitz",
     "BestResponse",
     "best_response",
@@ -81,7 +77,6 @@ __all__ = [
     "run_elimination",
     "OracleResult",
     "two_point_oracle",
-    "three_point_spot_check",
 ]
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -153,6 +154,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path is not None and Path(path).is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     art = prepare_instance(cfg)
     results = run_trials(art, algos, threads=args.threads, keep_outcome=args.trace is not None)
@@ -196,6 +200,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
     gap = None
     if args.verify_etas:
         results = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(func=cmd_envelope)
 
-    p = sub.add_parser("solve", help="best responses and the known-utility benchmark curve")
+    p = sub.add_parser("solve", help="the adversary's best response at each threshold")
     _common(p)
     p.add_argument("--eta-list", type=_parse_float_list, default=None)
     p.add_argument("--points", type=int, default=101)

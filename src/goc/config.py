@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE
 from goc.noise import TRUNCATED_GAUSSIAN, UNIFORM, HonestNoiseModel, Scenario
 from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec, UtilitySpecError
@@ -187,8 +189,13 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError("learner.lambda: must be positive")
     if resolved["envelope.grid"] < 101:
         raise ConfigError("envelope.grid: must be >= 101")
-    if not 0.0 < resolved["envelope.alpha_min"] < 1.0:
+    grid, alpha_min = resolved["envelope.grid"], resolved["envelope.alpha_min"]
+    if not 0.0 < alpha_min < 1.0:
         raise ConfigError("envelope.alpha_min: must lie in (0, 1)")
+    # build_envelope_table keeps the grid points q >= alpha_min - 1e-15
+    if np.count_nonzero(np.linspace(0.0, 1.0, grid) >= alpha_min - 1e-15) < 2:
+        raise ConfigError(f"envelope.alpha_min: must leave at least two of the envelope.grid "
+                          f"= {grid} points at or above it, got {alpha_min!r}")
     if resolved["estimator.resolution"] < 51:
         raise ConfigError("estimator.resolution: must be >= 51")
     if resolved["env.mode"] not in ("bernoulli", "physical"):

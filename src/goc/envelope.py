@@ -93,23 +93,8 @@ def k_inverse(scenario: Scenario, eta: float, q):
     return out if out.ndim else float(out)
 
 
-def concave_envelope(q, values) -> np.ndarray:
-    """Pointwise-smallest concave function dominating the sampled points.
-
-    Realized as the upper convex hull of ``(q, values)`` evaluated back at
-    each ``q``. Requires at least two strictly ascending abscissae.
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.ndim != 1 or q.shape != v.shape or q.size < 2:
-        raise ValueError("need >= 2 points with matching shapes")
-    if np.any(np.diff(q) <= 0.0):
-        raise ValueError("q must be strictly ascending without duplicates")
-    hull = _upper_hull_indices(q, v)
-    return np.interp(q, q[hull], v[hull])
-
-
 def _upper_hull_indices(q: np.ndarray, v: np.ndarray) -> list[int]:
+    """Indices of the upper convex hull of ``(q, v)`` by monotone chain; ``q`` ascending."""
     idx: list[int] = []
     for i in range(q.size):
         while len(idx) >= 2:

@@ -66,7 +66,7 @@ class MixtureAdversary:
 
 @dataclass(frozen=True)
 class RoundObservation:
-    """One round as seen by the collector."""
+    """One round as seen by the collector; what ``step_bernoulli`` returns."""
 
     round: int
     eta_committed: float
@@ -74,7 +74,6 @@ class RoundObservation:
 
 
 def step_bernoulli(
-    scenario: Scenario,
     spec: UtilitySpec,
     table: EnvelopeTable,
     rng: np.random.Generator,
@@ -84,7 +83,9 @@ def step_bernoulli(
     """One accept/reject coin with the best-response acceptance rate.
 
     Pass a precomputed ``alpha`` in loops; otherwise the best response is
-    recomputed from the table each call.
+    recomputed from the table each call. No ``goc`` command calls it; the
+    benchmark tracer (``bench/spans.py`` ``TRACED``) wraps it by name, so it
+    stays until the tracer drops it.
     """
     if alpha is None:
         alpha = best_response(table, spec).alpha_star

@@ -158,12 +158,11 @@ def resolve_threads(explicit: int | None = None) -> int:
 def run_trials(
     art: InstanceArtifacts,
     algos: Sequence[str],
-    trials: int | None = None,
     threads: int | None = None,
     keep_outcome: bool = False,
 ) -> list[TrialResult]:
-    """All (trial, algo) runs, in deterministic (algo, trial) order."""
-    trials = art.config["experiment.trials"] if trials is None else trials
+    """All ``experiment.trials`` (trial, algo) runs, in deterministic (algo, trial) order."""
+    trials = art.config["experiment.trials"]
     tasks = [(t, algo, keep_outcome) for algo in algos for t in range(trials)]
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(tasks) < 4:
@@ -191,7 +190,6 @@ class AlgoSummary:
 class SummaryReport:
     """Aggregate statistics, validated against the matched-seed round bound."""
 
-    lam: float
     per_algo: tuple[AlgoSummary, ...]
     envelope_max_gap: float | None = None
 
@@ -237,7 +235,7 @@ def summarize(
                 raise ValueError(
                     f"trial {r.trial}: elimination used more rounds than the fixed budget"
                 )
-    return SummaryReport(lam=lam, per_algo=tuple(summaries), envelope_max_gap=envelope_max_gap)
+    return SummaryReport(per_algo=tuple(summaries), envelope_max_gap=envelope_max_gap)
 
 
 # -- CSV emission -----------------------------------------------------------
@@ -333,11 +331,15 @@ def run_experiment(
     threads: int | None = None,
     envelope_max_gap: float | None = None,
 ) -> tuple[SummaryReport, list[TrialResult]]:
-    """Run the seeded trial matrix and write ``trials.csv`` and ``summary.csv``."""
+    """Run the seeded trial matrix and write ``trials.csv`` and ``summary.csv``.
+
+    ``out_dir`` is created first, so a path that cannot be a directory fails before any work.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     art = prepare_instance(config)
     results = run_trials(art, algos, threads=threads)
     report = summarize(results, lam=art.learner.lam, envelope_max_gap=envelope_max_gap)
-    out_dir = Path(out_dir)
     h = config.hash()
     seed = config["experiment.base_seed"]
     write_csv(out_dir / "trials.csv", TRIAL_HEADER, trial_rows(results), h, seed)

@@ -70,7 +70,11 @@ def realized_u(
     grid_size: int = DEFAULT_GRID_SIZE,
     alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> float:
-    """Collector utility against the best-responding adversary at ``eta``."""
+    """Collector utility against the best-responding adversary at ``eta``.
+
+    No ``goc`` command calls it; the benchmark tracer (``bench/spans.py``
+    ``TRACED``) wraps it by name, so it stays until the tracer drops it.
+    """
     if table is None:
         table = build_envelope_table(scenario, eta, grid_size, alpha_min)
     return best_response(table, spec).dc_value
@@ -91,24 +95,14 @@ def best_response_curve(
 
 
 def solve_complete_info(
-    scenario: Scenario,
-    spec: UtilitySpec,
-    eta_grid: Sequence[float],
-    tables: Sequence[EnvelopeTable] | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    alpha_min: float = DEFAULT_ALPHA_MIN,
+    tables: Sequence[EnvelopeTable], spec: UtilitySpec
 ) -> tuple[float, float]:
-    """Known-utility benchmark: argmax over the grid of the tie-broken collector utility.
+    """Complete-information solve: the table whose tie-broken collector utility is largest.
 
     Returns ``(eta_hat, dc_value)``; ties resolve to the lowest index.
     """
-    eta_grid = list(eta_grid)
-    if not eta_grid:
-        raise ValueError("eta_grid must be nonempty")
-    if tables is None:
-        responses = best_response_curve(scenario, spec, eta_grid, grid_size, alpha_min)
-    else:
-        responses = [best_response(t, spec) for t in tables]
-    values = [br.dc_value for br in responses]
+    if not tables:
+        raise ValueError("tables must be nonempty")
+    values = [best_response(t, spec).dc_value for t in tables]
     i = int(np.argmax(values))
-    return float(eta_grid[i]), float(values[i])
+    return tables[i].eta, float(values[i])

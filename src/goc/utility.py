@@ -1,4 +1,4 @@
-"""Player utilities and the collector's realized-utility curve machinery.
+"""Player utilities and the smoothness constants of the collector's realized-utility curve.
 
 Both players act on the pair (conditional MSE, acceptance probability).
 The collector's utility is nonincreasing in error and nondecreasing in
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from goc.envelope import (
-    DEFAULT_ALPHA_MIN,
-    DEFAULT_GRID_SIZE,
-    EnvelopeTable,
-    build_envelope_table,
-)
+from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE, build_envelope_table
 from goc.noise import Scenario
 
 DC_LINEAR = "linear"  # pa - gamma * mse
@@ -92,27 +87,6 @@ def q_ad(spec: UtilitySpec, mse, pa):
     return out if out.ndim else float(out)
 
 
-def check_monotonicity(spec: UtilitySpec, mse_hi: float = 20.0, eps: float = 1e-6) -> None:
-    """Finite-difference probes of the monotonicity contracts; raises on violation."""
-    mse = np.linspace(0.0, mse_hi, 25)[:, None]
-    pa = np.linspace(0.05, 1.0, 20)[None, :]
-    if np.any(q_dc(spec, mse + eps, pa) > q_dc(spec, mse, pa) + 1e-15):
-        raise ValueError("collector utility increases with error")
-    if np.any(q_dc(spec, mse, pa + eps) < q_dc(spec, mse, pa) - 1e-15):
-        raise ValueError("collector utility decreases with acceptance")
-    mse_in = np.linspace(0.01, mse_hi, 25)[:, None]
-    if np.any(q_ad(spec, mse_in + eps, pa) <= q_ad(spec, mse_in, pa)):
-        raise ValueError("adversary utility not strictly increasing in error")
-    if np.any(q_ad(spec, mse_in, pa + eps) <= q_ad(spec, mse_in, pa)):
-        raise ValueError("adversary utility not strictly increasing in acceptance")
-
-
-def dc_utility_curve(scenario: Scenario, spec: UtilitySpec, table: EnvelopeTable, alpha):
-    """Collector utility along the value curve: ``q_dc(c_eta(alpha), alpha)``."""
-    c = table.c_at(alpha)
-    return q_dc(spec, c, alpha)
-
-
 @dataclass(frozen=True)
 class LipschitzProfile:
     """Smoothness constants driving the learners' budgets.
@@ -134,11 +108,10 @@ class LipschitzProfile:
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Estimated profile plus the detected piece boundaries of the utility curve."""
+    """Estimated profile, the detected piece boundaries, and the utility at each sweep point."""
 
     profile: LipschitzProfile
     boundaries: tuple[float, ...]
-    eta_grid: np.ndarray
     u_values: np.ndarray
 
 
@@ -204,4 +177,4 @@ def estimate_lipschitz(
     cuts = [a] + boundaries + [b]
     d = float(min(np.diff(cuts))) if boundaries else b - a
     profile = LipschitzProfile(ell=ell, big_l=big_l, d=max(d, 1e-12))
-    return LipschitzEstimate(profile=profile, boundaries=tuple(boundaries), eta_grid=etas, u_values=u)
+    return LipschitzEstimate(profile=profile, boundaries=tuple(boundaries), u_values=u)

@@ -4,7 +4,7 @@ Maximizes the conditional midpoint MSE over two-offset mixtures subject
 to an acceptance floor, entirely from the raw acceptance/error integrals,
 and compares against the envelope-based curve. Mixtures of two offsets
 suffice because the optimum value is a chord of the squared-gap mass
-curve; a three-offset spot check guards the assumption.
+curve; the tests guard that assumption with a three-offset search.
 """
 
 from __future__ import annotations
@@ -38,23 +38,24 @@ class OracleResult:
 
 def two_point_oracle(
     scenario: Scenario,
-    eta: float,
+    table: EnvelopeTable,
     alpha: float,
     z_grid_size: int = DEFAULT_Z_GRID,
     w_grid_size: int = DEFAULT_W_GRID,
-    table: EnvelopeTable | None = None,
 ) -> OracleResult:
     """Exhaustive search over two-offset mixtures with acceptance at least ``alpha``.
 
-    Sweeps an offset grid pair with a weight grid, plus the exact weight
-    that makes the acceptance constraint active for each offset pair (the
-    maximizer usually sits on the constraint boundary, which a weight grid
-    alone would miss).
+    Searches at ``table.eta`` and reports ``table``'s value curve beside the
+    result. Sweeps an offset grid pair with a weight grid, plus the exact
+    weight that makes the acceptance constraint active for each offset pair
+    (the maximizer usually sits on the constraint boundary, which a weight
+    grid alone would miss).
     """
     if not 0.0 < alpha <= 1.0 + 1e-12:
         raise ValueError("alpha must lie in (0, 1]")
     if z_grid_size < 201 or w_grid_size < 101:
         raise ValueError("grids too coarse: need z >= 201, w >= 101")
+    eta = table.eta
     dom = offset_domain(scenario, eta)
     z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)
     kz = np.asarray(k_eta(scenario, eta, z))
@@ -101,8 +102,6 @@ def two_point_oracle(
     )
     consider(mse, w_safe)
 
-    if table is None:
-        table = build_envelope_table(scenario, eta)
     envelope_value = float(table.h_star_at(alpha) / (4.0 * alpha))
     return OracleResult(
         eta=float(eta),
@@ -127,49 +126,5 @@ def verify_grid(
     for eta in etas:
         table = build_envelope_table(scenario, eta, grid_size, alpha_min)
         for alpha in alphas:
-            results.append(
-                two_point_oracle(scenario, eta, alpha, z_grid_size, w_grid_size, table=table)
-            )
+            results.append(two_point_oracle(scenario, table, alpha, z_grid_size, w_grid_size))
     return results
-
-
-def three_point_spot_check(
-    scenario: Scenario,
-    eta: float,
-    alpha: float,
-    z_grid_size: int = 41,
-    w_grid_size: int = 13,
-) -> tuple[float, float]:
-    """Coarse three-offset search; returns (three_point_max, two_point_max at same z grid).
-
-    Guards the two-offset sufficiency assumption: the three-offset value
-    must not exceed the two-offset value beyond grid tolerance.
-    """
-    dom = offset_domain(scenario, eta)
-    z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)
-    kz = np.asarray(k_eta(scenario, eta, z))
-    nz = np.asarray(nu_eta(scenario, eta, z))
-    best3 = -np.inf
-    ws = np.linspace(0.0, 1.0, w_grid_size)
-    k1 = kz[:, None, None]
-    k2 = kz[None, :, None]
-    k3 = kz[None, None, :]
-    n1 = nz[:, None, None]
-    n2 = nz[None, :, None]
-    n3 = nz[None, None, :]
-    for w1 in ws:
-        for w2 in ws:
-            if w1 + w2 > 1.0 + 1e-12:
-                continue
-            w3 = 1.0 - w1 - w2
-            pa = w1 * k1 + w2 * k2 + w3 * k3
-            mse = np.where(
-                pa >= alpha - 1e-15,
-                (w1 * n1 + w2 * n2 + w3 * n3) / np.maximum(4.0 * pa, 1e-300),
-                -np.inf,
-            )
-            best3 = max(best3, float(mse.max()))
-    two = two_point_oracle(
-        scenario, eta, alpha, z_grid_size=max(z_grid_size, 201), w_grid_size=max(2 * w_grid_size + 1, 101)
-    )
-    return best3, two.oracle_value

@@ -3,7 +3,8 @@
 ``adaptive_simpson`` cross-checks the closed-form integrals by quadrature;
 ``k_inverse_bisect`` and ``h_eta`` invert the acceptance integral by
 bisection on ``k_eta`` alone, with no use of the noise quantile that the
-library's ``k_inverse`` relies on.
+library's ``k_inverse`` relies on. ``concave_envelope`` is a hull of its own,
+sharing no code with the one inside ``build_envelope_table``.
 """
 
 from __future__ import annotations
@@ -78,3 +79,31 @@ def k_inverse_bisect(scenario, eta: float, q):
 def h_eta(scenario, eta: float, q):
     """Squared-gap mass as a function of acceptance level: ``nu_eta`` after inverting ``k_eta``."""
     return nu_eta(scenario, eta, k_inverse_bisect(scenario, eta, q))
+
+
+def concave_envelope(q, values) -> np.ndarray:
+    """Pointwise-smallest concave function dominating the sampled points.
+
+    The upper convex hull of ``(q, values)`` by Andrew's monotone chain,
+    evaluated back at each ``q``. Needs at least two strictly ascending
+    abscissae.
+    """
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if q.ndim != 1 or q.shape != v.shape or q.size < 2:
+        raise ValueError("need >= 2 points with matching shapes")
+    if np.any(np.diff(q) <= 0.0):
+        raise ValueError("q must be strictly ascending without duplicates")
+    upper: list[tuple[float, float]] = []
+    for p in zip(q.tolist(), v.tolist()):
+        # pop the last vertex while it does not turn clockwise (lies on or under the chord)
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) >= 0.0:
+            upper.pop()
+        upper.append(p)
+    hq, hv = zip(*upper)
+    return np.interp(q, hq, hv)
+
+
+def _cross(o, a, b) -> float:
+    """z-component of ``(a - o) x (b - o)``: positive for a counter-clockwise turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

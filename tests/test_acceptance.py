@@ -73,7 +73,7 @@ def test_criterion_1_envelope_oracle_agreement():
     for eta in ETA_MATRIX:
         table = build_envelope_table(scenario, eta)
         for alpha in ALPHA_MATRIX:
-            res = two_point_oracle(scenario, eta, alpha, table=table)
+            res = two_point_oracle(scenario, table, alpha)
             rel = abs(res.gap) / max(1.0, res.envelope_value)
             worst = max(worst, rel)
     ok = worst <= 1e-3
@@ -258,9 +258,7 @@ def test_supplementary_known_utility_benchmark_dominates(default_art, default_re
     # learner's choice beyond lambda, in at least 1 - delta of trials
     from goc.oracle import solve_complete_info
 
-    _, value = solve_complete_info(
-        default_art.scenario, default_art.spec, list(default_art.etas), tables=list(default_art.tables)
-    )
+    _, value = solve_complete_info(default_art.tables, default_art.spec)
     etc, _ = default_results
     lam = default_art.config["learner.lambda"]
     delta = default_art.config["learner.delta"]

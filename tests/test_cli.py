@@ -1,6 +1,7 @@
 import pytest
 
 import goc.cli
+import goc.experiments
 from goc.cli import _parse_adversary, _parse_float_list, main
 from goc.experiments import curve_rows
 from goc.config import default_config
@@ -215,9 +216,33 @@ def test_verify_flags_come_in_pairs(tmp_path, capsys, given, missing):
     assert not (tmp_path / "rep").exists()
 
 
-def test_report_out_at_existing_file(tmp_path, smoke_cfg, capsys):
+def _no_set_up(monkeypatch):
+    # a run that fails on its output path must fail before set-up and any trial
+    def refuse(config):
+        raise AssertionError("prepare_instance called")
+
+    monkeypatch.setattr(goc.experiments, "prepare_instance", refuse)
+    monkeypatch.setattr(goc.cli, "prepare_instance", refuse)
+
+
+def test_report_out_at_existing_file(tmp_path, smoke_cfg, capsys, monkeypatch):
+    _no_set_up(monkeypatch)
+    monkeypatch.setattr(goc.cli, "verify_grid", lambda *a: pytest.fail("verify_grid called"))
     out = tmp_path / "rep"
     out.write_text("keep")
-    assert main(["report", "--config", str(smoke_cfg), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert out.read_text() == "keep"
+    for verify in ([], ["--verify-etas", "2", "--verify-alphas", "0.5"]):
+        assert main(["report", "--config", str(smoke_cfg), *verify, "--out", str(out)]) == 2
+        assert "error: [Errno 17] File exists" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_learn_out_at_existing_directory(tmp_path, smoke_cfg, capsys, monkeypatch, flag):
+    _no_set_up(monkeypatch)
+    paths = {"--out": tmp_path / "trials.csv", "--trace": tmp_path / "trace.csv"}
+    paths[flag].mkdir()
+    argv = ["learn", "--config", str(smoke_cfg), "--out", str(paths["--out"]),
+            "--trace", str(paths["--trace"])]
+    assert main(argv) == 2
+    assert f"error: {flag} {paths[flag]} is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", paths[flag].name]

@@ -115,3 +115,20 @@ def test_utility_errors_name_their_key(key, raw):
 def test_removed_key_rejected():
     with pytest.raises(ConfigError, match="env.samples_per_round: unknown"):
         load_config_text("env.samples_per_round = 1\n")
+
+
+@pytest.mark.parametrize("grid", [101, 2001])
+def test_alpha_min_leaves_two_grid_points(grid):
+    from goc.envelope import build_envelope_table
+
+    # the largest accepted value keeps the last two grid points
+    largest = (grid - 2) / (grid - 1)
+    cfg = load_config_text(f"envelope.grid = {grid}\nenvelope.alpha_min = {largest!r}\n")
+    table = build_envelope_table(cfg.scenario(), 2.5, grid, cfg["envelope.alpha_min"])
+    assert table.alpha_grid.size == 2
+    # one point more leaves a single grid point, with or without a Lipschitz override
+    above = (largest + 1.0) / 2.0
+    override = "lipschitz.ell = 2.0\nlipschitz.L = 0.5\nlipschitz.d = 4.0\n"
+    for extra in ("", override):
+        with pytest.raises(ConfigError, match=rf"^envelope.alpha_min: .*envelope.grid = {grid} "):
+            load_config_text(f"envelope.grid = {grid}\nenvelope.alpha_min = {above!r}\n{extra}")

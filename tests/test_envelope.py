@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goc.envelope import (
-    build_envelope_table,
-    concave_envelope,
-    k_eta,
-    k_inverse,
-    nu_eta,
-    offset_domain,
-)
+from goc.envelope import build_envelope_table, k_eta, k_inverse, nu_eta, offset_domain
+from goc.environment import envelope_witness_mixture
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 
 from conftest import rng
-from reference import adaptive_simpson, h_eta, k_inverse_bisect
+from reference import adaptive_simpson, concave_envelope, h_eta, k_inverse_bisect
 
 
 def chord_max_envelope(q, v):
@@ -201,20 +195,27 @@ def test_table_pickle_round_trip(tgauss):
             assert value == getattr(table, f.name), f.name
 
 
-@given(
+# one random table; sigma None draws the uniform family
+TABLE_CASES = dict(
     sigma=st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.0)),
     eta=st.floats(min_value=2.0, max_value=8.0),
     grid_size=st.integers(min_value=101, max_value=1201),
     alpha_min=st.floats(min_value=1e-4, max_value=0.5),
 )
+
+
+def family(sigma):
+    if sigma is None:
+        return uniform_scenario(delta=1.0, big_m=1e4)
+    return truncated_gaussian_scenario(sigma=sigma, delta=1.0, big_m=1e4)
+
+
+@given(**TABLE_CASES)
 @settings(max_examples=60, deadline=None)
 def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
-    # the hull inside build_envelope_table, checked on the table it returns;
-    # sigma None draws the uniform family
-    if sigma is None:
-        scenario = uniform_scenario(delta=1.0, big_m=1e4)
-    else:
-        scenario = truncated_gaussian_scenario(sigma=sigma, delta=1.0, big_m=1e4)
+    # the hull inside build_envelope_table, checked on the table it returns
+    # against the independent hull in tests/reference.py
+    scenario = family(sigma)
     t = build_envelope_table(scenario, eta, grid_size, alpha_min)
     assert np.all(t.h_star_values >= t.h_values - 1e-12)
     assert np.all(np.diff(t.h_star_values, 2) <= 1e-9)
@@ -226,6 +227,27 @@ def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
     assert np.array_equal(t.alpha_grid, q[keep])
     assert np.array_equal(t.h_values, h[keep])
     assert np.array_equal(t.h_star_values, concave_envelope(q, h)[keep])
+
+
+@given(**TABLE_CASES, alpha_frac=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_value_curve_identities_for_every_family(sigma, eta, grid_size, alpha_min, alpha_frac):
+    scenario = family(sigma)
+    # criterion 7's endpoint identities, away from the hand-picked cases
+    dom = offset_domain(scenario, eta)
+    assert k_eta(scenario, eta, dom.z_lo) == pytest.approx(1.0, abs=1e-9)
+    assert k_eta(scenario, eta, dom.z_hi) == pytest.approx(0.0, abs=1e-9)
+    assert nu_eta(scenario, eta, dom.z_hi) == pytest.approx(0.0, abs=1e-9)
+    # the witness mixture attains the value curve exactly: acceptance alpha,
+    # conditional MSE h*(alpha) / (4 alpha)
+    t = build_envelope_table(scenario, eta, grid_size, alpha_min)
+    alpha = float(t.alpha_grid[0] + alpha_frac * (1.0 - t.alpha_grid[0]))
+    adv = envelope_witness_mixture(scenario, t, alpha)
+    z, w = np.array(adv.offsets), np.array(adv.weights)
+    acceptance = float(w @ k_eta(scenario, eta, z))
+    assert acceptance == pytest.approx(alpha, abs=1e-12)
+    mse = float(w @ nu_eta(scenario, eta, z)) / (4.0 * alpha)
+    assert mse == pytest.approx(t.h_star_at(alpha) / (4.0 * alpha), rel=1e-12)
 
 
 def test_table_rejects_bad_grid(unif):

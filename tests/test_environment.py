@@ -92,23 +92,23 @@ def test_physical_rounds_chunk_invariant(unif):
         assert np.array_equal(joined, getattr(bulk, field)), field
 
 
-def test_step_bernoulli_rate_and_determinism(unif, spec_default, table_unif_25):
+def test_step_bernoulli_rate_and_determinism(spec_default, table_unif_25):
     alpha = best_response(table_unif_25, spec_default).alpha_star
     gen = make_rng(5, 6)
     hits = sum(
-        step_bernoulli(unif, spec_default, table_unif_25, gen, round_index=i, alpha=alpha).accepted
+        step_bernoulli(spec_default, table_unif_25, gen, round_index=i, alpha=alpha).accepted
         for i in range(10**5)
     )
     assert hits / 10**5 == pytest.approx(alpha, abs=3.2 * np.sqrt(alpha * (1 - alpha) / 10**5))
-    seq1 = [step_bernoulli(unif, spec_default, table_unif_25, make_rng(5, 7), i).accepted for i in range(50)]
-    seq2 = [step_bernoulli(unif, spec_default, table_unif_25, make_rng(5, 7), i).accepted for i in range(50)]
+    seq1 = [step_bernoulli(spec_default, table_unif_25, make_rng(5, 7), i).accepted for i in range(50)]
+    seq2 = [step_bernoulli(spec_default, table_unif_25, make_rng(5, 7), i).accepted for i in range(50)]
     assert seq1 == seq2
 
 
-def test_degenerate_bernoulli_always_accepts(unif, spec_pa_only, table_unif_2):
+def test_degenerate_bernoulli_always_accepts(spec_pa_only, table_unif_2):
     gen = make_rng(5, 8)
     assert all(
-        step_bernoulli(unif, spec_pa_only, table_unif_2, gen, alpha=1.0).accepted for _ in range(100)
+        step_bernoulli(spec_pa_only, table_unif_2, gen, alpha=1.0).accepted for _ in range(100)
     )
 
 

@@ -59,7 +59,7 @@ def test_alpha_star_monotone_as_mse_weight_vanishes(table_unif_2):
 
 
 def test_solve_single_point_grid(unif, spec_default):
-    eta_hat, value = solve_complete_info(unif, spec_default, [2.5])
+    eta_hat, value = solve_complete_info([build_envelope_table(unif, 2.5)], spec_default)
     assert eta_hat == 2.5
     assert value == pytest.approx(realized_u(unif, spec_default, 2.5), abs=1e-12)
 
@@ -71,21 +71,19 @@ def test_solve_reduces_to_full_acceptance_scan(unif, spec_pa_only):
     with_gamma = UtilitySpec(
         dc_kind="linear", dc_gamma=1.0, ad_kind="weighted_sum", ad_w_mse=1e-9, ad_w_pa=1.0
     )
-    eta_hat, value = solve_complete_info(unif, with_gamma, grid)
-    direct = []
-    for eta in grid:
-        t = build_envelope_table(unif, eta)
-        direct.append(float(q_dc(with_gamma, t.c_at(1.0), 1.0)))
+    tables = [build_envelope_table(unif, eta) for eta in grid]
+    eta_hat, value = solve_complete_info(tables, with_gamma)
+    direct = [float(q_dc(with_gamma, t.c_at(1.0), 1.0)) for t in tables]
     assert eta_hat == grid[int(np.argmax(direct))]
     assert value == pytest.approx(max(direct), abs=1e-9)
 
 
 def test_solve_matches_exhaustive_two_dim_scan(unif, spec_default):
     grid = [2.0, 3.0, 4.0, 5.0, 6.0]
-    eta_hat, value = solve_complete_info(unif, spec_default, grid)
+    tables = [build_envelope_table(unif, eta) for eta in grid]
+    eta_hat, value = solve_complete_info(tables, spec_default)
     best_eta, best_val = None, -np.inf
-    for eta in grid:
-        t = build_envelope_table(unif, eta)
+    for eta, t in zip(grid, tables):
         advs = q_ad(spec_default, t.c_values, t.alpha_grid)
         ties = np.flatnonzero(advs >= advs.max() - 1e-9)
         dc_worst = float(np.min(q_dc(spec_default, t.c_values[ties], t.alpha_grid[ties])))

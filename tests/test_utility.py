@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table
-from goc.utility import (
-    LipschitzProfile,
-    UtilitySpec,
-    check_monotonicity,
-    dc_utility_curve,
-    estimate_lipschitz,
-    q_ad,
-    q_dc,
-)
+from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz, q_ad, q_dc
 
 from conftest import rng
 
@@ -48,6 +40,21 @@ def test_spec_validation():
     UtilitySpec(dc_kind="linear", dc_gamma=0.0)
 
 
+def check_monotonicity(spec, mse_hi=20.0, eps=1e-6):
+    """Finite-difference probes of the monotonicity contracts on a fixed grid; raises on violation."""
+    mse = np.linspace(0.0, mse_hi, 25)[:, None]
+    pa = np.linspace(0.05, 1.0, 20)[None, :]
+    if np.any(q_dc(spec, mse + eps, pa) > q_dc(spec, mse, pa) + 1e-15):
+        raise ValueError("collector utility increases with error")
+    if np.any(q_dc(spec, mse, pa + eps) < q_dc(spec, mse, pa) - 1e-15):
+        raise ValueError("collector utility decreases with acceptance")
+    mse_in = np.linspace(0.01, mse_hi, 25)[:, None]
+    if np.any(q_ad(spec, mse_in + eps, pa) <= q_ad(spec, mse_in, pa)):
+        raise ValueError("adversary utility not strictly increasing in error")
+    if np.any(q_ad(spec, mse_in, pa + eps) <= q_ad(spec, mse_in, pa)):
+        raise ValueError("adversary utility not strictly increasing in acceptance")
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -74,20 +81,20 @@ def test_dc_utility_curve_gamma_zero_is_alpha(unif):
     for eta in (2.0, 3.0, 6.0):
         table = build_envelope_table(unif, eta, 801)
         alpha = np.linspace(table.alpha_min, 1.0, 53)
-        assert np.max(np.abs(dc_utility_curve(unif, spec, table, alpha) - alpha)) <= 1e-12
+        assert np.max(np.abs(q_dc(spec, table.c_at(alpha), alpha) - alpha)) <= 1e-12
 
 
-def test_dc_utility_curve_values(unif, table_unif_2):
+def test_dc_utility_curve_values(table_unif_2):
     lin1 = UtilitySpec(dc_kind="linear", dc_gamma=1.0)
-    assert dc_utility_curve(unif, lin1, table_unif_2, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert q_dc(lin1, table_unif_2.c_at(1.0), 1.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
     ratio = UtilitySpec(dc_kind="ratio")
-    assert dc_utility_curve(unif, ratio, table_unif_2, 1.0) == pytest.approx(0.75, abs=1e-9)
+    assert q_dc(ratio, table_unif_2.c_at(1.0), 1.0) == pytest.approx(0.75, abs=1e-9)
 
 
-def test_dc_utility_curve_rejects_out_of_range(unif, table_unif_2):
+def test_dc_utility_curve_rejects_out_of_range(table_unif_2):
     spec = UtilitySpec()
     with pytest.raises(ValueError):
-        dc_utility_curve(unif, spec, table_unif_2, 1e-5)
+        q_dc(spec, table_unif_2.c_at(1e-5), 1e-5)
 
 
 def test_lipschitz_profile_validation():
