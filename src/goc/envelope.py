@@ -93,10 +93,19 @@ def k_inverse(scenario: Scenario, eta: float, q):
     return out if out.ndim else float(out)
 
 
-def _upper_hull_indices(q: np.ndarray, v: np.ndarray) -> list[int]:
-    """Indices of the upper convex hull of ``(q, v)`` by monotone chain; ``q`` ascending."""
-    idx: list[int] = []
-    for i in range(q.size):
+def _upper_hull_indices(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull of ``(q, v)`` by monotone chain; ``q`` ascending.
+
+    Nothing pops before the first consecutive triple ``(i-1, i, i+1)`` with
+    ``cross <= 0``, so the stack is exactly ``0 .. i`` there: one numpy pass of
+    the loop's own ``cross`` finds that triple, and the loop resumes at ``i+1``.
+    """
+    cross = (v[1:-1] - v[:-2]) * (q[2:] - q[:-2]) - (v[2:] - v[:-2]) * (q[1:-1] - q[:-2])
+    bad = np.flatnonzero(cross <= 0.0)
+    if bad.size == 0:
+        return np.arange(q.size)
+    idx = list(range(bad[0] + 2))
+    for i in range(len(idx), q.size):
         while len(idx) >= 2:
             i0, i1 = idx[-2], idx[-1]
             # middle point on or below the chord i0 -> i: drop it
@@ -106,7 +115,7 @@ def _upper_hull_indices(q: np.ndarray, v: np.ndarray) -> list[int]:
             else:
                 break
         idx.append(i)
-    return idx
+    return np.array(idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +209,8 @@ def build_envelope_table(
         h_values=h[keep].copy(),
         h_star_values=h_star[keep].copy(),
         c_values=h_star[keep] / (4.0 * alpha),
-        hull_q=q[hull].copy(),
-        hull_values=h[hull].copy(),
+        hull_q=q[hull],
+        hull_values=h[hull],
         alpha_min=float(alpha[0]),
         slack=envelope_slack(scenario, eta),
     )

@@ -23,6 +23,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # delta / big_m must stay below this for the midpoint estimator and the
 # value-curve approximation to be trustworthy.
 MAX_DELTA_RATIO = 1e-2
+# sigma / delta above which the truncated-Gaussian partial moments lose accuracy to cancellation
+MAX_SIGMA_RATIO = 100.0
 
 
 def _phi(y: np.ndarray) -> np.ndarray:

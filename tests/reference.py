@@ -4,7 +4,10 @@
 ``k_inverse_bisect`` and ``h_eta`` invert the acceptance integral by
 bisection on ``k_eta`` alone, with no use of the noise quantile that the
 library's ``k_inverse`` relies on. ``concave_envelope`` is a hull of its own,
-sharing no code with the one inside ``build_envelope_table``.
+sharing no code with the one inside ``build_envelope_table``;
+``upper_hull_indices_chain`` is the plain monotone chain that the library's
+hull must reproduce index for index. ``uniform_h_exact`` and
+``uniform_envelope_exact`` are the uniform family's value curve in closed form.
 """
 
 from __future__ import annotations
@@ -107,3 +110,55 @@ def concave_envelope(q, values) -> np.ndarray:
 def _cross(o, a, b) -> float:
     """z-component of ``(a - o) x (b - o)``: positive for a counter-clockwise turn."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def upper_hull_indices_chain(q, v) -> list[int]:
+    """Indices of the upper convex hull of ``(q, v)`` by monotone chain; ``q`` ascending.
+
+    The loop ``goc.envelope._upper_hull_indices`` started from, kept whole:
+    it pops a point on or below the chord (``cross <= 0``) from every stack.
+    """
+    idx: list[int] = []
+    for i in range(q.size):
+        while len(idx) >= 2:
+            i0, i1 = idx[-2], idx[-1]
+            # middle point on or below the chord i0 -> i: drop it
+            cross = (v[i1] - v[i0]) * (q[i] - q[i0]) - (v[i] - v[i0]) * (q[i1] - q[i0])
+            if cross <= 0.0:
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return idx
+
+
+def uniform_h_exact(delta: float, eta: float, q):
+    """``h_eta(q)`` for uniform noise on ``[-delta, delta]``: a cubic in ``q``.
+
+    With ``t = delta (1 - 2q)`` the noise level that ``q`` inverts to,
+    ``h = ((delta (1 + eta) + t)^3 - (2t + eta delta)^3) / (6 delta)``.
+    """
+    t = delta * (1.0 - 2.0 * np.asarray(q, dtype=float))
+    return ((delta * (1.0 + eta) + t) ** 3 - (2.0 * t + eta * delta) ** 3) / (6.0 * delta)
+
+
+def uniform_tangent_q(eta: float) -> float:
+    """Where the uniform envelope leaves ``h``: the tangent point seen from ``(1, h(1))``.
+
+    ``h''(q) = 4 delta^2 (14 q - 6 - 3 eta)`` and ``h''' = 56 delta^2``, so
+    ``h(1) - h(q) - h'(q) (1 - q) = (1 - q)^2 (h''(q) / 2 + h''' (1 - q) / 6)``,
+    which vanishes at ``q = (4 + 9 eta) / 28``. From ``eta = 8/3`` on, ``h`` is
+    concave on all of ``[0, 1]`` and the envelope is ``h`` itself.
+    """
+    return min(1.0, (4.0 + 9.0 * eta) / 28.0)
+
+
+def uniform_envelope_exact(delta: float, eta: float, q):
+    """Concave envelope of the uniform ``h_eta``: ``h`` up to the tangent point, then the tangent."""
+    q = np.asarray(q, dtype=float)
+    qt = uniform_tangent_q(eta)
+    if qt == 1.0:
+        return uniform_h_exact(delta, eta, q)
+    ht, h1 = uniform_h_exact(delta, eta, qt), uniform_h_exact(delta, eta, 1.0)
+    tangent = ht + (h1 - ht) * (q - qt) / (1.0 - qt)
+    return np.where(q <= qt, uniform_h_exact(delta, eta, q), tangent)

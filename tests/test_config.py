@@ -42,6 +42,24 @@ def test_invariant_violations_name_keys():
         load_config_text("experiment.budget_scale = 2.0\n")
 
 
+@pytest.mark.parametrize("sigma, delta", [(100.5, 1.0), (1e3, 1.0), (1e5, 1.0), (1e8, 1.0),
+                                          (0.2, 1e-3), (3.8e3, 37.0)])
+def test_sigma_far_above_delta_rejected(sigma, delta):
+    # past MAX_SIGMA_RATIO the closed-form truncated-Gaussian moments cancel
+    # catastrophically: at eta = 3, sigma = 1e5 reads c_max = 21.35 for a law
+    # whose uniform limit is 6.2425, and sigma = 1e8 builds an all-zero table
+    text = f"noise.kind = truncated_gaussian\nnoise.sigma = {sigma!r}\nscenario.delta = {delta!r}\n"
+    with pytest.raises(ConfigError, match=r"^noise\.sigma: .*100 \* scenario\.delta"):
+        load_config_text(text)
+
+
+@pytest.mark.parametrize("sigma, delta", [(100.0, 1.0), (0.1, 1e-3), (3.7e3, 37.0)])
+def test_sigma_at_the_bound_accepted(sigma, delta):
+    cfg = load_config_text(
+        f"noise.kind = truncated_gaussian\nnoise.sigma = {sigma!r}\nscenario.delta = {delta!r}\n")
+    assert cfg.scenario().noise.sigma == sigma
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         load_config_text("learner.a = 2\nlearner.a = 3\n")

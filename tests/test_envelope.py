@@ -6,12 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goc.envelope import build_envelope_table, k_eta, k_inverse, nu_eta, offset_domain
+from goc.envelope import (
+    _upper_hull_indices,
+    build_envelope_table,
+    k_eta,
+    k_inverse,
+    nu_eta,
+    offset_domain,
+)
 from goc.environment import envelope_witness_mixture
-from goc.noise import truncated_gaussian_scenario, uniform_scenario
+from goc.noise import MAX_SIGMA_RATIO, truncated_gaussian_scenario, uniform_scenario
 
 from conftest import rng
-from reference import adaptive_simpson, concave_envelope, h_eta, k_inverse_bisect
+from reference import (
+    adaptive_simpson,
+    concave_envelope,
+    h_eta,
+    k_inverse_bisect,
+    uniform_envelope_exact,
+    uniform_h_exact,
+    uniform_tangent_q,
+    upper_hull_indices_chain,
+)
 
 
 def chord_max_envelope(q, v):
@@ -78,6 +94,28 @@ def test_nu_closed_form_vs_quadrature(unif, tgauss):
                 tol=1e-12,
             )
             assert nu_eta(scenario, eta, z) == pytest.approx(direct, abs=1e-9)
+
+
+@given(
+    delta=st.sampled_from([1e-2, 1.0, 37.0]),
+    eta=st.floats(min_value=2.0, max_value=8.0),
+    z_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_nu_agrees_with_quadrature_at_the_sigma_bound(delta, eta, z_frac):
+    # the widest truncated Gaussian a config accepts: its closed-form moments
+    # cancel like (sigma/delta)^2 and still match quadrature to 1e-9 delta^2
+    # (worst seen 8e-11 delta^2 here; 9e-10 at twice the ratio, 1e-7 at 1e3)
+    scenario = truncated_gaussian_scenario(MAX_SIGMA_RATIO * delta, delta=delta, big_m=1e4 * delta)
+    dom = offset_domain(scenario, eta)
+    z = dom.z_lo + z_frac * (dom.z_hi - dom.z_lo)
+    direct = adaptive_simpson(
+        lambda x: (x + z) ** 2 * float(scenario.noise.pdf(x)),
+        z - eta * delta,
+        delta,
+        tol=1e-13 * delta ** 2,
+    )
+    assert abs(nu_eta(scenario, eta, z) - direct) <= 1e-9 * delta ** 2
 
 
 # -- inversion ----------------------------------------------------------------
@@ -163,6 +201,65 @@ def test_envelope_dominates_and_is_concave(values):
     assert np.all(second <= 1e-9)
 
 
+# -- the library's hull -------------------------------------------------------
+
+
+def integer_chain(gaps, slopes):
+    """The origin, then one point per integer gap and slope: every cross product is exact."""
+    gaps = np.asarray(gaps, dtype=float)
+    q = np.cumsum(np.r_[0.0, gaps])
+    v = np.cumsum(np.r_[0.0, gaps * np.asarray(slopes, dtype=float)])
+    return q, v
+
+
+@st.composite
+def hull_inputs(draw):
+    """Strictly ascending ``q`` with values of one of five shapes, and that shape."""
+    shape = draw(st.sampled_from(["small", "concave", "runs", "dip", "random"]))
+    n = draw(st.integers(0, 3) if shape == "small" else st.integers(3, 60))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    if shape == "concave":
+        # strictly falling slopes: every consecutive cross is > 0
+        slopes = draw(st.lists(st.integers(-99, 99), min_size=n - 1, max_size=n - 1, unique=True))
+        return shape, *integer_chain(gaps, sorted(slopes, reverse=True))
+    if shape == "runs":
+        # few slope values, 0 among them: collinear and constant runs with cross == 0
+        slopes = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        return shape, *integer_chain(gaps, slopes)
+    if shape == "dip":
+        # the first triple turns up, so only 0 and 1 are on the stack when the loop takes over
+        rest = draw(st.lists(st.integers(-9, 9), min_size=n - 3, max_size=n - 3))
+        return shape, *integer_chain(gaps, [draw(st.integers(-5, 0)), draw(st.integers(1, 5)), *rest])
+    q = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    return shape, q, v
+
+
+@given(hull_inputs())
+@settings(max_examples=300, deadline=None)
+def test_hull_indices_match_the_chain(case):
+    shape, q, v = case
+    hull = _upper_hull_indices(q, v)
+    assert np.array_equal(hull, upper_hull_indices_chain(q, v))
+    if shape == "concave":
+        assert np.array_equal(hull, np.arange(q.size))
+    if shape == "dip":
+        assert 1 not in hull
+
+
+def test_hull_resume_on_a_real_table(unif):
+    # uniform noise at eta = 2 is concave up to q = (4 + 9 eta) / 28 = 0.786, then
+    # a chord to q = 1: the numpy pass stops early and the loop takes the rest
+    q = np.linspace(0.0, 1.0, 2001)
+    h = nu_eta(unif, 2.0, k_inverse(unif, 2.0, q))
+    h[0] = 0.0
+    hull = _upper_hull_indices(q, h)
+    assert np.array_equal(hull, np.r_[0:1572, 2000])
+    assert np.array_equal(hull, upper_hull_indices_chain(q, h))
+    t = build_envelope_table(unif, 2.0, 2001)
+    assert np.array_equal(t.hull_q, q[hull]) and np.array_equal(t.hull_values, h[hull])
+
+
 # -- table construction -------------------------------------------------------
 
 
@@ -227,6 +324,35 @@ def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
     assert np.array_equal(t.alpha_grid, q[keep])
     assert np.array_equal(t.h_values, h[keep])
     assert np.array_equal(t.h_star_values, concave_envelope(q, h)[keep])
+
+
+@given(
+    delta=st.sampled_from([0.25, 1.0, 3.0]),
+    # half the draws below 8/3, where the envelope leaves h and the hull's loop resumes
+    eta=st.one_of(st.floats(min_value=2.0, max_value=8.0 / 3.0), st.floats(min_value=2.0, max_value=8.0)),
+    grid_size=st.integers(min_value=101, max_value=2001),
+    alpha=st.floats(min_value=1e-3, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_uniform_table_matches_the_exact_envelope(delta, eta, grid_size, alpha):
+    scenario = uniform_scenario(delta=delta, big_m=1e4)
+    t = build_envelope_table(scenario, eta, grid_size)
+    step = 1.0 / (grid_size - 1)
+    assert np.allclose(t.h_values, uniform_h_exact(delta, eta, t.alpha_grid), rtol=1e-12, atol=0.0)
+    c_exact = uniform_envelope_exact(delta, eta, t.alpha_grid) / (4.0 * t.alpha_grid)
+    # up to the tangent point q_T every grid point is on the hull and only rounding
+    # separates the curves. Past it the hull is the chord from the last grid point
+    # q_j <= q_T to q = 1, which falls short of the tangent by at most
+    # |h''| (q_T - q_j)^2 / 2, with h'' = 4 delta^2 (14 q - 6 - 3 eta) on [q_T - step, q_T]
+    qt = uniform_tangent_q(eta)
+    chord_gap = 0.0 if qt == 1.0 else (8.0 - 3.0 * eta + 28.0 * step) * delta ** 2 * step ** 2
+    bound = chord_gap / (4.0 * t.alpha_grid) + 1e-12 * c_exact
+    assert np.all(np.abs(t.c_values - c_exact) <= bound)
+    # between grid points c_at interpolates linearly; c = h / (4q) has |c''| = 14 delta^2 / 3
+    # where h is a cubic through 0, and at most 5.94 delta^2 on the tangent (largest at eta = 2)
+    a = float(np.clip(alpha, t.alpha_grid[0], 1.0))
+    c_a = uniform_envelope_exact(delta, eta, a) / (4.0 * a)
+    assert abs(t.c_at(a) - c_a) <= np.max(bound) + 6.0 * delta ** 2 * step ** 2 / 8.0
 
 
 @given(**TABLE_CASES, alpha_frac=st.floats(min_value=0.0, max_value=1.0))
