@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE
-from goc.noise import MAX_SIGMA_RATIO, TRUNCATED_GAUSSIAN, UNIFORM, HonestNoiseModel, Scenario
+from goc.noise import TRUNCATED_GAUSSIAN, UNIFORM, HonestNoiseModel, Scenario
 from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec, UtilitySpecError
 
 
@@ -166,10 +166,6 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError("scenario.delta: must be positive")
     if resolved["scenario.big_m"] <= 0.0:
         raise ConfigError("scenario.big_m: must be positive")
-    sigma_max = MAX_SIGMA_RATIO * resolved["scenario.delta"]
-    if kind == TRUNCATED_GAUSSIAN and resolved["noise.sigma"] > sigma_max:
-        raise ConfigError(f"noise.sigma: the closed-form moments lose accuracy above {MAX_SIGMA_RATIO:g} "
-                          f"* scenario.delta = {sigma_max:g}, got {resolved['noise.sigma']!r}")
 
     cfg = ExperimentConfig(values=resolved)
     try:

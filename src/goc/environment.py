@@ -6,6 +6,14 @@ mode that simulates the full report pair against an offset-mixture
 adversary. Randomness comes from per-(trial, arm) streams addressed by a
 seed key, so the draw for any given round is independent of execution
 order; splitting a run into consecutive blocks yields the same values.
+
+The learners' arm environments draw only the arms a block lists, and an
+arm left out of a block is retired for good, so each stream is still read
+in round order. A learner sees only the accept bit, so the physical arm
+environment decides most rounds from the honest-noise uniform alone (see
+``_gate``) and builds the report pair only for rounds near an acceptance
+edge; the bits equal the full simulation's by construction. ``goc
+simulate`` and ``physical_rounds`` keep the full batch.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from goc.utility import UtilitySpec
 # per-round uniform draws consumed in physical mode, in order:
 # value, honest noise, mixture component, offset sign, presentation order
 _PHYS_DRAWS = 5
+# Generator.random returns multiples of this in [0, 1)
+_UNIT = 2.0 ** -53
+# half-width of the guard band around each acceptance edge in noise space, relative to
+# big_m + z + eta * delta; near an edge the acceptance test's rounding stays below 2**-52 of it
+_GATE_BAND = 1e-12
 
 
 def make_rng(*key: int) -> np.random.Generator:
@@ -104,16 +117,25 @@ class PhysicalBatch:
     honest_first: np.ndarray
 
 
+def _offset_choice(adv: MixtureAdversary, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's mixture component, and whether its offset is added (``True``) or subtracted.
+
+    The component is the number of cumulative weights, the last one excepted,
+    at or below the round's uniform.
+    """
+    comp = np.zeros(len(draws), dtype=np.intp)
+    for w in adv.cumulative_weights()[:-1]:
+        comp += draws[:, 2] >= w
+    return comp, draws[:, 3] >= 0.5
+
+
 def _physical_from_uniforms(
     scenario: Scenario, eta: float, adv: MixtureAdversary, draws: np.ndarray
 ) -> PhysicalBatch:
     u = (2.0 * draws[:, 0] - 1.0) * scenario.big_m
     n_h = scenario.noise.ppf(draws[:, 1])
-    comp = np.searchsorted(adv.cumulative_weights(), draws[:, 2], side="right")
-    comp = np.minimum(comp, len(adv.offsets) - 1)
-    z = np.asarray(adv.offsets, dtype=float)[comp]
-    sign = np.where(draws[:, 3] < 0.5, -1.0, 1.0)
-    n_a = sign * z
+    comp, plus = _offset_choice(adv, draws)
+    n_a = np.where(plus, 1.0, -1.0) * np.asarray(adv.offsets, dtype=float)[comp]
     honest_first = draws[:, 4] < 0.5
     y_h = u + n_h
     y_a = u + n_a
@@ -181,12 +203,78 @@ def envelope_witness_mixture(
     return MixtureAdversary((z_lo, z_hi), (w_lo, 1.0 - w_lo))
 
 
+def _gate_thresholds(
+    scenario: Scenario, etas: Sequence[float], advs: Sequence[MixtureAdversary]
+) -> list[np.ndarray]:
+    """Per arm, the honest-noise uniforms that bound its acceptance region and guard bands.
+
+    Round ``r`` of an arm with eta ``e`` and mixture ``adv`` is accepted when
+    ``|fl(u + n_h) - fl(u + n_a)| <= c`` with ``c = e * delta``. Here
+    ``|u| <= big_m`` and ``n_a = +-z``, so near an edge ``u`` cancels up to
+    rounding below ``2**-52 (big_m + z + c)``, and acceptance depends only on
+    where ``n_h = ppf(v)`` falls against the edges ``n_a - c`` and ``n_a + c``.
+    Column ``2 * component + plus`` of an arm's ``(4, 2 * components)`` array
+    holds, for the targets ``n_a - c - tau``, ``n_a - c + tau``, ``n_a + c - tau``
+    and ``n_a + c + tau`` (``tau = _GATE_BAND (big_m + z + c)``), the least
+    multiple ``t`` of ``2**-53`` with ``ppf(t)`` at or above the target (1 if
+    none): a bisection on ``noise.ppf`` itself, over every arm at once.
+    """
+    targets = []
+    for eta, adv in zip(etas, advs):
+        c = float(eta) * scenario.delta
+        n_a = np.outer(adv.offsets, [-1.0, 1.0]).ravel()
+        tau = _GATE_BAND * (scenario.big_m + np.abs(n_a) + c)
+        edge = np.array([[-c], [-c], [c], [c]])
+        side = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+        targets.append(n_a + edge + side * tau)
+    x = np.hstack(targets)
+    # invariant: ppf below the target at lo (or lo = -1), not below it at hi (or hi = 2**53)
+    lo = np.full(x.shape, -1, dtype=np.int64)
+    hi = np.full(x.shape, 2 ** 53, dtype=np.int64)
+    while np.any(open_ := hi - lo > 1):
+        mid = (lo + hi) // 2
+        # a NaN quantile counts as above every target, so its round rejects as the full test does
+        up = ~(scenario.noise.ppf(np.maximum(mid, 0) * _UNIT) < x)
+        hi = np.where(open_ & up, mid, hi)
+        lo = np.where(open_ & ~up, mid, lo)
+    return np.split(hi * _UNIT, np.cumsum([t.shape[1] for t in targets])[:-1], axis=1)
+
+
+def _gate(
+    scenario: Scenario, eta: float, adv: MixtureAdversary, thresholds: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance bits of physical rounds equal to ``_physical_from_uniforms(...).accepted``.
+
+    Counts how many of its pair's four ``thresholds`` (from ``_gate_thresholds``)
+    each round's honest-noise uniform ``v`` reaches. For a ``v`` that
+    ``Generator.random`` can return, ``ppf(v)`` then lies below the first
+    target (count 0: rejected), between the second and third (2: accepted)
+    or above the fourth (4: rejected), up to ``ppf``'s own ulp-level wobble;
+    a guard band ``tau`` wide exceeds that wobble plus the test's rounding, so
+    these rounds decide the same as the full test. Odd counts lie in a band
+    and go through ``_physical_from_uniforms``. Returns the bits and the mask
+    of banded rounds.
+    """
+    comp, plus = _offset_choice(adv, draws)
+    pair = 2 * comp + plus
+    v = np.ascontiguousarray(draws[:, 1])
+    level = (v >= thresholds[0].take(pair)).view(np.int8).copy()
+    for t in thresholds[1:]:
+        level += (v >= t.take(pair)).view(np.int8)
+    accepted = level == 2
+    band = (level & 1).view(bool)
+    if band.any():
+        accepted[band] = _physical_from_uniforms(scenario, eta, adv, draws[band]).accepted
+    return accepted, band
+
+
 class _ArmEnv:
-    """Per-arm streams for one learning trial; subclasses supply the block sampler.
+    """Per-arm streams for one learning trial; subclasses supply each arm's block sampler.
 
     Arm ``i`` owns the stream keyed ``(seed, trial, i)``; blocks must be
-    requested in round order per arm, and all arms share the block schedule
-    so matched-seed algorithm comparisons see identical draws.
+    requested in round order, and all arms share the block schedule so
+    matched-seed algorithm comparisons see identical draws. A block may list
+    a subset of the arms; an arm left out is retired and never drawn again.
     """
 
     def __init__(
@@ -207,36 +295,51 @@ class _ArmEnv:
         self.alphas = np.array([best_response(t, spec).alpha_star for t in tables])
         self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
         self._pos = 0
+        self._live = np.ones(len(tables), dtype=bool)
 
     @property
     def n_arms(self) -> int:
         return len(self.tables)
 
-    def _advance(self, r0: int, r1: int) -> int:
-        """Claim rounds ``r0 .. r1-1``, which must follow the last block; returns their count."""
+    def acceptance_block(self, r0: int, r1: int, arms: Sequence[int] | None = None) -> np.ndarray:
+        """Boolean matrix (listed arm, round) for rounds ``r0 .. r1-1``.
+
+        ``arms`` lists arm indices in ascending order, ``None`` meaning every
+        arm. Blocks must follow one another, and an arm left out of a block is
+        retired: asking for it again raises ``ValueError``. Row ``j`` equals
+        arm ``arms[j]``'s row in a block drawn for every arm.
+        """
         if r0 != self._pos or r1 < r0:
             raise ValueError("blocks must be requested sequentially")
+        rows = np.arange(self.n_arms) if arms is None else np.asarray(arms, dtype=np.intp)
+        if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
+                rows.size and (rows[0] < 0 or rows[-1] >= self.n_arms)):
+            raise ValueError("arms must be ascending indices of this environment's arms")
+        if not self._live[rows].all():
+            raise ValueError("a retired arm cannot be drawn again")
         self._pos = r1
-        return r1 - r0
+        self._live[:] = False
+        self._live[rows] = True
+        out = np.empty((rows.size, r1 - r0), dtype=bool)
+        for j, i in enumerate(rows):
+            out[j] = self._accepted(int(i), r1 - r0)
+        return out
 
 
 class BernoulliArmEnv(_ArmEnv):
     """Accept/reject coins with each arm's best-response acceptance rate."""
 
-    def acceptance_block(self, r0: int, r1: int) -> np.ndarray:
-        """Boolean matrix (arm, round) for rounds ``r0 .. r1-1``; sequential access only."""
-        n = self._advance(r0, r1)
-        out = np.empty((self.n_arms, n), dtype=bool)
-        for i, gen in enumerate(self._gens):
-            out[i] = gen.random(n) < self.alphas[i]
-        return out
+    def _accepted(self, i: int, n: int) -> np.ndarray:
+        return self._gens[i].random(n) < self.alphas[i]
 
 
 class PhysicalArmEnv(_ArmEnv):
     """Full simulated games against each arm's envelope-witness mixture.
 
     The mixture realizes the arm's best-response acceptance level, so
-    acceptance statistics match the Bernoulli mode in law.
+    acceptance statistics match the Bernoulli mode in law. Each round still
+    consumes five uniforms, but only rounds in a guard band of ``_gate``
+    build the report pair.
     """
 
     @cached_property
@@ -245,13 +348,11 @@ class PhysicalArmEnv(_ArmEnv):
             envelope_witness_mixture(self.scenario, t, a) for t, a in zip(self.tables, self.alphas)
         ]
 
-    def acceptance_block(self, r0: int, r1: int) -> np.ndarray:
-        """Boolean matrix (arm, round) for rounds ``r0 .. r1-1``; sequential access only."""
-        n = self._advance(r0, r1)
-        out = np.empty((self.n_arms, n), dtype=bool)
-        for i, gen in enumerate(self._gens):
-            batch = _physical_from_uniforms(
-                self.scenario, float(self.etas[i]), self.adversaries[i], gen.random((n, _PHYS_DRAWS))
-            )
-            out[i] = batch.accepted
-        return out
+    @cached_property
+    def _thresholds(self) -> list[np.ndarray]:
+        return _gate_thresholds(self.scenario, self.etas, self.adversaries)
+
+    def _accepted(self, i: int, n: int) -> np.ndarray:
+        draws = self._gens[i].random((n, _PHYS_DRAWS))
+        return _gate(self.scenario, float(self.etas[i]), self.adversaries[i],
+                     self._thresholds[i], draws)[0]

@@ -191,8 +191,8 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     than the shrinking radius. Processing is blocked for speed, which is
     equivalent to the sequential rule because candidate streams are
     independent: an elimination restarts the scan inside the block with
-    the survivor set updated. A block scores only the candidates alive at
-    its start.
+    the survivor set updated. A block draws and scores only the candidates
+    alive at its start.
     """
     n_arms, k = config.n + 1, config.k
     if env.n_arms != n_arms:
@@ -210,32 +210,32 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     pos = 0
     while pos < k:
         b = min(_ELIM_BLOCK, k - pos)
-        draws = env.acceptance_block(pos, pos + b)
         rows = np.flatnonzero(alive)
-        cum = counts[rows, None] + np.cumsum(draws[rows], axis=1)
+        cum = counts[rows, None] + np.cumsum(env.acceptance_block(pos, pos + b, rows), axis=1)
         r_vec = np.arange(pos + 1, pos + b + 1, dtype=float)
         alpha_hat = cum / r_vec[None, :]
         u_live, clamped = _u_hat_rows(spec, [env.tables[i] for i in rows], alpha_hat)
-        u_hat = np.full((n_arms, b), -np.inf)
-        u_hat[rows] = u_live
         eps = elimination_radius(config.lip.ell, config.n, config.delta, r_vec)
-        last = np.full(n_arms, b - 1)
+        live = np.ones(rows.size, dtype=bool)
+        col = np.full(rows.size, b - 1)  # the last column each row played in this block
+        best = u_live.max(axis=0)
         j = 0
         while j < b:
-            masked = np.where(alive[:, None], u_hat[:, j:], -np.inf)
-            best = masked.max(axis=0)
-            viol = (best[None, :] - masked) > eps[None, j:]
-            viol &= alive[:, None]
+            viol = (best[j:] - u_live[live, j:]) > eps[j:]
             hit_cols = np.flatnonzero(viol.any(axis=0))
             if hit_cols.size == 0:
                 break
             jj = j + int(hit_cols[0])
-            for i in np.flatnonzero(viol[:, hit_cols[0]]):
-                alive[i] = False
-                last[i] = jj
-                log.append((pos + jj + 1, int(i) + 1))
+            dropped = np.flatnonzero(live)[viol[:, hit_cols[0]]]
+            live[dropped] = False
+            col[dropped] = jj
+            alive[rows[dropped]] = False
+            log.extend((pos + jj + 1, int(i) + 1) for i in rows[dropped])
+            # later columns need a new best only where a dropped row attained it
+            later = jj + 1 + np.flatnonzero((u_live[dropped, jj + 1:] == best[jj + 1:]).any(axis=0))
+            if later.size:
+                best[later] = u_live[np.ix_(live, later)].max(axis=0)
             j = jj + 1
-        col = last[rows]
         played = np.arange(b)[None, :] <= col[:, None]
         clamps += int(np.count_nonzero(clamped & played))
         at = (np.arange(rows.size), col)  # each live arm at the last round it played

@@ -58,6 +58,11 @@ class HonestNoiseModel:
         if self.kind == TRUNCATED_GAUSSIAN:
             if self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
                 raise ValueError("truncated_gaussian requires sigma > 0")
+            sigma_max = MAX_SIGMA_RATIO * self.delta
+            if self.sigma > sigma_max:
+                raise ValueError(f"noise.sigma: the closed-form moments lose accuracy above "
+                                 f"{MAX_SIGMA_RATIO:g} * scenario.delta = {sigma_max:g}, "
+                                 f"got {self.sigma!r}")
             # mass of the parent Gaussian inside [-delta, delta]
             z = math.erf(self.delta / (self.sigma * _SQRT2))
             object.__setattr__(self, "_norm", z)

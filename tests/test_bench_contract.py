@@ -42,12 +42,19 @@ PROBE = textwrap.dedent(
     etas = [2.0, 3.0]
     tables = [build_envelope_table(scenario, e, 201) for e in etas]
     blocks = {}
+    live = {}
     for cls in (BernoulliArmEnv, PhysicalArmEnv):
         env = cls(scenario, spec, etas, tables, base_seed=1, trial=0)
         before = len(tracer.spans)
         env.acceptance_block(0, 10)
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
         blocks[cls.__name__] = [s[6] for s in new]
+        # a live-arm block, its arms passed positionally, must still bind in the tracer
+        env = cls(scenario, spec, etas, tables, base_seed=1, trial=0)
+        before = len(tracer.spans)
+        out = env.acceptance_block(0, 10, [1])
+        new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
+        live[cls.__name__] = {"rows": int(out.shape[0]), "spans": len(new)}
 
     from goc.learners import LearnerConfig, run_elimination, run_etc
     from goc.utility import LipschitzProfile
@@ -67,7 +74,7 @@ PROBE = textwrap.dedent(
             "outcome": {"rounds": out.total_game_rounds, "budget": (cfg.n + 1) * cfg.k,
                         "clamps": out.clamp_count},
         }
-    print(json.dumps({"missing": missing, "blocks": blocks, "learners": learners}))
+    print(json.dumps({"missing": missing, "blocks": blocks, "live": live, "learners": learners}))
     """
 )
 
@@ -86,6 +93,7 @@ def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
         "BernoulliArmEnv": [{"arm_rounds": 20, "uniforms": 20}],
         "PhysicalArmEnv": [{"arm_rounds": 20, "uniforms": 100}],
     }
+    assert out["live"] == {name: {"rows": 1, "spans": 1} for name in out["blocks"]}
     # each learner records one span whose counters are the outcome's own
     for name, got in out["learners"].items():
         assert got["spans"] == [got["outcome"]], name

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goc.envelope import build_envelope_table, envelope_slack, k_eta, nu_eta
 from goc.environment import (
     BernoulliArmEnv,
     MixtureAdversary,
+    PhysicalArmEnv,
+    _gate,
+    _gate_thresholds,
+    _physical_from_uniforms,
     empirical_conditional_mse,
     envelope_witness_mixture,
     make_rng,
     physical_rounds,
     step_bernoulli,
 )
-from goc.noise import truncated_gaussian_scenario
+from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response
 
 
@@ -164,3 +170,81 @@ def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
     assert np.array_equal(whole, parts)
     with pytest.raises(ValueError):
         env2.acceptance_block(0, 10)  # non-sequential
+
+
+@pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
+def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
+    etas = [2.0, 2.5, 3.0, 4.0]
+    tables = [build_envelope_table(tgauss, e, 801) for e in etas]
+    full = cls(tgauss, spec_default, etas, tables, base_seed=9, trial=2).acceptance_block(0, 900)
+    env = cls(tgauss, spec_default, etas, tables, base_seed=9, trial=2)
+    # each returned row is the listed arm's row of the full draw
+    for r0, r1, arms in [(0, 250, None), (250, 400, [0, 1, 2, 3]), (400, 410, [0, 2, 3]),
+                         (410, 700, [2, 3]), (700, 900, [3])]:
+        rows = list(range(4)) if arms is None else arms
+        got = env.acceptance_block(r0, r1, arms)
+        assert got.shape == (len(rows), r1 - r0)
+        assert np.array_equal(got, full[rows, r0:r1])
+    for arms in ([2], [2, 3], None):
+        with pytest.raises(ValueError, match="retired"):
+            env.acceptance_block(900, 950, arms)
+    with pytest.raises(ValueError, match="ascending"):
+        env.acceptance_block(900, 950, [3, 3])
+    assert env.acceptance_block(900, 950, [3]).shape == (1, 50)
+
+
+_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gaussian=st.booleans(),
+    log_sigma=st.floats(-6.0, 2.0),
+    delta=st.sampled_from([0.25, 1.0, 37.0]),
+    eta=st.floats(2.0, 8.0),
+    edge_k=st.integers(0, 2 ** 53 - 1),
+    far=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_gate_matches_the_full_acceptance_test(
+    gaussian, log_sigma, delta, eta, edge_k, far, weights, seed
+):
+    big_m = 1e4 * delta
+    if gaussian:
+        scenario = truncated_gaussian_scenario(delta * 10.0 ** log_sigma, delta, big_m)
+    else:
+        scenario = uniform_scenario(delta, big_m)
+    c = eta * delta
+    # the first offset puts an acceptance edge on an attainable honest-noise value; the
+    # others range over the whole span, so some thresholds leave [ppf(0), ppf(1)]
+    offsets = (c + float(scenario.noise.ppf(edge_k * 2.0 ** -53)), *(f * big_m for f in far))
+    w = np.asarray(weights[: len(offsets)])
+    adv = MixtureAdversary(offsets, tuple(w / w.sum()))
+    thresholds = _gate_thresholds(scenario, [eta], [adv])[0]
+    assert thresholds.shape == (4, 2 * len(offsets))
+
+    rng = make_rng(seed)
+    draws = rng.random((1000, 5))
+    # rounds steered to each (component, sign) pair: the extreme uniforms 0 and 1 - 2**-53,
+    # the ends and middle of each nonempty guard band, and the uniforms just outside it
+    cw = np.concatenate([[0.0], np.cumsum(w / w.sum())])
+    ulp = 2.0 ** -53
+    placed = []
+    for pair in range(2 * len(offsets)):
+        t1, t2, t3, t4 = thresholds[:, pair]
+        vs = [0.0, _TOP]
+        for lo, hi in ((t1, t2), (t3, t4)):
+            vs += [max(lo - ulp, 0.0), min(hi, _TOP)]
+            if lo < hi:
+                placed.extend(range(len(draws) + len(vs), len(draws) + len(vs) + 3))
+                vs += [lo, hi - ulp, (int(lo / ulp) + int(hi / ulp)) // 2 * ulp]
+        rows = rng.random((len(vs), 5))
+        rows[:, 1] = vs
+        rows[:, 2] = 0.5 * (cw[pair // 2] + cw[pair // 2 + 1])
+        rows[:, 3] = 0.75 if pair % 2 else 0.25
+        draws = np.vstack([draws, rows])
+
+    accepted, band = _gate(scenario, eta, adv, thresholds, draws)
+    assert np.array_equal(accepted, _physical_from_uniforms(scenario, eta, adv, draws).accepted)
+    assert placed and band[placed].all()

@@ -29,11 +29,12 @@ class FixedAlphaEnv:
     def n_arms(self):
         return len(self.tables)
 
-    def acceptance_block(self, r0, r1):
+    def acceptance_block(self, r0, r1, arms=None):
         assert r0 == self._pos
-        out = np.empty((self.n_arms, r1 - r0), dtype=bool)
-        for i, gen in enumerate(self._gens):
-            out[i] = gen.random(r1 - r0) < self.alphas[i]
+        rows = range(self.n_arms) if arms is None else arms
+        out = np.empty((len(rows), r1 - r0), dtype=bool)
+        for j, i in enumerate(rows):
+            out[j] = self._gens[i].random(r1 - r0) < self.alphas[i]
         self._pos = r1
         return out
 
@@ -206,33 +207,36 @@ def _sequential_elimination(cfg, tables, draws, spec):
     return alive, played, counts, rate, u_now, log, clamps
 
 
-def test_elimination_matches_sequential_reference(unif, spec_default, monkeypatch):
+def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma1, monkeypatch):
     """Blocked implementation equals a literal round-by-round replay, arm by arm."""
-    # (k, trial, alpha_min, fixed rates): the second instance eliminates arms and clamps far
-    # more often; the third eliminates an arm whose rate sits below alpha_min
+    # (spec, k, trial, alpha_min, fixed rates): the second instance eliminates arms and clamps
+    # far more often; the third eliminates an arm whose rate sits below alpha_min; in the
+    # fourth an arm dropped at one round holds the best estimate of a later round in the
+    # same block, so the scan must recompute that round's best
     instances = [
-        (300, 5, DEFAULT_ALPHA_MIN, None),
-        (1000, 0, CLAMPING_ALPHA_MIN, None),
-        (1000, 0, CLAMPING_ALPHA_MIN, (0.9, 0.45, 0.7, 0.55)),
+        (spec_default, 300, 5, DEFAULT_ALPHA_MIN, None),
+        (spec_default, 1000, 0, CLAMPING_ALPHA_MIN, None),
+        (spec_default, 1000, 0, CLAMPING_ALPHA_MIN, (0.9, 0.45, 0.7, 0.55)),
+        (spec_gamma1, 1000, 17, DEFAULT_ALPHA_MIN, None),
     ]
-    for k, trial, alpha_min, alphas in instances:
-        cfg, etas, tables = _tiny_instance(unif, spec_default, n_arms=4, k=k, alpha_min=alpha_min)
+    for spec, k, trial, alpha_min, alphas in instances:
+        cfg, etas, tables = _tiny_instance(unif, spec, n_arms=4, k=k, alpha_min=alpha_min)
 
         def make_env():
             if alphas is None:
-                return BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=7, trial=trial)
+                return BernoulliArmEnv(unif, spec, etas, tables, base_seed=7, trial=trial)
             return FixedAlphaEnv(alphas, tables, base_seed=7, trial=trial)
 
         draws = make_env().acceptance_block(0, cfg.k)
         alive, played, counts, rate, u_now, log, clamps = _sequential_elimination(
-            cfg, tables, draws, spec_default)
+            cfg, tables, draws, spec)
         assert clamps > 0
         assert log or alpha_min == DEFAULT_ALPHA_MIN
         survivors = [i for i in range(cfg.n + 1) if alive[i]]
         best_i = max(survivors, key=lambda i: u_now[i])
         for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
             monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
-            out = run_elimination(cfg, make_env(), spec_default)
+            out = run_elimination(cfg, make_env(), spec)
             assert list(out.elimination_log) == log
             assert out.eta_hat_index == best_i + 1
             for i, s in enumerate(out.arm_trace):

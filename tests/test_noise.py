@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from goc.noise import HonestNoiseModel, Scenario, uniform_scenario
+from goc.noise import HonestNoiseModel, Scenario, truncated_gaussian_scenario, uniform_scenario
 
 from conftest import rng
 from reference import adaptive_simpson
@@ -117,3 +117,10 @@ def test_model_validation():
         HonestNoiseModel("uniform", 1.0, 0.5)  # stray sigma
     with pytest.raises(ValueError):
         HonestNoiseModel("uniform", -1.0)
+
+
+def test_sigma_bound_enforced_by_the_model():
+    # library callers get the config's bound: past it the closed-form moments cancel
+    with pytest.raises(ValueError, match=r"^noise\.sigma: .*100 \* scenario\.delta"):
+        truncated_gaussian_scenario(100.5)
+    assert truncated_gaussian_scenario(100.0).noise.sigma == 100.0
