@@ -3,6 +3,9 @@
 Unknown keys are rejected and every diagnostic names the offending key.
 All keys have defaults, so an empty file is a valid configuration. The
 resolved configuration hashes to a stable digest recorded in every CSV.
+Each rule on a value is checked once, by the library object that needs it,
+whose ``ValueError`` starts with the key; this module checks only what no
+library object owns and maps those errors to ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE
-from goc.noise import TRUNCATED_GAUSSIAN, UNIFORM, HonestNoiseModel, Scenario
-from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec, UtilitySpecError
+from goc.envelope import (
+    DEFAULT_ALPHA_MIN,
+    DEFAULT_GRID_SIZE,
+    acceptance_grid,
+    check_threshold_range,
+)
+from goc.learners import check_learner_targets
+from goc.noise import UNIFORM, HonestNoiseModel, Scenario
+from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec
 
 
 class ConfigError(ValueError):
@@ -55,20 +62,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "experiment.budget_scale": ("float", 1.0),
 }
 
-# the config key behind each UtilitySpec and LipschitzProfile field
-_FIELD_KEYS = {
-    "dc_kind": "utility.dc.kind",
-    "dc_gamma": "utility.dc.gamma",
-    "ad_kind": "utility.ad.kind",
-    "ad_w_mse": "utility.ad.w_mse",
-    "ad_w_pa": "utility.ad.w_pa",
-    "ad_theta": "utility.ad.theta",
-    "ell": "lipschitz.ell",
-    "big_l": "lipschitz.L",
-    "d": "lipschitz.d",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully resolved experiment configuration."""
@@ -79,10 +72,8 @@ class ExperimentConfig:
         return self.values[key]
 
     def scenario(self) -> Scenario:
-        kind = self.values["noise.kind"]
         delta = self.values["scenario.delta"]
-        sigma = self.values["noise.sigma"]
-        noise = HonestNoiseModel(kind, delta, sigma if kind == TRUNCATED_GAUSSIAN else None)
+        noise = HonestNoiseModel(self.values["noise.kind"], delta, self.values["noise.sigma"])
         return Scenario(delta, self.values["scenario.big_m"], noise)
 
     def utility_spec(self) -> UtilitySpec:
@@ -154,56 +145,23 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         if tag == "float" and value is not None and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value!r}")
 
-    kind = resolved["noise.kind"]
-    if kind not in (UNIFORM, TRUNCATED_GAUSSIAN):
-        raise ConfigError(f"noise.kind: unknown kind {kind!r}")
-    if kind == TRUNCATED_GAUSSIAN:
-        if resolved["noise.sigma"] is None or resolved["noise.sigma"] <= 0.0:
-            raise ConfigError("noise.sigma: truncated_gaussian requires sigma > 0")
-    elif resolved["noise.sigma"] is not None:
-        raise ConfigError("noise.sigma: only meaningful for truncated_gaussian")
-    if resolved["scenario.delta"] <= 0.0:
-        raise ConfigError("scenario.delta: must be positive")
-    if resolved["scenario.big_m"] <= 0.0:
-        raise ConfigError("scenario.big_m: must be positive")
-
     cfg = ExperimentConfig(values=resolved)
     try:
         cfg.scenario()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
         cfg.utility_spec()
         cfg.lipschitz_override()
-    except UtilitySpecError as exc:
-        raise ConfigError(f"{_FIELD_KEYS[exc.field]}: {exc}") from None
-
-    a, b = resolved["learner.a"], resolved["learner.b"]
-    if not 2.0 <= a:
-        raise ConfigError("learner.a: must be >= 2")
-    if not a < b:
-        raise ConfigError("learner.b: must exceed learner.a")
-    if not 0.0 < resolved["learner.delta"] < 1.0:
-        raise ConfigError("learner.delta: must lie in (0, 1)")
-    if resolved["learner.lambda"] <= 0.0:
-        raise ConfigError("learner.lambda: must be positive")
-    if resolved["envelope.grid"] < 101:
-        raise ConfigError("envelope.grid: must be >= 101")
-    grid, alpha_min = resolved["envelope.grid"], resolved["envelope.alpha_min"]
-    if not 0.0 < alpha_min < 1.0:
-        raise ConfigError("envelope.alpha_min: must lie in (0, 1)")
-    # build_envelope_table keeps the grid points q >= alpha_min - 1e-15
-    if np.count_nonzero(np.linspace(0.0, 1.0, grid) >= alpha_min - 1e-15) < 2:
-        raise ConfigError(f"envelope.alpha_min: must leave at least two of the envelope.grid "
-                          f"= {grid} points at or above it, got {alpha_min!r}")
+        check_threshold_range(resolved["learner.a"], resolved["learner.b"])
+        check_learner_targets(resolved["learner.delta"], resolved["learner.lambda"],
+                              resolved["experiment.budget_scale"])
+        acceptance_grid(resolved["envelope.grid"], resolved["envelope.alpha_min"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if resolved["estimator.resolution"] < 51:
         raise ConfigError("estimator.resolution: must be >= 51")
     if resolved["env.mode"] not in ("bernoulli", "physical"):
         raise ConfigError(f"env.mode: unknown mode {resolved['env.mode']!r}")
     if resolved["experiment.trials"] < 1:
         raise ConfigError("experiment.trials: must be >= 1")
-    if not 0.0 < resolved["experiment.budget_scale"] <= 1.0:
-        raise ConfigError("experiment.budget_scale: must lie in (0, 1]")
     return cfg
 
 

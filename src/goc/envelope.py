@@ -38,14 +38,39 @@ class OffsetDomain:
 
 
 def offset_domain(scenario: Scenario, eta: float) -> OffsetDomain:
-    _check_eta(eta)
+    check_eta(eta)
     d = scenario.delta
     return OffsetDomain(eta, (eta - 1.0) * d, (eta + 1.0) * d)
 
 
-def _check_eta(eta: float) -> None:
+def check_eta(eta: float) -> None:
+    """Reject a threshold multiple unless it is finite and at least 2."""
     if not (eta >= 2.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be >= 2, got {eta}")
+
+
+def check_threshold_range(a: float, b: float) -> None:
+    """Reject a learner threshold range unless ``a`` passes ``check_eta`` and ``a < b``."""
+    try:
+        check_eta(a)
+    except ValueError as exc:
+        raise ValueError(f"learner.a: {exc}") from None
+    if not a < b:
+        raise ValueError("learner.b: must exceed learner.a")
+
+
+def acceptance_grid(grid_size: int, alpha_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """A table's acceptance grid on [0, 1] and the mask of the (at least two) points it keeps."""
+    if grid_size < 101:
+        raise ValueError("envelope.grid: must be >= 101")
+    if not 0.0 < alpha_min < 1.0:
+        raise ValueError("envelope.alpha_min: must lie in (0, 1)")
+    q = np.linspace(0.0, 1.0, grid_size)
+    keep = q >= alpha_min - 1e-15
+    if np.count_nonzero(keep) < 2:
+        raise ValueError(f"envelope.alpha_min: must leave at least two of the envelope.grid "
+                         f"= {grid_size} points at or above it, got {alpha_min!r}")
+    return q, keep
 
 
 def _check_domain(scenario: Scenario, eta: float, z) -> np.ndarray:
@@ -188,20 +213,13 @@ def build_envelope_table(
     the hull) and the table keeps the part at or above ``alpha_min``, where
     the ``1/(4 alpha)`` factor is tame.
     """
-    _check_eta(eta)
-    if grid_size < 101:
-        raise ValueError("grid_size must be >= 101")
-    if not 0.0 < alpha_min < 1.0:
-        raise ValueError("alpha_min must lie in (0, 1)")
-    q = np.linspace(0.0, 1.0, grid_size)
+    check_eta(eta)
+    q, keep = acceptance_grid(grid_size, alpha_min)
     z = k_inverse(scenario, eta, q)
     h = nu_eta(scenario, eta, z)
     h[0] = 0.0  # exact by construction: empty integration range at q = 0
     hull = _upper_hull_indices(q, h)
     h_star = np.interp(q, q[hull], h[hull])
-    keep = q >= alpha_min - 1e-15
-    if not np.any(keep):
-        raise ValueError("alpha_min leaves an empty grid")
     alpha = q[keep]
     return EnvelopeTable(
         eta=float(eta),

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, k_inverse
+from goc.envelope import EnvelopeTable, check_eta, k_inverse
 from goc.noise import Scenario
 from goc.oracle import best_response
 from goc.utility import UtilitySpec
@@ -164,8 +164,7 @@ def physical_rounds(
     Consecutive calls on one stream therefore reproduce a single call for
     all their rounds.
     """
-    if eta < 2.0:
-        raise ValueError("eta must be >= 2")
+    check_eta(eta)
     adv.check_span(scenario)
     return _physical_from_uniforms(scenario, eta, adv, rng.random((n_rounds, _PHYS_DRAWS)))
 

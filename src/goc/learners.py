@@ -15,16 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable
+from goc.envelope import EnvelopeTable, check_threshold_range
 from goc.utility import LipschitzProfile, UtilitySpec, q_dc
 
 _ELIM_BLOCK = 4096
+# rounds per ETC block: bounds a trial's memory; 4096-round blocks cost 5-13% per trial
+_ETC_BLOCK = 1 << 16
 
 
 def _least_integer_above(x: float) -> int:
     """Smallest integer strictly greater than ``x``, robust to float fuzz."""
     n = math.floor(x * (1.0 + 1e-12)) + 1
     return int(n)
+
+
+def check_learner_targets(delta: float, lam: float, budget_scale: float) -> None:
+    """Reject ``delta`` outside (0, 1), ``lam <= 0`` or ``budget_scale`` outside (0, 1]."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("learner.delta: must lie in (0, 1)")
+    if not lam > 0.0:
+        raise ValueError("learner.lambda: must be positive")
+    if not 0.0 < budget_scale <= 1.0:
+        raise ValueError("experiment.budget_scale: must lie in (0, 1]")
 
 
 def derive_budget(
@@ -35,12 +47,8 @@ def derive_budget(
     ``n`` exceeds ``(b - a) max(2 L / lambda, 1 / d)`` and ``k`` exceeds
     ``(8 ell^2 / lambda^2) ln(2 (n + 1) / delta)``.
     """
-    if not (2.0 <= a < b):
-        raise ValueError("need 2 <= a < b")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
+    check_threshold_range(a, b)
+    check_learner_targets(delta, lam, 1.0)
     n = _least_integer_above((b - a) * max(2.0 * lip.big_l / lam, 1.0 / lip.d))
     k = _least_integer_above(
         (8.0 * lip.ell ** 2 / lam ** 2) * math.log(2.0 * (n + 1) / delta)
@@ -73,8 +81,7 @@ class LearnerConfig:
 
     def __post_init__(self) -> None:
         n_min, k_min = derive_budget(self.a, self.b, self.delta, self.lam, self.lip)
-        if not 0.0 < self.budget_scale <= 1.0:
-            raise ValueError("budget_scale must lie in (0, 1]")
+        check_learner_targets(self.delta, self.lam, self.budget_scale)
         if self.n < n_min:
             raise ValueError(f"n = {self.n} below the required {n_min}")
         if self.budget_scale == 1.0 and self.k < k_min:
@@ -176,7 +183,9 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     n_arms = config.n + 1
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
-    counts = env.acceptance_block(0, config.k).sum(axis=1)
+    counts = np.zeros(n_arms, dtype=np.int64)
+    for r0 in range(0, config.k, _ETC_BLOCK):
+        counts += env.acceptance_block(r0, min(r0 + _ETC_BLOCK, config.k)).sum(axis=1)
     alpha = counts / config.k
     u, clamped = _u_hat_rows(spec, env.tables, alpha[:, None])
     return _outcome(config.etas(), np.ones(n_arms, dtype=bool), np.full(n_arms, config.k),

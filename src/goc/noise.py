@@ -52,12 +52,15 @@ class HonestNoiseModel:
 
     def __post_init__(self) -> None:
         if self.kind not in (UNIFORM, TRUNCATED_GAUSSIAN):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ValueError(f"noise.kind: unknown kind {self.kind!r}")
+        if self.kind == UNIFORM:
+            if self.sigma is not None:
+                raise ValueError("noise.sigma: only meaningful for truncated_gaussian")
+        elif self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError("noise.sigma: truncated_gaussian requires sigma > 0")
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a positive finite real")
+            raise ValueError("scenario.delta: must be a positive finite real")
         if self.kind == TRUNCATED_GAUSSIAN:
-            if self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-                raise ValueError("truncated_gaussian requires sigma > 0")
             sigma_max = MAX_SIGMA_RATIO * self.delta
             if self.sigma > sigma_max:
                 raise ValueError(f"noise.sigma: the closed-form moments lose accuracy above "
@@ -66,8 +69,6 @@ class HonestNoiseModel:
             # mass of the parent Gaussian inside [-delta, delta]
             z = math.erf(self.delta / (self.sigma * _SQRT2))
             object.__setattr__(self, "_norm", z)
-        elif self.sigma is not None:
-            raise ValueError("sigma is only meaningful for truncated_gaussian")
 
     # -- density / distribution -------------------------------------------
 
@@ -146,8 +147,7 @@ class Scenario:
     noise: HonestNoiseModel
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("scenario.delta: must be a positive finite real")
+        # the noise model checks delta itself; the match below rejects any other delta
         if not (self.big_m > 0.0 and math.isfinite(self.big_m)):
             raise ValueError("scenario.big_m: must be a positive finite real")
         if self.delta / self.big_m > MAX_DELTA_RATIO:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE, build_envelope_table
+from goc.envelope import (
+    DEFAULT_ALPHA_MIN,
+    DEFAULT_GRID_SIZE,
+    build_envelope_table,
+    check_threshold_range,
+)
 from goc.noise import Scenario
 
 DC_LINEAR = "linear"  # pa - gamma * mse
@@ -24,14 +29,6 @@ AD_PRODUCT = "product"  # pa^theta * mse
 ELL_ETA_POINTS = 17  # estimate_lipschitz: etas in the ell sweep
 WINDOW_FRACTION = 1.0 / 200.0  # ... its slope window, as a share of [a, b]
 JUMP_FACTOR = 50.0  # ... windowed slopes above this multiple of the median flag a boundary
-
-
-class UtilitySpecError(ValueError):
-    """Invalid ``UtilitySpec`` or ``LipschitzProfile`` parameter; ``field`` names the field at fault."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field} {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -47,22 +44,20 @@ class UtilitySpec:
 
     def __post_init__(self) -> None:
         if self.dc_kind not in (DC_LINEAR, DC_RATIO):
-            raise UtilitySpecError(
-                "dc_kind", f"must be {DC_LINEAR!r} or {DC_RATIO!r}, got {self.dc_kind!r}"
-            )
+            raise ValueError(f"utility.dc.kind: must be {DC_LINEAR!r} or {DC_RATIO!r}, "
+                             f"got {self.dc_kind!r}")
         if self.ad_kind not in (AD_WEIGHTED_SUM, AD_PRODUCT):
-            raise UtilitySpecError(
-                "ad_kind", f"must be {AD_WEIGHTED_SUM!r} or {AD_PRODUCT!r}, got {self.ad_kind!r}"
-            )
+            raise ValueError(f"utility.ad.kind: must be {AD_WEIGHTED_SUM!r} or {AD_PRODUCT!r}, "
+                             f"got {self.ad_kind!r}")
         # gamma = 0 is allowed: the collector then cares about acceptance only.
         if self.dc_kind == DC_LINEAR and not self.dc_gamma >= 0.0:
-            raise UtilitySpecError("dc_gamma", "must be >= 0")
+            raise ValueError("utility.dc.gamma: must be >= 0")
         if self.ad_kind == AD_WEIGHTED_SUM:
-            for name in ("ad_w_mse", "ad_w_pa"):
-                if not getattr(self, name) > 0.0:
-                    raise UtilitySpecError(name, "must be > 0 for weighted_sum")
+            for key, value in (("w_mse", self.ad_w_mse), ("w_pa", self.ad_w_pa)):
+                if not value > 0.0:
+                    raise ValueError(f"utility.ad.{key}: must be > 0 for weighted_sum")
         if self.ad_kind == AD_PRODUCT and not self.ad_theta > 0.0:
-            raise UtilitySpecError("ad_theta", "must be > 0 for product")
+            raise ValueError("utility.ad.theta: must be > 0 for product")
 
 
 def q_dc(spec: UtilitySpec, mse, pa):
@@ -101,9 +96,9 @@ class LipschitzProfile:
     d: float
 
     def __post_init__(self) -> None:
-        for name in ("ell", "big_l", "d"):
-            if not getattr(self, name) > 0.0:
-                raise UtilitySpecError(name, "must be positive")
+        for key, value in (("ell", self.ell), ("L", self.big_l), ("d", self.d)):
+            if not value > 0.0:
+                raise ValueError(f"lipschitz.{key}: must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,8 +130,7 @@ def estimate_lipschitz(
     from goc.oracle import best_response_curve  # local import: oracle depends on this module
 
     a, b = eta_range
-    if not (2.0 <= a < b):
-        raise ValueError("need 2 <= a < b")
+    check_threshold_range(a, b)
     # slope bound in alpha, exact on the piecewise-linear tables
     ell = 0.0
     for eta in np.linspace(a, b, ELL_ETA_POINTS):

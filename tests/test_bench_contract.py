@@ -74,7 +74,41 @@ PROBE = textwrap.dedent(
             "outcome": {"rounds": out.total_game_rounds, "budget": (cfg.n + 1) * cfg.k,
                         "clamps": out.clamp_count},
         }
-    print(json.dumps({"missing": missing, "blocks": blocks, "live": live, "learners": learners}))
+
+    # one call each, through the module attributes install replaced, so every attrs
+    # function binds its arguments by name at least once
+    import goc.envelope, goc.environment, goc.experiments, goc.verify
+    from goc.config import load_config_text
+    from goc.environment import MixtureAdversary, make_rng
+
+    def spans_of(name, call):
+        before = len(tracer.spans)
+        out = call()
+        return out, [s[6] for s in tracer.spans[before:] if s[2] == name]
+
+    attrs = {}
+    table, attrs["build_envelope_table"] = spans_of(
+        "envelope.build_envelope_table",
+        lambda: goc.envelope.build_envelope_table(scenario, 2.5, 201, 0.01))
+    _, attrs["physical_rounds"] = spans_of(
+        "environment.physical_rounds",
+        lambda: goc.environment.physical_rounds(
+            scenario, 2.5, MixtureAdversary.point_mass(1.0), make_rng(0), 7))
+    _, attrs["two_point_oracle"] = spans_of(
+        "verify.two_point_oracle", lambda: goc.verify.two_point_oracle(scenario, table, 0.5, 201, 101))
+    cfg = load_config_text("learner.b = 3.0\\nenvelope.grid = 201\\nexperiment.budget_scale = 0.001\\n"
+                           "lipschitz.ell = 2.0\\nlipschitz.L = 0.05\\nlipschitz.d = 2.0\\n")
+    art = goc.experiments.prepare_instance(cfg)
+    trial, attrs["run_trial"] = spans_of(
+        "experiments.run_trial", lambda: goc.experiments.run_trial(art, 3, "etc"))
+    csv = Path(sys.argv[1]) / "probe.csv"
+    _, attrs["write_csv"] = spans_of(
+        "experiments.write_csv",
+        lambda: goc.experiments.write_csv(csv, ("x",), [(1,)], cfg.hash(), 42))
+    expected = {"run_trial": [{"trial": 3, "algo": "etc", "rounds": trial.rounds_used}],
+                "write_csv": [{"bytes": csv.stat().st_size}]}
+    print(json.dumps({"missing": missing, "blocks": blocks, "live": live, "learners": learners,
+                      "attrs": attrs, "expected": expected}))
     """
 )
 
@@ -98,3 +132,12 @@ def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
     for name, got in out["learners"].items():
         assert got["spans"] == [got["outcome"]], name
     assert out["learners"]["run_elimination"]["outcome"]["clamps"] > 0
+    # the table key binds scenario, eta, grid_size and alpha_min; eta 2.5 < 8/3 is not concave
+    assert out["attrs"] == {
+        "build_envelope_table": [{"key": "('uniform', None, 1.0, 10000.0, 2.5, 201, 0.01)",
+                                  "grid": 201, "concave": 0}],
+        "physical_rounds": [{"uniforms": 35}],
+        "two_point_oracle": [{"cells": 201 ** 2 * 102}],
+        **out["expected"],
+    }
+    assert out["expected"]["write_csv"][0]["bytes"] > 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from goc.config import ConfigError, default_config, load_config_text, validate_config
@@ -29,17 +31,33 @@ def test_type_mismatch_named():
         load_config_text("experiment.trials = many\n")
 
 
+# (key, text): each rule's owner raises a message that starts with its key
+INVARIANT_VIOLATIONS = [
+    ("noise.kind", "noise.kind = nope\n"),
+    ("noise.sigma", "noise.kind = truncated_gaussian\n"),
+    ("noise.sigma", "noise.kind = truncated_gaussian\nnoise.sigma = -0.5\n"),
+    ("noise.sigma", "noise.kind = uniform\nnoise.sigma = 0.5\n"),
+    ("scenario.delta", "scenario.delta = -1.0\n"),
+    ("scenario.big_m", "scenario.big_m = 0.0\n"),
+    ("learner.a", "learner.a = 1.5\n"),
+    ("learner.b", "learner.a = 3.0\nlearner.b = 2.5\n"),
+    ("learner.delta", "learner.delta = 1.5\n"),
+    ("learner.lambda", "learner.lambda = 0.0\n"),
+    ("envelope.grid", "envelope.grid = 50\n"),
+    ("envelope.alpha_min", "envelope.alpha_min = 0.0\n"),
+    ("envelope.alpha_min", "envelope.alpha_min = 1.0\n"),
+    ("experiment.budget_scale", "experiment.budget_scale = 2.0\n"),
+    ("experiment.budget_scale", "experiment.budget_scale = 0.0\n"),
+    ("estimator.resolution", "estimator.resolution = 50\n"),
+    ("env.mode", "env.mode = nope\n"),
+    ("experiment.trials", "experiment.trials = 0\n"),
+]
+
+
 def test_invariant_violations_name_keys():
-    with pytest.raises(ConfigError, match="learner.b"):
-        load_config_text("learner.a = 3.0\nlearner.b = 2.5\n")
-    with pytest.raises(ConfigError, match="learner.delta"):
-        load_config_text("learner.delta = 1.5\n")
-    with pytest.raises(ConfigError, match="noise.sigma"):
-        load_config_text("noise.kind = truncated_gaussian\n")
-    with pytest.raises(ConfigError, match="noise.sigma"):
-        load_config_text("noise.kind = uniform\nnoise.sigma = 0.5\n")
-    with pytest.raises(ConfigError, match="experiment.budget_scale"):
-        load_config_text("experiment.budget_scale = 2.0\n")
+    for key, text in INVARIANT_VIOLATIONS:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            load_config_text(text)
 
 
 @pytest.mark.parametrize("sigma, delta", [(100.5, 1.0), (1e3, 1.0), (1e5, 1.0), (1e8, 1.0),

@@ -377,10 +377,17 @@ def test_value_curve_identities_for_every_family(sigma, eta, grid_size, alpha_mi
 
 
 def test_table_rejects_bad_grid(unif):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^envelope\.grid: "):
         build_envelope_table(unif, 2.0, grid_size=50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^envelope\.alpha_min: "):
         build_envelope_table(unif, 2.0, alpha_min=0.0)
+
+
+def test_table_needs_two_kept_points():
+    # alpha_min = 0.995 keeps only q = 1 of 101 points, and a one-point table has no slope:
+    # estimate_lipschitz on that grid failed inside numpy
+    with pytest.raises(ValueError, match=r"^envelope\.alpha_min: .*envelope\.grid = 101 "):
+        build_envelope_table(uniform_scenario(), 2.5, 101, 0.995)
 
 
 def test_c_lookup_bounds(table_unif_2):

@@ -157,6 +157,14 @@ def test_mixture_validation(unif):
         physical_rounds(unif, 2.0, big, make_rng(0), 1)
 
 
+def test_physical_rounds_rejects_eta_like_the_table(unif):
+    with pytest.raises(ValueError) as table_err:
+        build_envelope_table(unif, 1.5)
+    with pytest.raises(ValueError) as rounds_err:
+        physical_rounds(unif, 1.5, MixtureAdversary.point_mass(1.0), make_rng(0), 1)
+    assert str(rounds_err.value) == str(table_err.value)
+
+
 def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
     etas = [2.0, 2.5, 3.0]
     tables = [build_envelope_table(unif, e, 801) for e in etas]

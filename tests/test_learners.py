@@ -5,7 +5,7 @@ import pytest
 
 import goc.learners
 from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
-from goc.environment import BernoulliArmEnv, make_rng
+from goc.environment import BernoulliArmEnv, PhysicalArmEnv, make_rng
 from goc.learners import (
     LearnerConfig,
     derive_budget,
@@ -65,11 +65,13 @@ def test_budget_delta_halving_additivity():
 
 
 def test_budget_rejects_bad_ranges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^learner\.b: "):
         derive_budget(2.0, 2.0, 0.05, 0.1, LIP)  # degenerate interval
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^learner\.a: "):
+        derive_budget(1.5, 6.0, 0.05, 0.1, LIP)
+    with pytest.raises(ValueError, match=r"^learner\.lambda: "):
         derive_budget(2.0, 6.0, 0.05, 0.0, LIP)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^learner\.delta: "):
         derive_budget(2.0, 6.0, 1.5, 0.1, LIP)
 
 
@@ -93,8 +95,23 @@ def test_config_validation():
         LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=10, k=6477)  # n too small
     with pytest.raises(ValueError):
         LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100)  # k too small
+    with pytest.raises(ValueError, match=r"^experiment\.budget_scale: "):
+        LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100, budget_scale=1.5)
     scaled = LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100, budget_scale=0.01)
     assert scaled.k == 100
+
+
+@pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
+def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
+    # k straddles the first block edge, so run_etc draws two blocks per arm
+    k = goc.learners._ETC_BLOCK + 5
+    etas = [2.0, 3.0]
+    tables = [build_envelope_table(unif, e, 201) for e in etas]
+    lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k, budget_scale=0.5)
+    out = run_etc(cfg, cls(unif, spec_default, etas, tables, base_seed=3, trial=1), spec_default)
+    full = cls(unif, spec_default, etas, tables, base_seed=3, trial=1).acceptance_block(0, k)
+    assert [s.accept_count for s in out.arm_trace] == full.sum(axis=1).tolist()
 
 
 def _tiny_instance(unif, spec, n_arms=3, k=400, alpha_min=DEFAULT_ALPHA_MIN):

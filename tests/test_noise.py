@@ -109,13 +109,13 @@ def test_scenario_validation():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^noise\.kind: "):
         HonestNoiseModel("unknown", 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^noise\.sigma: "):
         HonestNoiseModel("truncated_gaussian", 1.0)  # missing sigma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^noise\.sigma: "):
         HonestNoiseModel("uniform", 1.0, 0.5)  # stray sigma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^scenario\.delta: "):
         HonestNoiseModel("uniform", -1.0)
 
 

@@ -26,15 +26,15 @@ def test_q_ad_values():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^utility\.dc\.kind: "):
         UtilitySpec(dc_kind="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^utility\.ad\.kind: "):
         UtilitySpec(ad_kind="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^utility\.dc\.gamma: "):
         UtilitySpec(dc_kind="linear", dc_gamma=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^utility\.ad\.w_mse: "):
         UtilitySpec(ad_kind="weighted_sum", ad_w_mse=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^utility\.ad\.theta: "):
         UtilitySpec(ad_kind="product", ad_theta=0.0)
     # gamma = 0 is allowed: acceptance-only collector
     UtilitySpec(dc_kind="linear", dc_gamma=0.0)
@@ -98,9 +98,9 @@ def test_dc_utility_curve_rejects_out_of_range(table_unif_2):
 
 
 def test_lipschitz_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lipschitz\.ell: "):
         LipschitzProfile(ell=0.0, big_l=1.0, d=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lipschitz\.L: "):
         LipschitzProfile(ell=1.0, big_l=-1.0, d=1.0)
 
 
