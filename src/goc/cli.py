@@ -86,8 +86,8 @@ def _common(parser: argparse.ArgumentParser) -> None:
 def _trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", choices=(ETC, ELIMINATION, "both"), default="both")
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None, help="worker processes (default "
-                        "GOC_THREADS or 1; at most the CPU count)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes (default 1; at most the CPU count)")
     parser.add_argument("--budget-scale", type=float, default=None,
                         help="smoke-test knob: scale the per-arm budget down (acceptance uses 1.0)")
 
@@ -159,7 +159,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} {path} is a directory")
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     art = prepare_instance(cfg)
-    results = run_trials(art, algos, threads=args.threads, keep_outcome=args.trace is not None)
+    results = run_trials(art, algos, threads=args.threads)
     write_csv(args.out, TRIAL_HEADER, trial_rows(results), cfg.hash(), cfg["experiment.base_seed"])
     if args.trace is not None:
         trace_rows = [

@@ -23,7 +23,7 @@ from goc.envelope import (
 )
 from goc.learners import check_learner_targets
 from goc.noise import UNIFORM, HonestNoiseModel, Scenario
-from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec
+from goc.utility import AD_PRODUCT, DC_LINEAR, LipschitzProfile, UtilitySpec, check_resolution
 
 
 class ConfigError(ValueError):
@@ -154,14 +154,15 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         check_learner_targets(resolved["learner.delta"], resolved["learner.lambda"],
                               resolved["experiment.budget_scale"])
         acceptance_grid(resolved["envelope.grid"], resolved["envelope.alpha_min"])
+        check_resolution(resolved["estimator.resolution"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if resolved["estimator.resolution"] < 51:
-        raise ConfigError("estimator.resolution: must be >= 51")
     if resolved["env.mode"] not in ("bernoulli", "physical"):
         raise ConfigError(f"env.mode: unknown mode {resolved['env.mode']!r}")
     if resolved["experiment.trials"] < 1:
         raise ConfigError("experiment.trials: must be >= 1")
+    if resolved["experiment.base_seed"] < 0:
+        raise ConfigError("experiment.base_seed: must be >= 0")
     return cfg
 
 

@@ -162,7 +162,6 @@ class EnvelopeTable:
     c_values: np.ndarray
     hull_q: np.ndarray
     hull_values: np.ndarray
-    alpha_min: float
     slack: float
 
     def __post_init__(self) -> None:
@@ -229,6 +228,5 @@ def build_envelope_table(
         c_values=h_star[keep] / (4.0 * alpha),
         hull_q=q[hull],
         hull_values=h[hull],
-        alpha_min=float(alpha[0]),
         slack=envelope_slack(scenario, eta),
     )

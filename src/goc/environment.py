@@ -29,8 +29,9 @@ from goc.noise import Scenario
 from goc.oracle import best_response
 from goc.utility import UtilitySpec
 
-# per-round uniform draws consumed in physical mode, in order:
-# value, honest noise, mixture component, offset sign, presentation order
+# per-round uniform draws consumed in physical mode, in order: value, honest noise,
+# mixture component, offset sign, and a fifth that no output reads, still drawn so that
+# every round reads the same stream positions and every output stays the same
 _PHYS_DRAWS = 5
 # Generator.random returns multiples of this in [0, 1)
 _UNIT = 2.0 ** -53
@@ -114,7 +115,6 @@ class PhysicalBatch:
     accepted: np.ndarray
     estimate: np.ndarray
     u_true: np.ndarray
-    honest_first: np.ndarray
 
 
 def _offset_choice(adv: MixtureAdversary, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +136,10 @@ def _physical_from_uniforms(
     n_h = scenario.noise.ppf(draws[:, 1])
     comp, plus = _offset_choice(adv, draws)
     n_a = np.where(plus, 1.0, -1.0) * np.asarray(adv.offsets, dtype=float)[comp]
-    honest_first = draws[:, 4] < 0.5
     y_h = u + n_h
     y_a = u + n_a
-    y1 = np.where(honest_first, y_h, y_a)
-    y2 = np.where(honest_first, y_a, y_h)
-    accepted = np.abs(y1 - y2) <= eta * scenario.delta
-    estimate = 0.5 * (y1 + y2)
-    return PhysicalBatch(
-        eta=float(eta),
-        accepted=accepted,
-        estimate=estimate,
-        u_true=u,
-        honest_first=honest_first,
-    )
+    return PhysicalBatch(eta=float(eta), accepted=np.abs(y_h - y_a) <= eta * scenario.delta,
+                         estimate=0.5 * (y_h + y_a), u_true=u)
 
 
 def physical_rounds(

@@ -101,12 +101,10 @@ class TrialResult:
     rounds_used: int
     best_arm_eliminated: bool
     n_eliminated: int
-    outcome: LearnerOutcome | None = None
+    outcome: LearnerOutcome
 
 
-def run_trial(
-    art: InstanceArtifacts, trial: int, algo: str, keep_outcome: bool = False
-) -> TrialResult:
+def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
     """One seeded learning trial; matched algorithms share the same streams."""
     base_seed = art.config["experiment.base_seed"]
     env_cls = BernoulliArmEnv if art.config["env.mode"] == "bernoulli" else PhysicalArmEnv
@@ -128,7 +126,7 @@ def run_trial(
         rounds_used=outcome.total_game_rounds,
         best_arm_eliminated=best_state.eliminated,
         n_eliminated=sum(1 for s in outcome.arm_trace if s.eliminated),
-        outcome=outcome if keep_outcome else None,
+        outcome=outcome,
     )
 
 
@@ -140,30 +138,22 @@ def _worker_init(art: InstanceArtifacts) -> None:
     _WORKER_ART = art
 
 
-def _worker_run(task: tuple[int, str, bool]) -> TrialResult:
+def _worker_run(task: tuple[int, str]) -> TrialResult:
     assert _WORKER_ART is not None
     return run_trial(_WORKER_ART, *task)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: ``explicit``, else ``GOC_THREADS``, else 1; capped at the CPU count."""
-    if explicit is None:
-        try:
-            explicit = int(os.environ.get("GOC_THREADS", "1"))
-        except ValueError:
-            explicit = 1
-    return max(1, min(explicit, os.cpu_count() or 1))
+    """Worker count: ``explicit``, else 1; capped at the CPU count."""
+    return max(1, min(explicit or 1, os.cpu_count() or 1))
 
 
 def run_trials(
-    art: InstanceArtifacts,
-    algos: Sequence[str],
-    threads: int | None = None,
-    keep_outcome: bool = False,
+    art: InstanceArtifacts, algos: Sequence[str], threads: int | None = None
 ) -> list[TrialResult]:
     """All ``experiment.trials`` (trial, algo) runs, in deterministic (algo, trial) order."""
     trials = art.config["experiment.trials"]
-    tasks = [(t, algo, keep_outcome) for algo in algos for t in range(trials)]
+    tasks = [(t, algo) for algo in algos for t in range(trials)]
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(tasks) < 4:
         return [run_trial(art, *task) for task in tasks]

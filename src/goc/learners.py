@@ -131,7 +131,6 @@ class LearnerOutcome:
     eta_hat_index: int
     total_game_rounds: int
     arm_trace: tuple[ArmState, ...]
-    elimination_log: tuple[tuple[int, int], ...] = ()  # (round, 1-based arm index)
     clamp_count: int = 0
 
 
@@ -148,14 +147,14 @@ def _u_hat_rows(
     clamped = np.empty(alpha_hat.shape, dtype=bool)
     for i, table in enumerate(tables):
         row = alpha_hat[i]
-        clamped[i] = row < table.alpha_min
-        safe = np.clip(row, table.alpha_min, 1.0)
+        clamped[i] = row < table.alpha_grid[0]
+        safe = np.clip(row, table.alpha_grid[0], 1.0)
         c = np.interp(safe, table.alpha_grid, table.c_values)
         out[i] = q_dc(spec, c, safe)
     return out, clamped
 
 
-def _outcome(etas, alive, stop, counts, alpha, u, log=(), clamps=0) -> LearnerOutcome:
+def _outcome(etas, alive, stop, counts, alpha, u, clamps) -> LearnerOutcome:
     """Commit to the best live arm (lowest index on ties) and record every arm.
 
     ``stop[i]`` is the last round arm ``i`` played; ``counts``, ``alpha`` and ``u``
@@ -169,8 +168,7 @@ def _outcome(etas, alive, stop, counts, alpha, u, log=(), clamps=0) -> LearnerOu
         for i in range(len(etas))
     )
     return LearnerOutcome(eta_hat=float(etas[m]), eta_hat_index=m + 1,
-                          total_game_rounds=int(np.sum(stop)), arm_trace=trace,
-                          elimination_log=tuple(log), clamp_count=clamps)
+                          total_game_rounds=int(np.sum(stop)), arm_trace=trace, clamp_count=clamps)
 
 
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -213,7 +211,6 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     counts = np.zeros(n_arms, dtype=np.int64)
     alpha = np.zeros(n_arms)
     u = np.full(n_arms, -np.inf)
-    log: list[tuple[int, int]] = []
     clamps = 0
 
     pos = 0
@@ -239,7 +236,6 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
             live[dropped] = False
             col[dropped] = jj
             alive[rows[dropped]] = False
-            log.extend((pos + jj + 1, int(i) + 1) for i in rows[dropped])
             # later columns need a new best only where a dropped row attained it
             later = jj + 1 + np.flatnonzero((u_live[dropped, jj + 1:] == best[jj + 1:]).any(axis=0))
             if later.size:
@@ -254,4 +250,4 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         u[rows] = u_live[at]
         pos += b
 
-    return _outcome(config.etas(), alive, stop, counts, alpha, u, log, clamps)
+    return _outcome(config.etas(), alive, stop, counts, alpha, u, clamps)

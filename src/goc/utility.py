@@ -29,6 +29,7 @@ AD_PRODUCT = "product"  # pa^theta * mse
 ELL_ETA_POINTS = 17  # estimate_lipschitz: etas in the ell sweep
 WINDOW_FRACTION = 1.0 / 200.0  # ... its slope window, as a share of [a, b]
 JUMP_FACTOR = 50.0  # ... windowed slopes above this multiple of the median flag a boundary
+MIN_RESOLUTION = 51  # ... fewest etas in its realized-utility sweep
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,16 @@ class LipschitzProfile:
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Estimated profile, the detected piece boundaries, and the utility at each sweep point."""
+    """Estimated profile and the detected piece boundaries."""
 
     profile: LipschitzProfile
     boundaries: tuple[float, ...]
-    u_values: np.ndarray
+
+
+def check_resolution(resolution: int) -> None:
+    """Reject an ``estimate_lipschitz`` sweep of fewer than ``MIN_RESOLUTION`` etas."""
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"estimator.resolution: must be >= {MIN_RESOLUTION}, got {resolution!r}")
 
 
 def estimate_lipschitz(
@@ -131,6 +137,7 @@ def estimate_lipschitz(
 
     a, b = eta_range
     check_threshold_range(a, b)
+    check_resolution(resolution)
     # slope bound in alpha, exact on the piecewise-linear tables
     ell = 0.0
     for eta in np.linspace(a, b, ELL_ETA_POINTS):
@@ -152,23 +159,14 @@ def estimate_lipschitz(
         jump_mask = wslopes > JUMP_FACTOR * med
     else:
         jump_mask = np.zeros_like(wslopes, dtype=bool)
-    boundaries: list[float] = []
-    if np.any(jump_mask):
-        centers = 0.5 * (etas[m:] + etas[:-m])
-        # collapse runs of flagged windows to one boundary each
-        run_start = None
-        for i, flagged in enumerate(jump_mask):
-            if flagged and run_start is None:
-                run_start = i
-            elif not flagged and run_start is not None:
-                boundaries.append(float(np.mean(centers[run_start:i])))
-                run_start = None
-        if run_start is not None:
-            boundaries.append(float(np.mean(centers[run_start:])))
+    # collapse each run of flagged windows to one boundary: the mean of its window centers
+    centers = 0.5 * (etas[m:] + etas[:-m])
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], jump_mask.view(np.int8), [0]))))
+    boundaries = [float(np.mean(centers[i:j])) for i, j in zip(edges[::2], edges[1::2])]
     smooth = wslopes[~jump_mask]
     big_l = float(smooth.max()) if smooth.size else med
     big_l = max(big_l, 1e-9)
     cuts = [a] + boundaries + [b]
     d = float(min(np.diff(cuts))) if boundaries else b - a
     profile = LipschitzProfile(ell=ell, big_l=big_l, d=max(d, 1e-12))
-    return LipschitzEstimate(profile=profile, boundaries=tuple(boundaries), u_values=u)
+    return LipschitzEstimate(profile=profile, boundaries=tuple(boundaries))

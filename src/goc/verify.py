@@ -53,8 +53,9 @@ def two_point_oracle(
     """
     if not 0.0 < alpha <= 1.0 + 1e-12:
         raise ValueError("alpha must lie in (0, 1]")
-    if z_grid_size < 201 or w_grid_size < 101:
-        raise ValueError("grids too coarse: need z >= 201, w >= 101")
+    for flag, size, least in (("--z-grid", z_grid_size, 201), ("--w-grid", w_grid_size, 101)):
+        if size < least:
+            raise ValueError(f"{flag}: must be >= {least}, got {size!r}")
     eta = table.eta
     dom = offset_domain(scenario, eta)
     z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)

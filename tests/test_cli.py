@@ -246,3 +246,20 @@ def test_learn_out_at_existing_directory(tmp_path, smoke_cfg, capsys, monkeypatc
     assert main(argv) == 2
     assert f"error: {flag} {paths[flag]} is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", paths[flag].name]
+
+
+def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    rc = main(["verify", "--eta-list", "2", "--alpha-list", "0.5", "--z-grid", "100",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: --z-grid: must be >= 201, got 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_fails_at_its_key_before_set_up(tmp_path, smoke_cfg, capsys, monkeypatch):
+    _no_set_up(monkeypatch)
+    out = tmp_path / "trials.csv"
+    assert main(["learn", "--config", str(smoke_cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: experiment.base_seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()

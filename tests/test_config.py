@@ -51,6 +51,7 @@ INVARIANT_VIOLATIONS = [
     ("estimator.resolution", "estimator.resolution = 50\n"),
     ("env.mode", "env.mode = nope\n"),
     ("experiment.trials", "experiment.trials = 0\n"),
+    ("experiment.base_seed", "experiment.base_seed = -1\n"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goc.envelope import (
+    DEFAULT_ALPHA_MIN,
     _upper_hull_indices,
     build_envelope_table,
     k_eta,
@@ -276,7 +277,7 @@ def test_table_invariants(unif, tgauss):
             assert np.all(t.h_star_values >= t.h_values - 1e-12)
             hull_second = np.diff(t.h_star_values, 2)
             assert np.all(hull_second <= 1e-9)
-            assert t.alpha_grid[0] >= t.alpha_min - 1e-15
+            assert t.alpha_grid[0] >= DEFAULT_ALPHA_MIN - 1e-15
             assert t.alpha_grid[-1] == 1.0
 
 

@@ -80,12 +80,6 @@ def test_no_accepted_rounds_signals(unif):
         empirical_conditional_mse(batch)
 
 
-def test_order_randomization(unif):
-    batch = physical_rounds(unif, 2.0, MixtureAdversary.point_mass(1.0), make_rng(3, 4), 10**5)
-    frac = float(np.mean(batch.honest_first))
-    assert abs(frac - 0.5) <= 0.01
-
-
 def test_physical_rounds_chunk_invariant(unif):
     adv = MixtureAdversary((1.2, 2.4), (0.5, 0.5))
     bulk = physical_rounds(unif, 2.5, adv, make_rng(4, 5), 64)
@@ -93,7 +87,7 @@ def test_physical_rounds_chunk_invariant(unif):
     # must reproduce the bulk rounds exactly
     gen = make_rng(4, 5)
     parts = [physical_rounds(unif, 2.5, adv, gen, n) for n in (1, 1, 17, 45)]
-    for field in ("accepted", "estimate", "u_true", "honest_first"):
+    for field in ("accepted", "estimate", "u_true"):
         joined = np.concatenate([getattr(b, field) for b in parts])
         assert np.array_equal(joined, getattr(bulk, field)), field
 

@@ -143,20 +143,9 @@ def test_pickled_instance_runs_the_same_trials(smoke_art):
         assert run_trial(copy, 1, algo) == run_trial(smoke_art, 1, algo)
 
 
-def test_threads_env_var(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("GOC_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("GOC_THREADS", "junk")
-    assert resolve_threads() == 1
-
-
 def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert resolve_threads(64) == 2
-    monkeypatch.setenv("GOC_THREADS", "1000")
-    assert resolve_threads() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_threads() == 1
     # one CPU: a huge request runs serially and starts no pool at all

@@ -164,8 +164,8 @@ def test_etc_matches_manual_argmax(unif, spec_default):
         draws = env2.acceptance_block(0, cfg.k)
         for i, t in enumerate(tables):
             rate = draws[i].sum() / cfg.k
-            clamps += int(rate < t.alpha_min)
-            a = np.clip(rate, t.alpha_min, 1.0)
+            clamps += int(rate < t.alpha_grid[0])
+            a = np.clip(rate, t.alpha_grid[0], 1.0)
             manual.append(float(q_dc(spec_default, np.interp(a, t.alpha_grid, t.c_values), a)))
         assert out.eta_hat_index == int(np.argmax(manual)) + 1
         assert out.arm_trace[0].u_hat == pytest.approx(manual[0], abs=1e-12)
@@ -185,10 +185,8 @@ def test_elimination_drops_separated_arms(unif, spec_gamma1):
             assert s.rounds_played == s.eliminated_at_round
         else:
             assert s.rounds_played == cfg.k
-    # elimination log rounds are nondecreasing and match the trace
-    rounds = [r for r, _ in out.elimination_log]
-    assert rounds == sorted(rounds)
-    assert {i for _, i in out.elimination_log} == {s.index for s in out.arm_trace if s.eliminated}
+    # exactly the eliminated arms carry an elimination round
+    assert all((s.eliminated_at_round is not None) == s.eliminated for s in out.arm_trace)
 
 
 def _sequential_elimination(cfg, tables, draws, spec):
@@ -211,8 +209,8 @@ def _sequential_elimination(cfg, tables, draws, spec):
                 counts[i] += int(draws[i, r - 1])
                 played[i] = r
                 rate[i] = counts[i] / r
-                clamps += int(rate[i] < tables[i].alpha_min)
-                a = np.clip(rate[i], tables[i].alpha_min, 1.0)
+                clamps += int(rate[i] < tables[i].alpha_grid[0])
+                a = np.clip(rate[i], tables[i].alpha_grid[0], 1.0)
                 c = float(np.interp(a, tables[i].alpha_grid, tables[i].c_values))
                 u_now[i] = float(q_dc(spec, c, a))
         best = max(u for i, u in enumerate(u_now) if alive[i])
@@ -254,7 +252,8 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
             monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
             out = run_elimination(cfg, make_env(), spec)
-            assert list(out.elimination_log) == log
+            assert sorted((s.eliminated_at_round, s.index)
+                          for s in out.arm_trace if s.eliminated) == log
             assert out.eta_hat_index == best_i + 1
             for i, s in enumerate(out.arm_trace):
                 assert (s.rounds_played, s.accept_count) == (played[i], counts[i])
@@ -277,7 +276,7 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
     for trial in range(200):
         env = FixedAlphaEnv([alpha, alpha], [table_unif_25, table_unif_25], base_seed=11, trial=trial)
         out = run_elimination(cfg, env, spec_default)
-        if out.elimination_log:
+        if any(s.eliminated for s in out.arm_trace):
             eliminated_trials += 1
     assert eliminated_trials <= 10  # delta * trials
 
@@ -290,7 +289,7 @@ def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     out_b = run_elimination(cfg, env_b, spec_default)
     assert out_b.total_game_rounds <= out_a.total_game_rounds
     # if nothing was eliminated the final estimates coincide
-    if not out_b.elimination_log:
+    if not any(s.eliminated for s in out_b.arm_trace):
         for sa, sb in zip(out_a.arm_trace, out_b.arm_trace):
             assert sa.accept_count == sb.accept_count
 

@@ -16,7 +16,7 @@ def test_product_adversary_tracks_envelope_peak(unif, table_unif_2, spec_gamma1)
     # with utility = acceptance * error, the objective is the envelope over 4:
     # the argmax must match a 10x-refined direct scan of alpha * c(alpha)
     br = best_response(table_unif_2, spec_gamma1)
-    fine = np.linspace(table_unif_2.alpha_min, 1.0, 10 * table_unif_2.alpha_grid.size)
+    fine = np.linspace(table_unif_2.alpha_grid[0], 1.0, 10 * table_unif_2.alpha_grid.size)
     vals = fine * table_unif_2.c_at(fine)
     alpha_fine = fine[int(np.argmax(vals))]
     step = table_unif_2.alpha_grid[1] - table_unif_2.alpha_grid[0]
@@ -28,7 +28,7 @@ def test_product_adversary_tracks_envelope_peak(unif, table_unif_2, spec_gamma1)
 def test_weighted_sum_matches_refined_scan(unif, table_unif_2):
     spec = UtilitySpec(ad_kind="weighted_sum", ad_w_mse=1.0, ad_w_pa=1.0)
     br = best_response(table_unif_2, spec)
-    fine = np.linspace(table_unif_2.alpha_min, 1.0, 10 * table_unif_2.alpha_grid.size)
+    fine = np.linspace(table_unif_2.alpha_grid[0], 1.0, 10 * table_unif_2.alpha_grid.size)
     vals = q_ad(spec, table_unif_2.c_at(fine), fine)
     alpha_fine = fine[int(np.argmax(vals))]
     step = table_unif_2.alpha_grid[1] - table_unif_2.alpha_grid[0]

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table
+from goc.noise import uniform_scenario
+from goc.oracle import best_response_curve
 from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz, q_ad, q_dc
 
 from conftest import rng
@@ -80,7 +84,7 @@ def test_dc_utility_curve_gamma_zero_is_alpha(unif):
     spec = UtilitySpec(dc_kind="linear", dc_gamma=0.0)
     for eta in (2.0, 3.0, 6.0):
         table = build_envelope_table(unif, eta, 801)
-        alpha = np.linspace(table.alpha_min, 1.0, 53)
+        alpha = np.linspace(table.alpha_grid[0], 1.0, 53)
         assert np.max(np.abs(q_dc(spec, table.c_at(alpha), alpha) - alpha)) <= 1e-12
 
 
@@ -117,7 +121,31 @@ def test_estimate_constant_curve_single_piece(unif, spec_pa_only):
     assert est.boundaries == ()
     assert est.profile.d == pytest.approx(2.0, abs=1e-12)
     assert est.profile.big_l <= 1e-9
-    assert np.max(np.abs(est.u_values - est.u_values[0])) <= 1e-12
+    u = np.array([br.dc_value for br in
+                  best_response_curve(unif, spec_pa_only, np.linspace(2.0, 4.0, 101))])
+    assert np.max(np.abs(u - u[0])) <= 1e-12
+
+
+def test_flagged_windows_collapse_to_one_boundary_per_run(unif, spec_default, monkeypatch):
+    # a curve of slope 0.01 with unit steps after etas[1], etas[100] and etas[399]: on 401
+    # etas over [2, 6] the slope window is m = 2 steps, so the flagged windows are {0, 1},
+    # {99, 100} and {398}, the last one ending the sweep
+    import goc.oracle
+
+    etas = np.linspace(2.0, 6.0, 401)
+    u = 0.01 * etas + np.searchsorted(etas[[1, 100, 399]], etas, side="left")
+    curve = [SimpleNamespace(dc_value=float(v)) for v in u]
+    monkeypatch.setattr(goc.oracle, "best_response_curve", lambda *args: curve)
+    est = estimate_lipschitz(unif, spec_default, (2.0, 6.0), resolution=401, grid_size=201)
+    assert est.boundaries == pytest.approx((2.015, 3.005, 5.99), abs=1e-12)
+    assert est.profile.d == pytest.approx(0.01, abs=1e-12)
+    assert est.profile.big_l == pytest.approx(0.01, abs=1e-12)
+
+
+def test_estimate_rejects_a_coarse_sweep_at_its_key():
+    with pytest.raises(ValueError, match=r"^estimator\.resolution: must be >= 51, got 1$"):
+        estimate_lipschitz(uniform_scenario(), UtilitySpec(), (2.0, 3.0), resolution=1,
+                           grid_size=201)
 
 
 def test_estimate_stable_under_refinement(unif, spec_gamma1):

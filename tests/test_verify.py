@@ -103,9 +103,9 @@ def test_three_point_mixtures_add_nothing(unif, tgauss):
 def test_oracle_validates_inputs(unif, table_unif_2):
     with pytest.raises(ValueError):
         two_point_oracle(unif, table_unif_2, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^--z-grid: must be >= 201, got 100$"):
         two_point_oracle(unif, table_unif_2, 0.5, z_grid_size=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^--w-grid: must be >= 101, got 50$"):
         two_point_oracle(unif, table_unif_2, 0.5, w_grid_size=50)
 
 
