@@ -23,6 +23,7 @@ from goc.experiments import (
     TRIAL_HEADER,
     curve_rows,
     prepare_instance,
+    resolve_threads,
     run_experiment,
     run_trials,
     trial_rows,
@@ -99,7 +100,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     rows = []
     for eta in args.eta_list:
         t = build_envelope_table(scenario, eta, grid, cfg["envelope.alpha_min"])
-        rows += [(eta, *r) for r in zip(t.alpha_grid, t.h_values, t.h_star_values, t.c_values)]
+        cols = (t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
+        rows += [(eta, *r) for r in zip(*(c.tolist() for c in cols))]
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), rows,
               cfg.hash(), cfg["experiment.base_seed"])
     return 0
@@ -158,8 +160,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if path is not None and Path(path).is_dir():
             raise ValueError(f"{flag} {path} is a directory")
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
+    threads = resolve_threads(args.threads)
     art = prepare_instance(cfg)
-    results = run_trials(art, algos, threads=args.threads)
+    results = run_trials(art, algos, threads=threads)
     write_csv(args.out, TRIAL_HEADER, trial_rows(results), cfg.hash(), cfg["experiment.base_seed"])
     if args.trace is not None:
         trace_rows = [
@@ -200,13 +203,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
+    threads = resolve_threads(args.threads)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
     gap = None
     if args.verify_etas:
         results = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
                               cfg["envelope.grid"], cfg["envelope.alpha_min"])
         gap = max((abs(r.gap) for r in results), default=0.0)
-    report, _ = run_experiment(cfg, algos=algos, out_dir=args.out, threads=args.threads,
+    report, _ = run_experiment(cfg, algos=algos, out_dir=args.out, threads=threads,
                                envelope_max_gap=gap)
     for s in report.per_algo:
         print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -144,8 +145,12 @@ def _worker_run(task: tuple[int, str]) -> TrialResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: ``explicit``, else 1; capped at the CPU count."""
-    return max(1, min(explicit or 1, os.cpu_count() or 1))
+    """Worker count: ``explicit`` (at least 1), else 1; capped at the CPU count."""
+    if explicit is None:
+        explicit = 1
+    elif explicit < 1:
+        raise ValueError(f"--threads: must be >= 1, got {explicit!r}")
+    return min(explicit, os.cpu_count() or 1)
 
 
 def run_trials(
@@ -232,6 +237,7 @@ def summarize(
 
 
 def _fmt(x) -> str:
+    """The text of one CSV cell."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -241,6 +247,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# _fmt for one exact type, with the isinstance chain resolved once per column
+_CELL_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: ("false", "true").__getitem__,
+}
+
+CSV_CHUNK = 1024  # rows write_csv formats per column pass
+
+
+def _column_text(column: tuple) -> Iterable[str]:
+    types = set(map(type, column))
+    if len(types) == 1:
+        return map(_CELL_TEXT.get(types.pop(), _fmt), column)
+    cell_text = _CELL_TEXT.get
+    return [cell_text(type(x), _fmt)(x) for x in column]
+
+
 def write_csv(
     path: str | Path,
     header: Sequence[str],
@@ -248,14 +273,30 @@ def write_csv(
     config_hash: str,
     seed: int,
 ) -> None:
-    """CSV led by a ``# config_hash=... seed=...`` line; rows stream to a temp file renamed to ``path``."""
+    """CSV led by a ``# config_hash=... seed=...`` line; rows stream to a temp file renamed to ``path``.
+
+    Each row holds one cell per header column, written as ``_fmt`` writes it. Rows
+    are formatted a chunk at a time, column by column, so a column of Python
+    ``float``, ``int``, ``bool`` or ``str`` costs one formatter call per cell.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    width = len(header)
+    it = iter(rows)
     try:
         with open(tmp, "w") as fh:
             fh.write(f"# config_hash={config_hash} seed={seed}\n{','.join(header)}\n")
-            fh.writelines(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+            written = 0
+            for chunk in iter(lambda: list(islice(it, CSV_CHUNK)), []):
+                if set(map(len, chunk)) != {width}:
+                    i = next(i for i, row in enumerate(chunk) if len(row) != width)
+                    raise ValueError(
+                        f"{path}: row {written + i} has {len(chunk[i])} cells, header has {width}"
+                    )
+                lines = zip(*map(_column_text, zip(*chunk))) if width else [()] * len(chunk)
+                fh.write("\n".join(map(",".join, lines)) + "\n")
+                written += len(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

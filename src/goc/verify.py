@@ -82,13 +82,19 @@ def two_point_oracle(
             best_val = val
             best_witness = (float(z[i]), float(z[j]), w)
 
+    # the weight sweep reuses its (z, z) buffers; k is finite, so pa < floor is exactly
+    # the complement of pa >= floor
+    shape = (z_grid_size, z_grid_size)
+    pa, mse = np.empty(shape), np.empty(shape)
+    infeasible = np.empty(shape, dtype=bool)
     for w in np.linspace(0.0, 1.0, w_grid_size):
-        pa = w * k1 + (1.0 - w) * k2
-        mse = np.where(
-            pa >= alpha - 1e-15,
-            (w * n1 + (1.0 - w) * n2) / np.maximum(4.0 * pa, 1e-300),
-            -np.inf,
-        )
+        np.add(w * k1, (1.0 - w) * k2, out=pa)
+        np.less(pa, alpha - 1e-15, out=infeasible)
+        np.add(w * n1, (1.0 - w) * n2, out=mse)
+        np.multiply(4.0, pa, out=pa)
+        np.maximum(pa, 1e-300, out=pa)
+        np.divide(mse, pa, out=mse)
+        np.copyto(mse, -np.inf, where=infeasible)
         consider(mse, w)
 
     # constraint-active weight per offset pair: acceptance exactly alpha

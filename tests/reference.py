@@ -8,15 +8,20 @@ sharing no code with the one inside ``build_envelope_table``;
 ``upper_hull_indices_chain`` is the plain monotone chain that the library's
 hull must reproduce index for index. ``uniform_h_exact`` and
 ``uniform_envelope_exact`` are the uniform family's value curve in closed form.
+``csv_text_per_cell`` is the CSV text ``write_csv`` must write byte for byte,
+one ``_fmt`` call per cell; ``two_point_oracle_where`` is the oracle's weight
+sweep with a fresh ``np.where`` array per weight, which the library's buffered
+sweep must match bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from goc.envelope import k_eta, nu_eta, offset_domain
+from goc.experiments import _fmt
 
 _BISECT_ITERS = 80
 
@@ -162,3 +167,44 @@ def uniform_envelope_exact(delta: float, eta: float, q):
     ht, h1 = uniform_h_exact(delta, eta, qt), uniform_h_exact(delta, eta, 1.0)
     tangent = ht + (h1 - ht) * (q - qt) / (1.0 - qt)
     return np.where(q <= qt, uniform_h_exact(delta, eta, q), tangent)
+
+
+def csv_text_per_cell(
+    header: Sequence[str], rows: Iterable[Sequence], config_hash: str, seed: int
+) -> str:
+    """The file ``write_csv`` writes, built row by row with one ``_fmt`` call per cell."""
+    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(header)]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def two_point_oracle_where(scenario, table, alpha: float, z_grid_size: int, w_grid_size: int):
+    """``(oracle_value, witness)`` of ``two_point_oracle``, allocating every weight's arrays."""
+    eta = table.eta
+    dom = offset_domain(scenario, eta)
+    z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)
+    kz = np.asarray(k_eta(scenario, eta, z))
+    nz = np.asarray(nu_eta(scenario, eta, z))
+    k1, k2, n1, n2 = kz[:, None], kz[None, :], nz[:, None], nz[None, :]
+    best_val, best_witness = -np.inf, (float(z[0]), float(z[0]), 1.0)
+
+    def consider(values, w_of_pair):
+        nonlocal best_val, best_witness
+        flat = int(np.argmax(values))
+        if float(values.flat[flat]) > best_val:
+            i, j = np.unravel_index(flat, values.shape)
+            w = w_of_pair[i, j] if isinstance(w_of_pair, np.ndarray) else w_of_pair
+            best_val = float(values.flat[flat])
+            best_witness = (float(z[i]), float(z[j]), float(w))
+
+    for w in np.linspace(0.0, 1.0, w_grid_size):
+        pa = w * k1 + (1.0 - w) * k2
+        consider(np.where(pa >= alpha - 1e-15,
+                          (w * n1 + (1.0 - w) * n2) / np.maximum(4.0 * pa, 1e-300), -np.inf), w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_star = (alpha - k2) / (k1 - k2)
+    feasible = np.isfinite(w_star) & (w_star >= 0.0) & (w_star <= 1.0)
+    w_safe = np.where(feasible, w_star, 0.0)
+    consider(np.where(feasible, (w_safe * n1 + (1.0 - w_safe) * n2) / (4.0 * alpha), -np.inf),
+             w_safe)
+    return best_val, best_witness

@@ -263,3 +263,19 @@ def test_negative_seed_fails_at_its_key_before_set_up(tmp_path, smoke_cfg, capsy
     assert main(["learn", "--config", str(smoke_cfg), "--seed", "-1", "--out", str(out)]) == 2
     assert "error: experiment.base_seed: must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "report"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_fail_at_the_flag_before_set_up(
+    tmp_path, smoke_cfg, capsys, monkeypatch, command, threads
+):
+    _no_set_up(monkeypatch)
+    monkeypatch.setattr(goc.cli, "verify_grid", lambda *a: pytest.fail("verify_grid called"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(smoke_cfg), "--threads", threads, "--out", str(out)]
+    if command == "report":
+        argv += ["--verify-etas", "2", "--verify-alphas", "0.5"]
+    assert main(argv) == 2
+    assert f"error: --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()

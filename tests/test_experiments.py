@@ -1,10 +1,15 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goc import experiments
 from goc.config import default_config
@@ -19,6 +24,8 @@ from goc.experiments import (
     summarize,
     write_csv,
 )
+
+from reference import csv_text_per_cell
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +155,9 @@ def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
     assert resolve_threads(64) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_threads() == 1
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"--threads: must be >= 1, got {bad}"):
+            resolve_threads(bad)
     # one CPU: a huge request runs serially and starts no pool at all
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     seq = run_trials(smoke_art, (ETC,), threads=1)
@@ -178,5 +188,55 @@ def test_write_csv_failure_keeps_the_old_file(tmp_path):
 
     with pytest.raises(ValueError, match="draw failed"):
         write_csv(path, ("a", "b"), rows(), "deadbeef", 7)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5])
+_CELLS = {
+    "float": _FLOATS,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": st.just("") | st.text(st.characters(max_codepoint=127), max_size=4),
+    "np.float64": _FLOATS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "np.bool_": st.booleans().map(np.bool_),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and rows whose columns hold one cell kind each, or a mix of up to three."""
+    width = draw(st.integers(0, 5))
+    kinds = st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3, unique=True)
+    columns = [st.one_of(*(_CELLS[k] for k in draw(kinds))) for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*columns), max_size=25))
+    return tuple(f"c{j}" for j in range(width)), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_csv_tables(), chunk=st.integers(1, 8))
+def test_write_csv_matches_the_per_cell_writer(table, chunk):
+    header, rows = table
+    saved = experiments.CSV_CHUNK
+    experiments.CSV_CHUNK = chunk  # small chunks: most tables cross a chunk boundary
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.csv"
+            write_csv(path, header, iter(rows), "deadbeef", 7)
+            assert path.read_bytes() == csv_text_per_cell(header, rows, "deadbeef", 7).encode()
+    finally:
+        experiments.CSV_CHUNK = saved
+
+
+@pytest.mark.parametrize("bad_row", [(4,), (4, 1.0, 2.0)])
+def test_write_csv_rejects_a_ragged_row(tmp_path, monkeypatch, bad_row):
+    monkeypatch.setattr(experiments, "CSV_CHUNK", 2)
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    rows = [(1, 0.5), (2, 1.5), (3, 2.5), bad_row, (5, 3.5)]
+    with pytest.raises(ValueError, match=rf"t\.csv: row 3 has {len(bad_row)} cells, header has 2"):
+        write_csv(path, ("a", "b"), rows, "deadbeef", 7)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table, k_eta, nu_eta, offset_domain
+from goc.noise import truncated_gaussian_scenario
 from goc.verify import two_point_oracle, verify_grid
 
 from conftest import rng
+from reference import two_point_oracle_where
 
 
 def test_full_acceptance_pins_witness(unif, table_unif_2):
@@ -114,3 +116,19 @@ def test_verify_grid_is_eta_major_and_matches_cells(unif):
     assert [(r.eta, r.alpha) for r in results] == [(2.0, 0.5), (2.0, 1.0), (3.0, 0.5), (3.0, 1.0)]
     table = build_envelope_table(unif, 3.0, 401, 1e-3)
     assert results[2] == two_point_oracle(unif, table, 0.5, 201, 101)
+
+
+def test_buffered_sweep_matches_the_where_sweep(unif, tgauss):
+    # same operations in the same order: values and witnesses equal bit for bit
+    wide = truncated_gaussian_scenario(sigma=3.0, delta=1.0, big_m=1e4)
+    for scenario in (unif, tgauss, wide):
+        for eta in (2.0, 2.5, 3.0, 6.0):
+            table = build_envelope_table(scenario, eta)
+            dom = offset_domain(scenario, eta)
+            k_max = float(np.max(k_eta(scenario, eta, np.linspace(dom.z_lo, dom.z_hi, 201))))
+            # just under k_max almost every cell is infeasible; at 1 + 1e-15 the
+            # feasibility floor is exactly 1.0, which full-acceptance cells reach
+            for alpha in (0.05, 0.5, 1.0, np.nextafter(k_max, 0.0), 1.0 + 1e-15):
+                res = two_point_oracle(scenario, table, alpha, 201, 101)
+                want = two_point_oracle_where(scenario, table, alpha, 201, 101)
+                assert (res.oracle_value, res.witness) == want
