@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from goc.config import ConfigError, ExperimentConfig, load_config
-from goc.envelope import build_envelope_table
+from goc.envelope import acceptance_grid, build_envelope_table
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
     CURVE_HEADER,
@@ -34,7 +34,7 @@ from goc.verify import verify_grid
 
 
 def _parse_float_list(raw: str) -> list[float]:
-    """Comma list ("2,2.5,3") or inclusive colon range ("0.1:0.1:1.0")."""
+    """Comma list ("2,2.5,3") or inclusive colon range ("0.1:0.1:1.0"); never empty."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -44,9 +44,12 @@ def _parse_float_list(raw: str) -> list[float]:
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
         count = int(round((stop - start) / step))
-        values = [start + i * step for i in range(count + 1)]
-        return [v for v in values if v <= stop + 1e-12]
-    return [float(p) for p in raw.split(",") if p.strip()]
+        values = [v for v in (start + i * step for i in range(count + 1)) if v <= stop + 1e-12]
+    else:
+        values = [float(p) for p in raw.split(",") if p.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {raw!r}")
+    return values
 
 
 def _parse_adversary(raw: str) -> MixtureAdversary:
@@ -96,7 +99,14 @@ def _trial_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
-    grid = args.grid or cfg["envelope.grid"]
+    grid = cfg["envelope.grid"]
+    if args.grid is not None:
+        # the config's grid passed this check at load; the flag's is named by the flag
+        grid = args.grid
+        try:
+            acceptance_grid(grid, cfg["envelope.alpha_min"])
+        except ValueError as exc:
+            raise ValueError(str(exc).replace("envelope.grid", "--grid")) from None
     rows = []
     for eta in args.eta_list:
         t = build_envelope_table(scenario, eta, grid, cfg["envelope.alpha_min"])

@@ -62,7 +62,7 @@ def check_threshold_range(a: float, b: float) -> None:
 def acceptance_grid(grid_size: int, alpha_min: float) -> tuple[np.ndarray, np.ndarray]:
     """A table's acceptance grid on [0, 1] and the mask of the (at least two) points it keeps."""
     if grid_size < 101:
-        raise ValueError("envelope.grid: must be >= 101")
+        raise ValueError(f"envelope.grid: must be >= 101, got {grid_size!r}")
     if not 0.0 < alpha_min < 1.0:
         raise ValueError("envelope.alpha_min: must lie in (0, 1)")
     q = np.linspace(0.0, 1.0, grid_size)
@@ -150,9 +150,7 @@ class EnvelopeTable:
     ``alpha_grid`` is the acceptance-level grid restricted to
     ``[alpha_min, 1]``; ``h_values`` / ``h_star_values`` the raw and
     enveloped squared-gap mass there; ``c_values`` the value curve
-    ``h* / (4 alpha)``. ``slack`` is the reported additive gap term
-    ``(eta^2 + 4)(eta + 2) delta^3 / big_m`` (a diagnostic, never
-    subtracted from ``c``). Immutable after construction.
+    ``h* / (4 alpha)``. Immutable after construction.
     """
 
     eta: float
@@ -162,7 +160,6 @@ class EnvelopeTable:
     c_values: np.ndarray
     hull_q: np.ndarray
     hull_values: np.ndarray
-    slack: float
 
     def __post_init__(self) -> None:
         for a in (self.alpha_grid, self.h_values, self.h_star_values, self.c_values,
@@ -177,27 +174,10 @@ class EnvelopeTable:
         # unpickle through the constructor, so copies are read-only and checked too
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    def c_at(self, alpha):
-        """Value curve at ``alpha`` (linear interpolation between grid points)."""
-        alpha = np.asarray(alpha, dtype=float)
-        fuzz = 1e-12
-        if np.any(alpha < self.alpha_grid[0] - fuzz) or np.any(alpha > self.alpha_grid[-1] + fuzz):
-            raise ValueError(
-                f"alpha outside [{self.alpha_grid[0]}, {self.alpha_grid[-1]}]"
-            )
-        out = np.interp(np.clip(alpha, self.alpha_grid[0], self.alpha_grid[-1]),
-                        self.alpha_grid, self.c_values)
-        return out if out.ndim else float(out)
-
     def h_star_at(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         out = np.interp(alpha, self.hull_q, self.hull_values)
         return out if out.ndim else float(out)
-
-
-def envelope_slack(scenario: Scenario, eta: float) -> float:
-    """Additive tightness gap of the value-curve approximation (diagnostic)."""
-    return (eta * eta + 4.0) * (eta + 2.0) * scenario.delta ** 3 / scenario.big_m
 
 
 def build_envelope_table(
@@ -228,5 +208,4 @@ def build_envelope_table(
         c_values=h_star[keep] / (4.0 * alpha),
         hull_q=q[hull],
         hull_values=h[hull],
-        slack=envelope_slack(scenario, eta),
     )

@@ -78,22 +78,12 @@ class MixtureAdversary:
         return np.cumsum(np.asarray(self.weights, dtype=float))
 
 
-@dataclass(frozen=True)
-class RoundObservation:
-    """One round as seen by the collector; what ``step_bernoulli`` returns."""
-
-    round: int
-    eta_committed: float
-    accepted: bool
-
-
 def step_bernoulli(
     spec: UtilitySpec,
     table: EnvelopeTable,
     rng: np.random.Generator,
-    round_index: int = 0,
     alpha: float | None = None,
-) -> RoundObservation:
+) -> bool:
     """One accept/reject coin with the best-response acceptance rate.
 
     Pass a precomputed ``alpha`` in loops; otherwise the best response is
@@ -103,15 +93,13 @@ def step_bernoulli(
     """
     if alpha is None:
         alpha = best_response(table, spec).alpha_star
-    accepted = bool(rng.random() < alpha)
-    return RoundObservation(round=round_index, eta_committed=table.eta, accepted=accepted)
+    return bool(rng.random() < alpha)
 
 
 @dataclass
 class PhysicalBatch:
     """Vectorized physical rounds; fields align by round index."""
 
-    eta: float
     accepted: np.ndarray
     estimate: np.ndarray
     u_true: np.ndarray
@@ -138,7 +126,7 @@ def _physical_from_uniforms(
     n_a = np.where(plus, 1.0, -1.0) * np.asarray(adv.offsets, dtype=float)[comp]
     y_h = u + n_h
     y_a = u + n_a
-    return PhysicalBatch(eta=float(eta), accepted=np.abs(y_h - y_a) <= eta * scenario.delta,
+    return PhysicalBatch(accepted=np.abs(y_h - y_a) <= eta * scenario.delta,
                          estimate=0.5 * (y_h + y_a), u_true=u)
 
 
@@ -157,15 +145,6 @@ def physical_rounds(
     check_eta(eta)
     adv.check_span(scenario)
     return _physical_from_uniforms(scenario, eta, adv, rng.random((n_rounds, _PHYS_DRAWS)))
-
-
-def empirical_conditional_mse(batch: PhysicalBatch) -> float:
-    """Mean squared estimation error over accepted rounds; raises if none were accepted."""
-    mask = batch.accepted
-    if not np.any(mask):
-        raise ValueError("no accepted rounds: conditional MSE undefined")
-    err = batch.u_true[mask] - batch.estimate[mask]
-    return float(np.mean(np.square(err)))
 
 
 def envelope_witness_mixture(
@@ -278,7 +257,6 @@ class _ArmEnv:
         if len(etas) != len(tables):
             raise ValueError("etas and tables must align")
         self.scenario = scenario
-        self.spec = spec
         self.etas = np.asarray(etas, dtype=float)
         self.tables = list(tables)
         self.alphas = np.array([best_response(t, spec).alpha_star for t in tables])

@@ -193,12 +193,6 @@ class SummaryReport:
             if not 0.0 <= s.failure_rate <= 1.0:
                 raise ValueError("failure rate outside [0, 1]")
 
-    def for_algo(self, algo: str) -> AlgoSummary:
-        for s in self.per_algo:
-            if s.algo == algo:
-                return s
-        raise KeyError(algo)
-
 
 def summarize(
     results: Iterable[TrialResult], lam: float, envelope_max_gap: float | None = None

@@ -70,31 +70,6 @@ class HonestNoiseModel:
             z = math.erf(self.delta / (self.sigma * _SQRT2))
             object.__setattr__(self, "_norm", z)
 
-    # -- density / distribution -------------------------------------------
-
-    def pdf(self, x):
-        """Density; exactly zero outside ``[-delta, delta]``."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == UNIFORM:
-            inside = np.abs(x) <= self.delta
-            out = np.where(inside, 1.0 / (2.0 * self.delta), 0.0)
-        else:
-            inside = np.abs(x) <= self.delta
-            dens = _phi(x / self.sigma) / (self.sigma * self._norm)
-            out = np.where(inside, dens, 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        """Distribution function; 0 at ``-delta``, 1 at ``delta``."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == UNIFORM:
-            out = np.clip((x + self.delta) / (2.0 * self.delta), 0.0, 1.0)
-        else:
-            xc = np.clip(x, -self.delta, self.delta)
-            lo = _big_phi(-self.delta / self.sigma)
-            out = np.clip((_big_phi(xc / self.sigma) - lo) / self._norm, 0.0, 1.0)
-        return out if out.ndim else float(out)
-
     def ppf(self, u):
         """Inverse CDF on [0, 1]; exists because the CDF is strictly increasing."""
         u = np.asarray(u, dtype=float)
@@ -105,10 +80,6 @@ class HonestNoiseModel:
             out = self.sigma * ndtri(lo + u * self._norm)
             out = np.clip(out, -self.delta, self.delta)
         return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw i.i.d. noise via inverse-CDF sampling from ``rng``."""
-        return self.ppf(rng.random(size))
 
     # -- partial moments ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Myopic best response of the reporting adversary and the committed-threshold solver.
+"""Myopic best response of the reporting adversary along the committed thresholds.
 
 The adversary is represented by its induced operating point on the value
 curve: the acceptance level maximizing its utility, with ties broken in
@@ -93,16 +93,3 @@ def best_response_curve(
         for eta in eta_grid
     ]
 
-
-def solve_complete_info(
-    tables: Sequence[EnvelopeTable], spec: UtilitySpec
-) -> tuple[float, float]:
-    """Complete-information solve: the table whose tie-broken collector utility is largest.
-
-    Returns ``(eta_hat, dc_value)``; ties resolve to the lowest index.
-    """
-    if not tables:
-        raise ValueError("tables must be nonempty")
-    values = [best_response(t, spec).dc_value for t in tables]
-    i = int(np.argmax(values))
-    return tables[i].eta, float(values[i])

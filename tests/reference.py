@@ -1,6 +1,8 @@
 """Independent reference implementations the tests compare the library against.
 
-``adaptive_simpson`` cross-checks the closed-form integrals by quadrature;
+``adaptive_simpson`` cross-checks the closed-form integrals by quadrature,
+integrating the noise law's density ``noise_pdf``; ``noise_cdf`` is its
+distribution function, which the quantile is checked against;
 ``k_inverse_bisect`` and ``h_eta`` invert the acceptance integral by
 bisection on ``k_eta`` alone, with no use of the noise quantile that the
 library's ``k_inverse`` relies on. ``concave_envelope`` is a hull of its own,
@@ -22,6 +24,7 @@ import numpy as np
 
 from goc.envelope import k_eta, nu_eta, offset_domain
 from goc.experiments import _fmt
+from goc.noise import UNIFORM, _big_phi, _phi
 
 _BISECT_ITERS = 80
 
@@ -62,6 +65,29 @@ def adaptive_simpson(
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
     return _recurse(f, a, fa, b, fb, tol, whole, m, fm, max_depth)
+
+
+def noise_pdf(model, x):
+    """Density of the honest-noise law ``model``; exactly zero outside ``[-delta, delta]``."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) <= model.delta
+    if model.kind == UNIFORM:
+        out = np.where(inside, 1.0 / (2.0 * model.delta), 0.0)
+    else:
+        out = np.where(inside, _phi(x / model.sigma) / (model.sigma * model._norm), 0.0)
+    return out if out.ndim else float(out)
+
+
+def noise_cdf(model, x):
+    """Distribution function of the honest-noise law ``model``; 0 at ``-delta``, 1 at ``delta``."""
+    x = np.asarray(x, dtype=float)
+    if model.kind == UNIFORM:
+        out = np.clip((x + model.delta) / (2.0 * model.delta), 0.0, 1.0)
+    else:
+        xc = np.clip(x, -model.delta, model.delta)
+        lo = _big_phi(-model.delta / model.sigma)
+        out = np.clip((_big_phi(xc / model.sigma) - lo) / model._norm, 0.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def k_inverse_bisect(scenario, eta: float, q):

@@ -77,7 +77,7 @@ PROBE = textwrap.dedent(
 
     # one call each, through the module attributes install replaced, so every attrs
     # function binds its arguments by name at least once
-    import goc.envelope, goc.environment, goc.experiments, goc.verify
+    import goc.envelope, goc.environment, goc.experiments, goc.oracle, goc.verify
     from goc.config import load_config_text
     from goc.environment import MixtureAdversary, make_rng
 
@@ -94,6 +94,12 @@ PROBE = textwrap.dedent(
         "environment.physical_rounds",
         lambda: goc.environment.physical_rounds(
             scenario, 2.5, MixtureAdversary.point_mass(1.0), make_rng(0), 7))
+    # no command calls these two, so this probe is all that checks the tracer still binds them
+    _, attrs["realized_u"] = spans_of(
+        "oracle.realized_u", lambda: goc.oracle.realized_u(scenario, spec, 2.5, table))
+    accepted, attrs["step_bernoulli"] = spans_of(
+        "environment.step_bernoulli",
+        lambda: goc.environment.step_bernoulli(spec, table, make_rng(0)))
     _, attrs["two_point_oracle"] = spans_of(
         "verify.two_point_oracle", lambda: goc.verify.two_point_oracle(scenario, table, 0.5, 201, 101))
     cfg = load_config_text("learner.b = 3.0\\nenvelope.grid = 201\\nexperiment.budget_scale = 0.001\\n"
@@ -105,6 +111,7 @@ PROBE = textwrap.dedent(
     _, attrs["write_csv"] = spans_of(
         "experiments.write_csv",
         lambda: goc.experiments.write_csv(csv, ("x",), [(1,)], cfg.hash(), 42))
+    assert type(accepted) is bool
     expected = {"run_trial": [{"trial": 3, "algo": "etc", "rounds": trial.rounds_used}],
                 "write_csv": [{"bytes": csv.stat().st_size}]}
     print(json.dumps({"missing": missing, "blocks": blocks, "live": live, "learners": learners,
@@ -137,6 +144,8 @@ def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
         "build_envelope_table": [{"key": "('uniform', None, 1.0, 10000.0, 2.5, 201, 0.01)",
                                   "grid": 201, "concave": 0}],
         "physical_rounds": [{"uniforms": 35}],
+        "realized_u": [None],
+        "step_bernoulli": [{"uniforms": 1}],
         "two_point_oracle": [{"cells": 201 ** 2 * 102}],
         **out["expected"],
     }

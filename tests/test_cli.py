@@ -255,6 +255,27 @@ def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):
     assert rc == 2
     assert "error: --z-grid: must be >= 201, got 100" in capsys.readouterr().err
     assert not out.exists()
+    # envelope's --grid too: 0 is not "absent", and the config's grid stays out of the message
+    for grid in ("0", "-3"):
+        assert main(["envelope", "--eta-list", "2", "--grid", grid, "--out", str(out)]) == 2
+        assert f"error: --grid: must be >= 101, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["envelope", "--eta-list", "3:1:2"], "--eta-list"),
+    (["envelope", "--eta-list", ",,"], "--eta-list"),
+    (["solve", "--eta-list", "3:1:2"], "--eta-list"),
+    (["verify", "--eta-list", "2", "--alpha-list", "0.9:0.1:0.5"], "--alpha-list"),
+    (["report", "--verify-etas", "3:1:2", "--verify-alphas", "0.5"], "--verify-etas"),
+], ids=["envelope-range", "envelope-commas", "solve", "verify", "report"])
+def test_empty_lists_fail_at_their_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: no values in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_fails_at_its_key_before_set_up(tmp_path, smoke_cfg, capsys, monkeypatch):

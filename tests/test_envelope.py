@@ -24,6 +24,7 @@ from reference import (
     concave_envelope,
     h_eta,
     k_inverse_bisect,
+    noise_pdf,
     uniform_envelope_exact,
     uniform_h_exact,
     uniform_tangent_q,
@@ -89,7 +90,7 @@ def test_nu_closed_form_vs_quadrature(unif, tgauss):
     for scenario in (unif, tgauss):
         for eta, z in ((2.0, 2.0), (2.5, 1.7), (4.0, 4.9)):
             direct = adaptive_simpson(
-                lambda x: (x + z) ** 2 * float(scenario.noise.pdf(x)),
+                lambda x: (x + z) ** 2 * float(noise_pdf(scenario.noise, x)),
                 z - eta * scenario.delta,
                 scenario.delta,
                 tol=1e-12,
@@ -111,7 +112,7 @@ def test_nu_agrees_with_quadrature_at_the_sigma_bound(delta, eta, z_frac):
     dom = offset_domain(scenario, eta)
     z = dom.z_lo + z_frac * (dom.z_hi - dom.z_lo)
     direct = adaptive_simpson(
-        lambda x: (x + z) ** 2 * float(scenario.noise.pdf(x)),
+        lambda x: (x + z) ** 2 * float(noise_pdf(scenario.noise, x)),
         z - eta * delta,
         delta,
         tol=1e-13 * delta ** 2,
@@ -266,7 +267,8 @@ def test_hull_resume_on_a_real_table(unif):
 
 def test_table_endpoint_value(unif, table_unif_2):
     # envelope endpoint equals the raw value at full acceptance: c(1) = (4/3)/4
-    assert table_unif_2.c_at(1.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert table_unif_2.alpha_grid[-1] == 1.0
+    assert table_unif_2.c_values[-1] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_table_invariants(unif, tgauss):
@@ -349,11 +351,12 @@ def test_uniform_table_matches_the_exact_envelope(delta, eta, grid_size, alpha):
     chord_gap = 0.0 if qt == 1.0 else (8.0 - 3.0 * eta + 28.0 * step) * delta ** 2 * step ** 2
     bound = chord_gap / (4.0 * t.alpha_grid) + 1e-12 * c_exact
     assert np.all(np.abs(t.c_values - c_exact) <= bound)
-    # between grid points c_at interpolates linearly; c = h / (4q) has |c''| = 14 delta^2 / 3
+    # between grid points the table interpolates linearly; c = h / (4q) has |c''| = 14 delta^2 / 3
     # where h is a cubic through 0, and at most 5.94 delta^2 on the tangent (largest at eta = 2)
     a = float(np.clip(alpha, t.alpha_grid[0], 1.0))
     c_a = uniform_envelope_exact(delta, eta, a) / (4.0 * a)
-    assert abs(t.c_at(a) - c_a) <= np.max(bound) + 6.0 * delta ** 2 * step ** 2 / 8.0
+    c_interp = np.interp(a, t.alpha_grid, t.c_values)
+    assert abs(c_interp - c_a) <= np.max(bound) + 6.0 * delta ** 2 * step ** 2 / 8.0
 
 
 @given(**TABLE_CASES, alpha_frac=st.floats(min_value=0.0, max_value=1.0))
@@ -390,9 +393,3 @@ def test_table_needs_two_kept_points():
     with pytest.raises(ValueError, match=r"^envelope\.alpha_min: .*envelope\.grid = 101 "):
         build_envelope_table(uniform_scenario(), 2.5, 101, 0.995)
 
-
-def test_c_lookup_bounds(table_unif_2):
-    with pytest.raises(ValueError):
-        table_unif_2.c_at(1e-6)
-    with pytest.raises(ValueError):
-        table_unif_2.c_at(1.1)

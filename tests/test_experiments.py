@@ -81,7 +81,7 @@ def test_regret_caps_and_reports_raw(smoke_art):
 def test_summary_counts_match_trials(smoke_art, smoke_cfg):
     results = [run_trial(smoke_art, t, algo) for algo in (ETC, ELIMINATION) for t in range(3)]
     report = summarize(results, lam=smoke_art.learner.lam)
-    etc = report.for_algo(ETC)
+    etc = {s.algo: s for s in report.per_algo}[ETC]
     assert etc.trials == 3
     recount = float(np.mean([r.regret_raw > smoke_art.learner.lam for r in results if r.algo == ETC]))
     assert etc.failure_rate == recount
@@ -97,7 +97,7 @@ def test_run_experiment_writes_consistent_csvs(smoke_cfg, tmp_path):
     body = [line.split(",") for line in trials[2:]]
     etc_rows = [row for row in body if row[1] == ETC]
     recount = np.mean([float(row[3]) > smoke_cfg["learner.lambda"] for row in etc_rows])
-    assert report.for_algo(ETC).failure_rate == recount
+    assert {s.algo: s for s in report.per_algo}[ETC].failure_rate == recount
     # matched-seed structural bound visible in the csv
     elim_rows = {row[0]: int(row[4]) for row in body if row[1] == ELIMINATION}
     for row in etc_rows:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table
-from goc.oracle import best_response, best_response_curve, realized_u, solve_complete_info
+from goc.oracle import best_response, best_response_curve, realized_u
 from goc.utility import UtilitySpec, q_ad, q_dc
 
 
@@ -17,7 +17,7 @@ def test_product_adversary_tracks_envelope_peak(unif, table_unif_2, spec_gamma1)
     # the argmax must match a 10x-refined direct scan of alpha * c(alpha)
     br = best_response(table_unif_2, spec_gamma1)
     fine = np.linspace(table_unif_2.alpha_grid[0], 1.0, 10 * table_unif_2.alpha_grid.size)
-    vals = fine * table_unif_2.c_at(fine)
+    vals = fine * np.interp(fine, table_unif_2.alpha_grid, table_unif_2.c_values)
     alpha_fine = fine[int(np.argmax(vals))]
     step = table_unif_2.alpha_grid[1] - table_unif_2.alpha_grid[0]
     assert abs(br.alpha_star - alpha_fine) <= step + 1e-12
@@ -29,7 +29,7 @@ def test_weighted_sum_matches_refined_scan(unif, table_unif_2):
     spec = UtilitySpec(ad_kind="weighted_sum", ad_w_mse=1.0, ad_w_pa=1.0)
     br = best_response(table_unif_2, spec)
     fine = np.linspace(table_unif_2.alpha_grid[0], 1.0, 10 * table_unif_2.alpha_grid.size)
-    vals = q_ad(spec, table_unif_2.c_at(fine), fine)
+    vals = q_ad(spec, np.interp(fine, table_unif_2.alpha_grid, table_unif_2.c_values), fine)
     alpha_fine = fine[int(np.argmax(vals))]
     step = table_unif_2.alpha_grid[1] - table_unif_2.alpha_grid[0]
     assert abs(br.alpha_star - alpha_fine) <= step + 1e-12
@@ -43,10 +43,9 @@ def test_best_response_deterministic(table_unif_2, spec_default):
 
 def test_mmse_is_curve_lookup(table_unif_2, spec_default):
     br = best_response(table_unif_2, spec_default)
-    assert br.mmse == pytest.approx(float(table_unif_2.c_at(br.alpha_star)), abs=1e-12)
-    assert br.dc_value == pytest.approx(
-        float(q_dc(spec_default, table_unif_2.c_at(br.alpha_star), br.alpha_star)), abs=1e-12
-    )
+    c = np.interp(br.alpha_star, table_unif_2.alpha_grid, table_unif_2.c_values)
+    assert br.mmse == pytest.approx(float(c), abs=1e-12)
+    assert br.dc_value == pytest.approx(float(q_dc(spec_default, c, br.alpha_star)), abs=1e-12)
 
 
 def test_alpha_star_monotone_as_mse_weight_vanishes(table_unif_2):
@@ -58,8 +57,14 @@ def test_alpha_star_monotone_as_mse_weight_vanishes(table_unif_2):
     assert alphas[2] == 1.0
 
 
+def _solve(curve):
+    # the complete-information solve: the eta whose best response pays the collector most
+    i = int(np.argmax([br.dc_value for br in curve]))
+    return curve[i].eta, curve[i].dc_value
+
+
 def test_solve_single_point_grid(unif, spec_default):
-    eta_hat, value = solve_complete_info([build_envelope_table(unif, 2.5)], spec_default)
+    eta_hat, value = _solve(best_response_curve(unif, spec_default, [2.5]))
     assert eta_hat == 2.5
     assert value == pytest.approx(realized_u(unif, spec_default, 2.5), abs=1e-12)
 
@@ -71,19 +76,19 @@ def test_solve_reduces_to_full_acceptance_scan(unif, spec_pa_only):
     with_gamma = UtilitySpec(
         dc_kind="linear", dc_gamma=1.0, ad_kind="weighted_sum", ad_w_mse=1e-9, ad_w_pa=1.0
     )
+    eta_hat, value = _solve(best_response_curve(unif, with_gamma, grid))
     tables = [build_envelope_table(unif, eta) for eta in grid]
-    eta_hat, value = solve_complete_info(tables, with_gamma)
-    direct = [float(q_dc(with_gamma, t.c_at(1.0), 1.0)) for t in tables]
+    direct = [float(q_dc(with_gamma, t.c_values[-1], 1.0)) for t in tables]  # c at alpha = 1
     assert eta_hat == grid[int(np.argmax(direct))]
     assert value == pytest.approx(max(direct), abs=1e-9)
 
 
 def test_solve_matches_exhaustive_two_dim_scan(unif, spec_default):
     grid = [2.0, 3.0, 4.0, 5.0, 6.0]
-    tables = [build_envelope_table(unif, eta) for eta in grid]
-    eta_hat, value = solve_complete_info(tables, spec_default)
+    eta_hat, value = _solve(best_response_curve(unif, spec_default, grid))
     best_eta, best_val = None, -np.inf
-    for eta, t in zip(grid, tables):
+    for eta in grid:
+        t = build_envelope_table(unif, eta)
         advs = q_ad(spec_default, t.c_values, t.alpha_grid)
         ties = np.flatnonzero(advs >= advs.max() - 1e-9)
         dc_worst = float(np.min(q_dc(spec_default, t.c_values[ties], t.alpha_grid[ties])))
