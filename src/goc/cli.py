@@ -64,10 +64,12 @@ def _parse_adversary(raw: str) -> MixtureAdversary:
         offsets.append(float(z_str))
         weights.append(float(w_str) if w_str else 1.0)
     total = sum(weights)
-    if total <= 0:
-        raise argparse.ArgumentTypeError("mixture weights must be positive")
-    weights = [w / total for w in weights]
-    return MixtureAdversary(tuple(offsets), tuple(weights))
+    if not 0 < total < np.inf:
+        raise argparse.ArgumentTypeError("mixture weights must have a positive finite sum")
+    try:
+        return MixtureAdversary(tuple(offsets), tuple(w / total for w in weights))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -169,6 +171,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
     for flag, path in (("--out", args.out), ("--trace", args.trace)):
         if path is not None and Path(path).is_dir():
             raise ValueError(f"{flag} {path} is a directory")
+    if args.trace is not None and Path(args.trace).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--trace {args.trace} is the --out file")
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     threads = resolve_threads(args.threads)
     art = prepare_instance(cfg)

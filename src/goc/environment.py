@@ -59,10 +59,10 @@ class MixtureAdversary:
     def __post_init__(self) -> None:
         if len(self.offsets) != len(self.weights) or not self.offsets:
             raise ValueError("offsets and weights must be nonempty and aligned")
-        if any(z < 0.0 or not np.isfinite(z) for z in self.offsets):
+        if not all(0.0 <= z < np.inf for z in self.offsets):
             raise ValueError("offsets must be finite and nonnegative")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in self.weights):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
@@ -239,7 +239,9 @@ def _gate(
 class _ArmEnv:
     """Per-arm streams for one learning trial; subclasses supply each arm's block sampler.
 
-    Arm ``i`` owns the stream keyed ``(seed, trial, i)``; blocks must be
+    Arm ``i`` is ``tables[i]``'s threshold, accepted at the rate ``alphas[i]``
+    (its best response, which ``prepare_instance`` resolves once per instance),
+    and owns the stream keyed ``(seed, trial, i)``; blocks must be
     requested in round order, and all arms share the block schedule so
     matched-seed algorithm comparisons see identical draws. A block may list
     a subset of the arms; an arm left out is retired and never drawn again.
@@ -248,18 +250,16 @@ class _ArmEnv:
     def __init__(
         self,
         scenario: Scenario,
-        spec: UtilitySpec,
-        etas: Sequence[float],
         tables: Sequence[EnvelopeTable],
+        alphas: Sequence[float],
         base_seed: int,
         trial: int,
     ) -> None:
-        if len(etas) != len(tables):
-            raise ValueError("etas and tables must align")
+        if len(alphas) != len(tables):
+            raise ValueError("alphas and tables must align")
         self.scenario = scenario
-        self.etas = np.asarray(etas, dtype=float)
         self.tables = list(tables)
-        self.alphas = np.array([best_response(t, spec).alpha_star for t in tables])
+        self.alphas = np.asarray(alphas, dtype=float)
         self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
         self._pos = 0
         self._live = np.ones(len(tables), dtype=bool)
@@ -317,9 +317,9 @@ class PhysicalArmEnv(_ArmEnv):
 
     @cached_property
     def _thresholds(self) -> list[np.ndarray]:
-        return _gate_thresholds(self.scenario, self.etas, self.adversaries)
+        return _gate_thresholds(self.scenario, [t.eta for t in self.tables], self.adversaries)
 
     def _accepted(self, i: int, n: int) -> np.ndarray:
         draws = self._gens[i].random((n, _PHYS_DRAWS))
-        return _gate(self.scenario, float(self.etas[i]), self.adversaries[i],
+        return _gate(self.scenario, self.tables[i].eta, self.adversaries[i],
                      self._thresholds[i], draws)[0]

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,7 +23,7 @@ from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
 from goc.noise import Scenario
 from goc.oracle import best_response, best_response_curve
-from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz
+from goc.utility import UtilitySpec, estimate_lipschitz
 
 ETC = "etc"
 ELIMINATION = "elim"
@@ -32,24 +33,20 @@ REFERENCE_DENSITY = 10  # reference grid points per learner grid point
 
 @dataclass(frozen=True)
 class InstanceArtifacts:
-    """Everything derivable from the configuration alone (no randomness)."""
+    """Everything a trial reads, derived from the configuration alone (no randomness)."""
 
     config: ExperimentConfig
     scenario: Scenario
     spec: UtilitySpec
-    lip: LipschitzProfile
     learner: LearnerConfig
-    etas: np.ndarray
     tables: tuple[EnvelopeTable, ...]
+    alphas: np.ndarray  # best-response acceptance rate at the learner grid points
     u_grid: np.ndarray  # realized utility at the learner grid points
     u_star: float  # max realized utility on the reference grid
-    best_arm_index: int  # 1-based best learner-grid arm
-    reference_etas: np.ndarray
-    reference_u: np.ndarray
 
 
 def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
-    """Resolve smoothness constants, budgets, tables, and the reference optimum."""
+    """Resolve smoothness constants, budgets, tables, best responses, and the reference optimum."""
     scenario = config.scenario()
     spec = config.utility_spec()
     a, b = config["learner.a"], config["learner.b"]
@@ -69,26 +66,19 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
         a, b, config["learner.delta"], config["learner.lambda"], lip,
         budget_scale=config["experiment.budget_scale"],
     )
-    etas = learner.etas()
-    tables = tuple(build_envelope_table(scenario, e, grid_size, alpha_min) for e in etas)
-    u_grid = np.array([best_response(t, spec).dc_value for t in tables])
+    tables = tuple(build_envelope_table(scenario, e, grid_size, alpha_min) for e in learner.etas())
+    responses = [best_response(t, spec) for t in tables]
     ref_etas = np.linspace(a, b, REFERENCE_DENSITY * (learner.n + 1))
-    ref_u = np.array(
-        [br.dc_value for br in best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)]
-    )
+    reference = best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)
     return InstanceArtifacts(
         config=config,
         scenario=scenario,
         spec=spec,
-        lip=lip,
         learner=learner,
-        etas=etas,
         tables=tables,
-        u_grid=u_grid,
-        u_star=float(ref_u.max()),
-        best_arm_index=int(np.argmax(u_grid)) + 1,
-        reference_etas=ref_etas,
-        reference_u=ref_u,
+        alphas=np.array([br.alpha_star for br in responses]),
+        u_grid=np.array([br.dc_value for br in responses]),
+        u_star=float(np.max([br.dc_value for br in reference])),
     )
 
 
@@ -109,7 +99,7 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
     """One seeded learning trial; matched algorithms share the same streams."""
     base_seed = art.config["experiment.base_seed"]
     env_cls = BernoulliArmEnv if art.config["env.mode"] == "bernoulli" else PhysicalArmEnv
-    env = env_cls(art.scenario, art.spec, art.etas, art.tables, base_seed, trial)
+    env = env_cls(art.scenario, art.tables, art.alphas, base_seed, trial)
     if algo == ETC:
         outcome = run_etc(art.learner, env, art.spec)
     elif algo == ELIMINATION:
@@ -117,7 +107,7 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     raw = art.u_star - float(art.u_grid[outcome.eta_hat_index - 1])
-    best_state = outcome.arm_trace[art.best_arm_index - 1]
+    best_state = outcome.arm_trace[int(np.argmax(art.u_grid))]
     return TrialResult(
         trial=trial,
         algo=algo,
@@ -296,44 +286,19 @@ def write_csv(
         tmp.unlink(missing_ok=True)
 
 
-def trial_rows(results: Iterable[TrialResult]) -> list[tuple]:
-    return [
-        (r.trial, r.algo, r.eta_hat, r.regret_raw, r.rounds_used, r.best_arm_eliminated)
-        for r in sorted(results, key=lambda r: (r.algo, r.trial))
-    ]
-
-
 TRIAL_HEADER = ("trial", "algo", "eta_hat", "regret_raw", "rounds_used", "best_arm_eliminated")
 
-SUMMARY_HEADER = (
-    "algo",
-    "trials",
-    "mean_regret",
-    "median_regret",
-    "failure_rate",
-    "mean_rounds_used",
-    "mean_eliminated",
-    "best_arm_eliminated_rate",
-    "envelope_max_gap",
-)
+
+def trial_rows(results: Iterable[TrialResult]) -> list[tuple]:
+    return list(map(attrgetter(*TRIAL_HEADER), sorted(results, key=lambda r: (r.algo, r.trial))))
+
+
+SUMMARY_HEADER = (*(f.name for f in fields(AlgoSummary)), "envelope_max_gap")
 
 
 def summary_rows(report: SummaryReport) -> list[tuple]:
     gap = "" if report.envelope_max_gap is None else report.envelope_max_gap
-    return [
-        (
-            s.algo,
-            s.trials,
-            s.mean_regret,
-            s.median_regret,
-            s.failure_rate,
-            s.mean_rounds_used,
-            s.mean_eliminated,
-            s.best_arm_eliminated_rate,
-            gap,
-        )
-        for s in report.per_algo
-    ]
+    return [(*astuple(s), gap) for s in report.per_algo]
 
 
 def curve_rows(

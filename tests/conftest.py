@@ -3,6 +3,7 @@ import pytest
 
 from goc.envelope import build_envelope_table
 from goc.noise import uniform_scenario, truncated_gaussian_scenario
+from goc.oracle import best_response
 from goc.utility import UtilitySpec
 
 
@@ -47,3 +48,8 @@ def spec_pa_only():
 
 def rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def best_response_rates(tables, spec):
+    """Each table's best-response acceptance rate: the arm rates ``prepare_instance`` resolves."""
+    return [best_response(t, spec).alpha_star for t in tables]

@@ -168,7 +168,7 @@ def test_criterion_6_quantization_bound(default_art, separated_art):
     })
     instances = [default_art, separated_art, prepare_instance(gentle), prepare_instance(mixed)]
     for art in instances:
-        bound = art.lip.big_l * (art.learner.b - art.learner.a) / art.learner.n + 1e-6
+        bound = art.learner.lip.big_l * (art.learner.b - art.learner.a) / art.learner.n + 1e-6
         excess = (art.u_star - float(art.u_grid.max())) - bound
         worst_excess = max(worst_excess, excess)
     ok = worst_excess <= 0.0
@@ -248,7 +248,8 @@ def test_supplementary_learners_agree(default_art, default_results):
     etc, elim = default_results
     lam = default_art.config["learner.lambda"]
     delta = default_art.config["learner.delta"]
-    u_of = lambda r: float(default_art.u_grid[np.argmin(np.abs(default_art.etas - r.eta_hat))])
+    etas = default_art.learner.etas()
+    u_of = lambda r: float(default_art.u_grid[np.argmin(np.abs(etas - r.eta_hat))])
     agree = np.mean([abs(u_of(a) - u_of(b)) <= lam for a, b in zip(etc, elim)])
     assert agree >= 1.0 - 2.0 * delta
 
@@ -260,6 +261,7 @@ def test_supplementary_known_utility_benchmark_dominates(default_art, default_re
     etc, _ = default_results
     lam = default_art.config["learner.lambda"]
     delta = default_art.config["learner.delta"]
-    u_of = lambda r: float(default_art.u_grid[np.argmin(np.abs(default_art.etas - r.eta_hat))])
+    etas = default_art.learner.etas()
+    u_of = lambda r: float(default_art.u_grid[np.argmin(np.abs(etas - r.eta_hat))])
     frac = np.mean([value >= u_of(r) - lam for r in etc])
     assert frac >= 1.0 - delta

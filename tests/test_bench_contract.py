@@ -3,15 +3,22 @@
 The tracer wraps library functions by name from outside the package, so
 renaming or restructuring a traced function breaks it without any library
 test failing. These checks install it in a fresh interpreter, which keeps
-its wrappers out of this test process.
+its wrappers out of this test process. The report workload in
+``bench/workloads.py`` calls ``goc.experiments`` by name as well, so it is
+run here too, untraced, on tiny instances.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+from goc.experiments import SUMMARY_HEADER, TRIAL_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +30,7 @@ PROBE = textwrap.dedent(
     import spans
     from goc.envelope import build_envelope_table
     from goc.noise import uniform_scenario
+    from goc.oracle import best_response
     from goc.utility import UtilitySpec
 
     missing = []
@@ -41,16 +49,17 @@ PROBE = textwrap.dedent(
     spec = UtilitySpec()
     etas = [2.0, 3.0]
     tables = [build_envelope_table(scenario, e, 201) for e in etas]
+    rates = [best_response(t, spec).alpha_star for t in tables]
     blocks = {}
     live = {}
     for cls in (BernoulliArmEnv, PhysicalArmEnv):
-        env = cls(scenario, spec, etas, tables, base_seed=1, trial=0)
+        env = cls(scenario, tables, rates, base_seed=1, trial=0)
         before = len(tracer.spans)
         env.acceptance_block(0, 10)
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
         blocks[cls.__name__] = [s[6] for s in new]
         # a live-arm block, its arms passed positionally, must still bind in the tracer
-        env = cls(scenario, spec, etas, tables, base_seed=1, trial=0)
+        env = cls(scenario, tables, rates, base_seed=1, trial=0)
         before = len(tracer.spans)
         out = env.acceptance_block(0, 10, [1])
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
@@ -63,9 +72,10 @@ PROBE = textwrap.dedent(
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=300, budget_scale=0.5)
     tables = [build_envelope_table(scenario, e, 801, 0.5) for e in etas]
+    rates = [best_response(t, spec).alpha_star for t in tables]
     learners = {}
     for learner in (run_etc, run_elimination):
-        env = BernoulliArmEnv(scenario, spec, etas, tables, base_seed=1, trial=0)
+        env = BernoulliArmEnv(scenario, tables, rates, base_seed=1, trial=0)
         before = len(tracer.spans)
         out = learner(cfg, env, spec)
         new = [s for s in tracer.spans[before:] if s[2] == "learners." + learner.__name__]
@@ -150,3 +160,39 @@ def test_tracer_resolves_and_counts_one_span_per_block(tmp_path):
         **out["expected"],
     }
     assert out["expected"]["write_csv"][0]["bytes"] > 0
+
+
+TINY_REPORT = """
+learner.b = 3.0
+envelope.grid = 201
+lipschitz.ell = 2.0
+lipschitz.L = 0.05
+lipschitz.d = 2.0
+experiment.budget_scale = 0.001
+experiment.trials = 2
+"""
+
+
+@pytest.mark.parametrize("extra, threads", [
+    ("", 1),
+    ("noise.kind = truncated_gaussian\nnoise.sigma = 0.5\nenv.mode = physical\n", 2),
+], ids=["bernoulli-1-thread", "physical-2-threads"])
+def test_report_workload_runs_on_the_library(tmp_path, extra, threads):
+    """``bench/workloads.py`` ``run_report``, loaded as it is, on a tiny instance of each mode."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(TINY_REPORT + extra)
+    out = tmp_path / "out"
+    out.mkdir()
+    job, rec = workloads.Job(), {}
+    workloads.run_report(job, rec, cfg, out, threads)
+    assert job.failed == 0, job.errors
+    trials = (out / "trials.csv").read_text().splitlines()
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert trials[1] == ",".join(TRIAL_HEADER)
+    assert summary[1] == ",".join(SUMMARY_HEADER)
+    rounds = TRIAL_HEADER.index("rounds_used")
+    assert rec["rounds"] == sum(int(row.split(",")[rounds]) for row in trials[2:])
+    assert len(trials) - 2 == rec["trials_run"] == 4

@@ -111,6 +111,20 @@ def test_failed_simulate_leaves_no_csv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("adv, reason", [
+    ("z=1:nan,z=2:1", "mixture weights must have a positive finite sum"),
+    ("z=1:inf,z=2:1", "mixture weights must have a positive finite sum"),
+    ("z=-1:1", "offsets must be finite and nonnegative"),
+], ids=["nan-weight", "inf-weight", "negative-offset"])
+def test_bad_mixtures_fail_at_the_adv_flag(tmp_path, capsys, adv, reason):
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--eta", "2.5", "--rounds", "3", "--adv", adv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --adv: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["envelope", "--eta-list", "2"],
     ["solve"],
@@ -246,6 +260,15 @@ def test_learn_out_at_existing_directory(tmp_path, smoke_cfg, capsys, monkeypatc
     assert main(argv) == 2
     assert f"error: {flag} {paths[flag]} is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", paths[flag].name]
+
+
+def test_learn_trace_cannot_overwrite_out(tmp_path, smoke_cfg, capsys, monkeypatch):
+    _no_set_up(monkeypatch)
+    out = tmp_path / "t.csv"
+    same = f"{tmp_path}/./t.csv"
+    assert main(["learn", "--config", str(smoke_cfg), "--out", str(out), "--trace", same]) == 2
+    assert f"error: --trace {same} is the --out file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):

@@ -19,6 +19,8 @@ from goc.environment import (
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response
 
+from conftest import best_response_rates
+
 
 def mse_with_stderr(batch):
     err2 = np.square(batch.u_true[batch.accepted] - batch.estimate[batch.accepted])
@@ -142,6 +144,12 @@ def test_mixture_validation(unif):
         physical_rounds(unif, 2.0, big, make_rng(0), 1)
 
 
+def test_mixture_weights_must_be_finite_and_nonnegative():
+    for weights in [(np.nan, np.nan), (np.inf, 0.0), (-0.5, 1.5)]:
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            MixtureAdversary((1.0, 2.0), weights)
+
+
 def test_physical_rounds_rejects_eta_like_the_table(unif):
     with pytest.raises(ValueError) as table_err:
         build_envelope_table(unif, 1.5)
@@ -153,9 +161,9 @@ def test_physical_rounds_rejects_eta_like_the_table(unif):
 def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
     etas = [2.0, 2.5, 3.0]
     tables = [build_envelope_table(unif, e, 801) for e in etas]
-    env1 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=9, trial=4)
-    whole = env1.acceptance_block(0, 1000)
-    env2 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=9, trial=4)
+    rates = best_response_rates(tables, spec_default)
+    whole = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4).acceptance_block(0, 1000)
+    env2 = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
     parts = np.concatenate(
         [env2.acceptance_block(0, 137), env2.acceptance_block(137, 640), env2.acceptance_block(640, 1000)],
         axis=1,
@@ -169,8 +177,9 @@ def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
 def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
     etas = [2.0, 2.5, 3.0, 4.0]
     tables = [build_envelope_table(tgauss, e, 801) for e in etas]
-    full = cls(tgauss, spec_default, etas, tables, base_seed=9, trial=2).acceptance_block(0, 900)
-    env = cls(tgauss, spec_default, etas, tables, base_seed=9, trial=2)
+    rates = best_response_rates(tables, spec_default)
+    full = cls(tgauss, tables, rates, base_seed=9, trial=2).acceptance_block(0, 900)
+    env = cls(tgauss, tables, rates, base_seed=9, trial=2)
     # each returned row is the listed arm's row of the full draw
     for r0, r1, arms in [(0, 250, None), (250, 400, [0, 1, 2, 3]), (400, 410, [0, 2, 3]),
                          (410, 700, [2, 3]), (700, 900, [3])]:

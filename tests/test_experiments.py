@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goc.environment
+import goc.oracle
 from goc import experiments
 from goc.config import default_config
 from goc.experiments import (
@@ -48,10 +50,26 @@ def smoke_art(smoke_cfg):
 
 
 def test_prepare_instance_shapes(smoke_art):
-    assert len(smoke_art.tables) == smoke_art.learner.n + 1
-    assert smoke_art.reference_etas.size == 10 * (smoke_art.learner.n + 1)
+    n_arms = smoke_art.learner.n + 1
+    assert len(smoke_art.tables) == n_arms
+    assert smoke_art.alphas.shape == smoke_art.u_grid.shape == (n_arms,)
     assert smoke_art.u_star >= smoke_art.u_grid.max() - 1e-12
-    assert 1 <= smoke_art.best_arm_index <= smoke_art.learner.n + 1
+
+
+def test_trials_compute_no_best_response(smoke_cfg, monkeypatch):
+    # every arm's best response is a fact of the instance, resolved once by prepare_instance
+    arts = {mode: prepare_instance(smoke_cfg.with_overrides(**{"env.mode": mode}))
+            for mode in ("bernoulli", "physical")}
+    expected = {(mode, algo): run_trial(art, 1, algo)
+                for mode, art in arts.items() for algo in (ETC, ELIMINATION)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial computed a best response")
+
+    for module in (goc.oracle, goc.environment, experiments):
+        monkeypatch.setattr(module, "best_response", refuse)
+    for (mode, algo), result in expected.items():
+        assert run_trial(arts[mode], 1, algo) == result
 
 
 def test_trials_deterministic(smoke_art):

@@ -15,28 +15,7 @@ from goc.learners import (
 )
 from goc.utility import LipschitzProfile
 
-
-class FixedAlphaEnv:
-    """Test double: per-arm Bernoulli streams with prescribed acceptance rates."""
-
-    def __init__(self, alphas, tables, base_seed, trial):
-        self.alphas = np.asarray(alphas, dtype=float)
-        self.tables = list(tables)
-        self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
-        self._pos = 0
-
-    @property
-    def n_arms(self):
-        return len(self.tables)
-
-    def acceptance_block(self, r0, r1, arms=None):
-        assert r0 == self._pos
-        rows = range(self.n_arms) if arms is None else arms
-        out = np.empty((len(rows), r1 - r0), dtype=bool)
-        for j, i in enumerate(rows):
-            out[j] = self._gens[i].random(r1 - r0) < self.alphas[i]
-        self._pos = r1
-        return out
+from conftest import best_response_rates
 
 
 LIP = LipschitzProfile(ell=1.0, big_l=1.0, d=0.5)
@@ -109,8 +88,9 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     tables = [build_envelope_table(unif, e, 201) for e in etas]
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k, budget_scale=0.5)
-    out = run_etc(cfg, cls(unif, spec_default, etas, tables, base_seed=3, trial=1), spec_default)
-    full = cls(unif, spec_default, etas, tables, base_seed=3, trial=1).acceptance_block(0, k)
+    rates = best_response_rates(tables, spec_default)
+    out = run_etc(cfg, cls(unif, tables, rates, base_seed=3, trial=1), spec_default)
+    full = cls(unif, tables, rates, base_seed=3, trial=1).acceptance_block(0, k)
     assert [s.accept_count for s in out.arm_trace] == full.sum(axis=1).tolist()
 
 
@@ -131,7 +111,8 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
     # acceptance-dominated adversary accepts everything; acceptance-only
     # collector sees identical estimates, so the first candidate wins
     cfg, etas, tables = _tiny_instance(unif, spec_pa_only)
-    env = BernoulliArmEnv(unif, spec_pa_only, etas, tables, base_seed=3, trial=0)
+    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_pa_only),
+                          base_seed=3, trial=0)
     out = run_etc(cfg, env, spec_pa_only)
     assert out.eta_hat == etas[0]
     assert out.eta_hat_index == 1
@@ -141,7 +122,8 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
 
 def test_etc_identifies_best_arm(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=2000)
-    env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=4, trial=1)
+    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_default),
+                          base_seed=4, trial=1)
     out = run_etc(cfg, env, spec_default)
     # on this instance the realized utility decreases in eta
     assert out.eta_hat == etas[0]
@@ -156,11 +138,12 @@ def test_etc_matches_manual_argmax(unif, spec_default):
     # the second instance clamps estimates
     for alpha_min, trial in [(DEFAULT_ALPHA_MIN, 2), (CLAMPING_ALPHA_MIN, 3)]:
         cfg, etas, tables = _tiny_instance(unif, spec_default, k=350, alpha_min=alpha_min)
-        env = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=trial)
+        rates = best_response_rates(tables, spec_default)
+        env = BernoulliArmEnv(unif, tables, rates, base_seed=5, trial=trial)
         out = run_etc(cfg, env, spec_default)
         manual = []
         clamps = 0
-        env2 = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=5, trial=trial)
+        env2 = BernoulliArmEnv(unif, tables, rates, base_seed=5, trial=trial)
         draws = env2.acceptance_block(0, cfg.k)
         for i, t in enumerate(tables):
             rate = draws[i].sum() / cfg.k
@@ -175,7 +158,8 @@ def test_etc_matches_manual_argmax(unif, spec_default):
 
 def test_elimination_drops_separated_arms(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=3000)
-    env = BernoulliArmEnv(unif, spec_gamma1, etas, tables, base_seed=6, trial=3)
+    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_gamma1),
+                          base_seed=6, trial=3)
     out = run_elimination(cfg, env, spec_gamma1)
     assert out.total_game_rounds < cfg.k * (cfg.n + 1)
     assert any(s.eliminated for s in out.arm_trace)
@@ -236,11 +220,10 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
     ]
     for spec, k, trial, alpha_min, alphas in instances:
         cfg, etas, tables = _tiny_instance(unif, spec, n_arms=4, k=k, alpha_min=alpha_min)
+        rates = alphas or best_response_rates(tables, spec)
 
         def make_env():
-            if alphas is None:
-                return BernoulliArmEnv(unif, spec, etas, tables, base_seed=7, trial=trial)
-            return FixedAlphaEnv(alphas, tables, base_seed=7, trial=trial)
+            return BernoulliArmEnv(unif, tables, rates, base_seed=7, trial=trial)
 
         draws = make_env().acceptance_block(0, cfg.k)
         alive, played, counts, rate, u_now, log, clamps = _sequential_elimination(
@@ -274,7 +257,7 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
     cfg = LearnerConfig(a=2.0, b=2.5, delta=0.05, lam=0.5, lip=lip, n=1, k=2000, budget_scale=0.9)
     eliminated_trials = 0
     for trial in range(200):
-        env = FixedAlphaEnv([alpha, alpha], [table_unif_25, table_unif_25], base_seed=11, trial=trial)
+        env = BernoulliArmEnv(unif, [table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
         out = run_elimination(cfg, env, spec_default)
         if any(s.eliminated for s in out.arm_trace):
             eliminated_trials += 1
@@ -283,8 +266,9 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
 
 def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=500)
-    env_a = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=12, trial=7)
-    env_b = BernoulliArmEnv(unif, spec_default, etas, tables, base_seed=12, trial=7)
+    rates = best_response_rates(tables, spec_default)
+    env_a = BernoulliArmEnv(unif, tables, rates, base_seed=12, trial=7)
+    env_b = BernoulliArmEnv(unif, tables, rates, base_seed=12, trial=7)
     out_a = run_etc(cfg, env_a, spec_default)
     out_b = run_elimination(cfg, env_b, spec_default)
     assert out_b.total_game_rounds <= out_a.total_game_rounds
@@ -308,7 +292,8 @@ def test_hoeffding_concentration_of_rate_estimates():
 
 def test_learner_outcome_n_eliminated_consistency(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=2500)
-    env = BernoulliArmEnv(unif, spec_gamma1, etas, tables, base_seed=15, trial=0)
+    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_gamma1),
+                          base_seed=15, trial=0)
     out = run_elimination(cfg, env, spec_gamma1)
     assert out.total_game_rounds == sum(s.rounds_played for s in out.arm_trace)
     surviving = [s.index for s in out.arm_trace if not s.eliminated]
