@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +18,27 @@ from goc.config import ConfigError, ExperimentConfig, load_config
 from goc.envelope import acceptance_grid, build_envelope_table
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
-    CURVE_HEADER,
     ELIMINATION,
     ETC,
+    SUMMARY_HEADER,
     TRIAL_HEADER,
-    curve_rows,
     prepare_instance,
     resolve_threads,
-    run_experiment,
     run_trials,
+    summarize,
+    summary_rows,
     trial_rows,
     write_csv,
 )
 from goc.oracle import best_response, best_response_curve
-from goc.verify import verify_grid
+from goc.verify import DEFAULT_W_GRID, DEFAULT_Z_GRID, verify_grid
+
+
+def _float(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {token.strip()!r}") from None
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -40,13 +48,13 @@ def _parse_float_list(raw: str) -> list[float]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = map(_float, parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
         count = int(round((stop - start) / step))
         values = [v for v in (start + i * step for i in range(count + 1)) if v <= stop + 1e-12]
     else:
-        values = [float(p) for p in raw.split(",") if p.strip()]
+        values = [_float(p) for p in raw.split(",") if p.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {raw!r}")
     return values
@@ -61,8 +69,8 @@ def _parse_adversary(raw: str) -> MixtureAdversary:
             raise argparse.ArgumentTypeError(f"bad mixture component {part!r}")
         body = part[2:]
         z_str, _, w_str = body.partition(":")
-        offsets.append(float(z_str))
-        weights.append(float(w_str) if w_str else 1.0)
+        offsets.append(_float(z_str))
+        weights.append(_float(w_str) if w_str else 1.0)
     total = sum(weights)
     if not 0 < total < np.inf:
         raise argparse.ArgumentTypeError("mixture weights must have a positive finite sum")
@@ -72,15 +80,16 @@ def _parse_adversary(raw: str) -> MixtureAdversary:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# flag attribute -> the config key it overrides
+_OVERRIDES = {"seed": "experiment.base_seed", "budget_scale": "experiment.budget_scale",
+              "trials": "experiment.trials"}
+
+
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_overrides(**{"experiment.base_seed": args.seed})
-    if getattr(args, "budget_scale", None) is not None:
-        cfg = cfg.with_overrides(**{"experiment.budget_scale": args.budget_scale})
-    if getattr(args, "trials", None) is not None:
-        cfg = cfg.with_overrides(**{"experiment.trials": args.trials})
-    return cfg
+    pairs = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+             if getattr(args, flag, None) is not None}
+    return cfg.with_overrides(**pairs) if pairs else cfg
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -119,17 +128,26 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> int:
+    """Best responses at ``--eta-list`` or ``--points`` thresholds over [a, b]; one
+    column per header name, the first of eta, alpha_star, mmse, u_dc, u_ad."""
     cfg = _load(args)
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
     curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), etas,
                                 cfg["envelope.grid"], cfg["envelope.alpha_min"])
-    rows = [(br.eta, br.alpha_star, br.mmse, br.dc_value, br.ad_value) for br in curve]
-    write_csv(args.out, ("eta", "alpha_star", "mmse", "u_dc", "u_ad"), rows,
-              cfg.hash(), cfg["experiment.base_seed"])
+    cells = attrgetter(*("eta", "alpha_star", "mmse", "dc_value", "ad_value")[:len(header)])
+    write_csv(args.out, header, map(cells, curve), cfg.hash(), cfg["experiment.base_seed"])
     return 0
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    return _best_response_sweep(args, ("eta", "alpha_star", "mmse", "u_dc", "u_ad"))
+
+
+def cmd_curves(args: argparse.Namespace) -> int:
+    return _best_response_sweep(args, ("eta", "alpha", "mmse", "u"))
 
 
 SIMULATE_BLOCK = 1 << 16  # rounds drawn and written per block
@@ -205,28 +223,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    write_csv(args.out, CURVE_HEADER, curve_rows(cfg, args.points), cfg.hash(),
-              cfg["experiment.base_seed"])
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     threads = resolve_threads(args.threads)
-    Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
     gap = None
     if args.verify_etas:
-        results = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
-                              cfg["envelope.grid"], cfg["envelope.alpha_min"])
-        gap = max((abs(r.gap) for r in results), default=0.0)
-    report, _ = run_experiment(cfg, algos=algos, out_dir=args.out, threads=threads,
-                               envelope_max_gap=gap)
-    for s in report.per_algo:
+        checks = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
+                             cfg["envelope.grid"], cfg["envelope.alpha_min"])
+        gap = max((abs(r.gap) for r in checks), default=0.0)
+    art = prepare_instance(cfg)
+    results = run_trials(art, algos, threads=threads)
+    summaries = summarize(results, lam=art.learner.lam)
+    h, seed = cfg.hash(), cfg["experiment.base_seed"]
+    write_csv(out / "trials.csv", TRIAL_HEADER, trial_rows(results), h, seed)
+    write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows(summaries, gap), h, seed)
+    for s in summaries:
         print(
             f"{s.algo}: trials={s.trials} failure_rate={s.failure_rate:.4f} "
             f"mean_regret={s.mean_regret:.6f} mean_rounds={s.mean_rounds_used:.1f}"
@@ -269,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--eta-list", type=_parse_float_list, required=True)
     p.add_argument("--alpha-list", type=_parse_float_list, required=True)
-    p.add_argument("--z-grid", type=int, default=401)
-    p.add_argument("--w-grid", type=int, default=201)
+    p.add_argument("--z-grid", type=int, default=DEFAULT_Z_GRID)
+    p.add_argument("--w-grid", type=int, default=DEFAULT_W_GRID)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curves", help="emit the realized-utility curve for plotting")
     _common(p)
     p.add_argument("--points", type=int, default=201)
-    p.set_defaults(func=cmd_curves)
+    p.set_defaults(func=cmd_curves, eta_list=None)
 
     p = sub.add_parser("report", help="trial matrix plus summary statistics")
     _common(p)

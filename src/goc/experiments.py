@@ -171,22 +171,8 @@ class AlgoSummary:
     best_arm_eliminated_rate: float
 
 
-@dataclass(frozen=True)
-class SummaryReport:
-    """Aggregate statistics, validated against the matched-seed round bound."""
-
-    per_algo: tuple[AlgoSummary, ...]
-    envelope_max_gap: float | None = None
-
-    def __post_init__(self) -> None:
-        for s in self.per_algo:
-            if not 0.0 <= s.failure_rate <= 1.0:
-                raise ValueError("failure rate outside [0, 1]")
-
-
-def summarize(
-    results: Iterable[TrialResult], lam: float, envelope_max_gap: float | None = None
-) -> SummaryReport:
+def summarize(results: Iterable[TrialResult], lam: float) -> tuple[AlgoSummary, ...]:
+    """Per-algorithm statistics, checked against the matched-seed round bound."""
     by_algo: dict[str, list[TrialResult]] = {}
     for r in results:
         by_algo.setdefault(r.algo, []).append(r)
@@ -214,7 +200,7 @@ def summarize(
                 raise ValueError(
                     f"trial {r.trial}: elimination used more rounds than the fixed budget"
                 )
-    return SummaryReport(per_algo=tuple(summaries), envelope_max_gap=envelope_max_gap)
+    return tuple(summaries)
 
 
 # -- CSV emission -----------------------------------------------------------
@@ -296,42 +282,9 @@ def trial_rows(results: Iterable[TrialResult]) -> list[tuple]:
 SUMMARY_HEADER = (*(f.name for f in fields(AlgoSummary)), "envelope_max_gap")
 
 
-def summary_rows(report: SummaryReport) -> list[tuple]:
-    gap = "" if report.envelope_max_gap is None else report.envelope_max_gap
-    return [(*astuple(s), gap) for s in report.per_algo]
+def summary_rows(
+    summaries: Iterable[AlgoSummary], envelope_max_gap: float | None = None
+) -> list[tuple]:
+    gap = "" if envelope_max_gap is None else envelope_max_gap
+    return [(*astuple(s), gap) for s in summaries]
 
-
-def curve_rows(
-    config: ExperimentConfig, points: int = 201
-) -> list[tuple[float, float, float, float]]:
-    """Realized-utility curve samples: (eta, acceptance, conditional MSE, utility)."""
-    etas = np.linspace(config["learner.a"], config["learner.b"], points)
-    curve = best_response_curve(config.scenario(), config.utility_spec(), etas,
-                                config["envelope.grid"], config["envelope.alpha_min"])
-    return [(br.eta, br.alpha_star, br.mmse, br.dc_value) for br in curve]
-
-
-CURVE_HEADER = ("eta", "alpha", "mmse", "u")
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    algos: Sequence[str] = (ETC, ELIMINATION),
-    out_dir: str | Path = ".",
-    threads: int | None = None,
-    envelope_max_gap: float | None = None,
-) -> tuple[SummaryReport, list[TrialResult]]:
-    """Run the seeded trial matrix and write ``trials.csv`` and ``summary.csv``.
-
-    ``out_dir`` is created first, so a path that cannot be a directory fails before any work.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    art = prepare_instance(config)
-    results = run_trials(art, algos, threads=threads)
-    report = summarize(results, lam=art.learner.lam, envelope_max_gap=envelope_max_gap)
-    h = config.hash()
-    seed = config["experiment.base_seed"]
-    write_csv(out_dir / "trials.csv", TRIAL_HEADER, trial_rows(results), h, seed)
-    write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows(report), h, seed)
-    return report, results

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from goc.cli import main
 from goc.experiments import SUMMARY_HEADER, TRIAL_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,15 +174,21 @@ experiment.trials = 2
 """
 
 
+def _load_workloads():
+    """``bench/workloads.py``, loaded as it is."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 @pytest.mark.parametrize("extra, threads", [
     ("", 1),
     ("noise.kind = truncated_gaussian\nnoise.sigma = 0.5\nenv.mode = physical\n", 2),
 ], ids=["bernoulli-1-thread", "physical-2-threads"])
 def test_report_workload_runs_on_the_library(tmp_path, extra, threads):
     """``bench/workloads.py`` ``run_report``, loaded as it is, on a tiny instance of each mode."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load_workloads()
     cfg = tmp_path / "config.txt"
     cfg.write_text(TINY_REPORT + extra)
     out = tmp_path / "out"
@@ -196,3 +203,18 @@ def test_report_workload_runs_on_the_library(tmp_path, extra, threads):
     rounds = TRIAL_HEADER.index("rounds_used")
     assert rec["rounds"] == sum(int(row.split(",")[rounds]) for row in trials[2:])
     assert len(trials) - 2 == rec["trials_run"] == 4
+
+
+def test_report_workload_and_goc_report_write_the_same_csvs(tmp_path):
+    """The benchmark driver runs ``goc report``'s pipeline itself; the two must not drift apart."""
+    workloads = _load_workloads()
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(TINY_REPORT)
+    bench_out, cli_out = tmp_path / "bench", tmp_path / "cli"
+    bench_out.mkdir()
+    job = workloads.Job()
+    workloads.run_report(job, {}, cfg, bench_out, 1)
+    assert job.failed == 0, job.errors
+    assert main(["report", "--config", str(cfg), "--out", str(cli_out)]) == 0
+    for name in ("trials.csv", "summary.csv"):
+        assert (bench_out / name).read_bytes() == (cli_out / name).read_bytes()

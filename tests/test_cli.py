@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 import goc.cli
 import goc.experiments
 from goc.cli import _parse_adversary, _parse_float_list, main
-from goc.experiments import curve_rows
 from goc.config import default_config
+from goc.oracle import best_response_curve
 
 SMOKE_CONFIG = """
 utility.dc.gamma = 0.3
@@ -165,25 +166,39 @@ def test_verify_command(tmp_path):
     assert len(lines) == 4
 
 
+def _csv_body(path):
+    return [line.split(",") for line in path.read_text().splitlines()[2:]]
+
+
 def test_curves_command_and_subset_consistency(tmp_path, smoke_cfg):
-    out = tmp_path / "curves.csv"
-    rc = main(["curves", "--config", str(smoke_cfg), "--points", "11", "--out", str(out)])
-    assert rc == 0
-    cfg = default_config().with_overrides(**{
-        "learner.a": 2.0, "learner.b": 3.0, "envelope.grid": 401,
-    })
-    coarse = curve_rows(cfg, points=11)
-    fine = curve_rows(cfg, points=21)
-    for i, row in enumerate(coarse):
-        assert row == pytest.approx(fine[2 * i], abs=1e-12)
+    rows = {}
+    for points in (11, 21):
+        out = tmp_path / f"curves{points}.csv"
+        rc = main(["curves", "--config", str(smoke_cfg), "--points", str(points), "--out", str(out)])
+        assert rc == 0
+        rows[points] = [[float(x) for x in row] for row in _csv_body(out)]
+    assert len(rows[11]) == 11
+    for i, row in enumerate(rows[11]):
+        assert row == pytest.approx(rows[21][2 * i], abs=1e-12)
 
 
 def test_curves_gamma_zero_u_equals_alpha(tmp_path):
     cfg = default_config().with_overrides(**{
         "utility.dc.gamma": 0.0, "envelope.grid": 401, "learner.b": 3.0,
     })
-    for _, alpha, _, u in curve_rows(cfg, points=15):
-        assert u == pytest.approx(alpha, abs=1e-12)
+    curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), np.linspace(2.0, 3.0, 15),
+                                cfg["envelope.grid"], cfg["envelope.alpha_min"])
+    for br in curve:
+        assert br.dc_value == pytest.approx(br.alpha_star, abs=1e-12)
+
+
+def test_curves_are_the_first_four_columns_of_solve(tmp_path, smoke_cfg):
+    for command in ("curves", "solve"):
+        argv = [command, "--config", str(smoke_cfg), "--points", "7"]
+        assert main(argv + ["--out", str(tmp_path / f"{command}.csv")]) == 0
+    solve = _csv_body(tmp_path / "solve.csv")
+    assert len(solve) == 7
+    assert _csv_body(tmp_path / "curves.csv") == [row[:4] for row in solve]
 
 
 def test_report_command(tmp_path, smoke_cfg, capsys):
@@ -283,6 +298,23 @@ def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):
         assert main(["envelope", "--eta-list", "2", "--grid", grid, "--out", str(out)]) == 2
         assert f"error: --grid: must be >= 101, got {grid}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--eta", "2.5", "--rounds", "3", "--adv", "z=abc"], "--adv"),
+    (["simulate", "--eta", "2.5", "--rounds", "3", "--adv", "z=1:abc"], "--adv"),
+    (["solve", "--eta-list", "2,abc"], "--eta-list"),
+    (["verify", "--eta-list", "2", "--alpha-list", "0.5:x:1"], "--alpha-list"),
+], ids=["adv-offset", "adv-weight", "eta-list", "alpha-range"])
+def test_non_numeric_tokens_fail_at_their_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not a number: " in err
+    assert "_parse_" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import goc.environment
 import goc.oracle
 from goc import experiments
+from goc.cli import main
 from goc.config import default_config
 from goc.experiments import (
     ELIMINATION,
     ETC,
     prepare_instance,
     resolve_threads,
-    run_experiment,
     run_trial,
     run_trials,
     summarize,
@@ -30,18 +30,28 @@ from goc.experiments import (
 from reference import csv_text_per_cell
 
 
+SMOKE = {
+    "learner.b": 3.0,
+    "learner.lambda": 0.5,
+    "lipschitz.ell": 2.0,
+    "lipschitz.L": 0.3,
+    "lipschitz.d": 1.0,
+    "envelope.grid": 401,
+    "experiment.trials": 3,
+    "experiment.budget_scale": 0.02,
+}
+
+
 @pytest.fixture(scope="module")
 def smoke_cfg():
-    return default_config().with_overrides(**{
-        "learner.b": 3.0,
-        "learner.lambda": 0.5,
-        "lipschitz.ell": 2.0,
-        "lipschitz.L": 0.3,
-        "lipschitz.d": 1.0,
-        "envelope.grid": 401,
-        "experiment.trials": 3,
-        "experiment.budget_scale": 0.02,
-    })
+    return default_config().with_overrides(**SMOKE)
+
+
+def _report(tmp_path, out):
+    """``goc report`` on the smoke configuration, writing into ``out``."""
+    cfg = tmp_path / "smoke.txt"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in SMOKE.items()))
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +108,16 @@ def test_regret_caps_and_reports_raw(smoke_art):
 
 def test_summary_counts_match_trials(smoke_art, smoke_cfg):
     results = [run_trial(smoke_art, t, algo) for algo in (ETC, ELIMINATION) for t in range(3)]
-    report = summarize(results, lam=smoke_art.learner.lam)
-    etc = {s.algo: s for s in report.per_algo}[ETC]
+    summaries = summarize(results, lam=smoke_art.learner.lam)
+    assert type(summaries) is tuple
+    etc = {s.algo: s for s in summaries}[ETC]
     assert etc.trials == 3
     recount = float(np.mean([r.regret_raw > smoke_art.learner.lam for r in results if r.algo == ETC]))
     assert etc.failure_rate == recount
 
 
 def test_run_experiment_writes_consistent_csvs(smoke_cfg, tmp_path):
-    report, results = run_experiment(smoke_cfg, out_dir=tmp_path)
+    _report(tmp_path, tmp_path)
     trials = (tmp_path / "trials.csv").read_text().splitlines()
     assert trials[1].split(",") == list(
         ("trial", "algo", "eta_hat", "regret_raw", "rounds_used", "best_arm_eliminated")
@@ -115,16 +126,18 @@ def test_run_experiment_writes_consistent_csvs(smoke_cfg, tmp_path):
     body = [line.split(",") for line in trials[2:]]
     etc_rows = [row for row in body if row[1] == ETC]
     recount = np.mean([float(row[3]) > smoke_cfg["learner.lambda"] for row in etc_rows])
-    assert {s.algo: s for s in report.per_algo}[ETC].failure_rate == recount
+    summary = [line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines()]
+    rate = summary[1].index("failure_rate")
+    assert {row[0]: float(row[rate]) for row in summary[2:]}[ETC] == recount
     # matched-seed structural bound visible in the csv
     elim_rows = {row[0]: int(row[4]) for row in body if row[1] == ELIMINATION}
     for row in etc_rows:
         assert elim_rows[row[0]] <= int(row[4])
 
 
-def test_run_experiment_byte_identical(smoke_cfg, tmp_path):
-    run_experiment(smoke_cfg, out_dir=tmp_path / "a")
-    run_experiment(smoke_cfg, out_dir=tmp_path / "b")
+def test_run_experiment_byte_identical(tmp_path):
+    _report(tmp_path, tmp_path / "a")
+    _report(tmp_path, tmp_path / "b")
     for name in ("trials.csv", "summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

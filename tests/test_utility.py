@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from goc.envelope import build_envelope_table
-from goc.noise import uniform_scenario
+from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
+from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response_curve
 from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz, q_ad, q_dc
 
@@ -136,6 +136,20 @@ def test_flagged_windows_collapse_to_one_boundary_per_run(unif, spec_default, mo
     assert est.boundaries == pytest.approx((2.015, 3.005, 5.99), abs=1e-12)
     assert est.profile.d == pytest.approx(0.01, abs=1e-12)
     assert est.profile.big_l == pytest.approx(0.01, abs=1e-12)
+
+
+def test_estimate_flags_a_real_best_response_jump():
+    # thin-tailed noise against an MSE-light adversary: near eta = 4.52 the best response
+    # leaves alpha ~ 0.93 for the table's lower edge, and the collector's utility drops by 1.5
+    scenario = truncated_gaussian_scenario(sigma=0.1, delta=1.0, big_m=1e4)
+    spec = UtilitySpec(dc_kind="linear", dc_gamma=0.3, ad_kind="weighted_sum",
+                       ad_w_mse=0.5, ad_w_pa=1.0)
+    est = estimate_lipschitz(scenario, spec, (2.0, 6.0))
+    assert est.boundaries == pytest.approx((4.5175,), abs=1e-12)
+    assert est.profile.d == pytest.approx(1.4825, abs=1e-12)
+    before, after = best_response_curve(scenario, spec, [4.51, 4.52])
+    assert before.alpha_star > 0.9
+    assert after.alpha_star == DEFAULT_ALPHA_MIN
 
 
 def test_estimate_rejects_a_coarse_sweep_at_its_key():
