@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from goc.config import ConfigError, ExperimentConfig, load_config
-from goc.envelope import acceptance_grid, build_envelope_table
+from goc.envelope import build_envelope_table
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
     ELIMINATION,
@@ -82,7 +82,7 @@ def _parse_adversary(raw: str) -> MixtureAdversary:
 
 # flag attribute -> the config key it overrides
 _OVERRIDES = {"seed": "experiment.base_seed", "budget_scale": "experiment.budget_scale",
-              "trials": "experiment.trials"}
+              "trials": "experiment.trials", "grid": "envelope.grid"}
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -110,17 +110,9 @@ def _trial_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
-    grid = cfg["envelope.grid"]
-    if args.grid is not None:
-        # the config's grid passed this check at load; the flag's is named by the flag
-        grid = args.grid
-        try:
-            acceptance_grid(grid, cfg["envelope.alpha_min"])
-        except ValueError as exc:
-            raise ValueError(str(exc).replace("envelope.grid", "--grid")) from None
     rows = []
     for eta in args.eta_list:
-        t = build_envelope_table(scenario, eta, grid, cfg["envelope.alpha_min"])
+        t = build_envelope_table(scenario, eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
         cols = (t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
         rows += [(eta, *r) for r in zip(*(c.tolist() for c in cols))]
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), rows,
@@ -157,8 +149,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.rounds < 0:
         raise ValueError("--rounds must be >= 0")
-    if args.mode == "physical" and args.adv is None:
-        raise ValueError("simulate --mode physical requires --adv")
+    if (args.mode == "physical") != (args.adv is not None):
+        raise ValueError("simulate --mode physical requires --adv" if args.adv is None
+                         else "--adv: only --mode physical places offsets")
     scenario = cfg.scenario()
     rng = make_rng(cfg["experiment.base_seed"], 0, 0)
     if args.mode == "bernoulli":
@@ -199,8 +192,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.trace is not None:
         trace_rows = [
             (r.trial, r.algo, s.index, s.eta, s.rounds_played, s.accept_count,
-             s.alpha_hat, s.u_hat, s.eliminated,
-             "" if s.eliminated_at_round is None else s.eliminated_at_round)
+             s.alpha_hat, s.u_hat, s.eliminated, s.rounds_played if s.eliminated else "")
             for r in results
             for s in r.outcome.arm_trace
         ]
@@ -255,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="sample the value curve for a list of thresholds")
     _common(p)
     p.add_argument("--eta-list", type=_parse_float_list, required=True)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help="override envelope.grid")
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("solve", help="the adversary's best response at each threshold")

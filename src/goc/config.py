@@ -72,9 +72,9 @@ class ExperimentConfig:
         return self.values[key]
 
     def scenario(self) -> Scenario:
-        delta = self.values["scenario.delta"]
-        noise = HonestNoiseModel(self.values["noise.kind"], delta, self.values["noise.sigma"])
-        return Scenario(delta, self.values["scenario.big_m"], noise)
+        noise = HonestNoiseModel(self.values["noise.kind"], self.values["scenario.delta"],
+                                 self.values["noise.sigma"])
+        return Scenario(self.values["scenario.big_m"], noise)
 
     def utility_spec(self) -> UtilitySpec:
         return UtilitySpec(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,23 +25,19 @@ DEFAULT_ALPHA_MIN = 1e-3
 _DOMAIN_FUZZ = 1e-9
 
 
-@dataclass(frozen=True)
-class OffsetDomain:
+class OffsetDomain(NamedTuple):
     """Offset range ``[(eta-1) delta, (eta+1) delta]`` where acceptance transitions."""
 
-    eta: float
     z_lo: float
     z_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.z_lo < self.z_hi:
-            raise ValueError("degenerate offset domain")
 
 
 def offset_domain(scenario: Scenario, eta: float) -> OffsetDomain:
     check_eta(eta)
-    d = scenario.delta
-    return OffsetDomain(eta, (eta - 1.0) * d, (eta + 1.0) * d)
+    z_lo, z_hi = (eta - 1.0) * scenario.delta, (eta + 1.0) * scenario.delta
+    if not z_lo < z_hi:
+        raise ValueError("degenerate offset domain")
+    return OffsetDomain(z_lo, z_hi)
 
 
 def check_eta(eta: float) -> None:
@@ -192,7 +189,6 @@ def build_envelope_table(
     the hull) and the table keeps the part at or above ``alpha_min``, where
     the ``1/(4 alpha)`` factor is tame.
     """
-    check_eta(eta)
     q, keep = acceptance_grid(grid_size, alpha_min)
     z = k_inverse(scenario, eta, q)
     h = nu_eta(scenario, eta, z)
@@ -202,9 +198,9 @@ def build_envelope_table(
     alpha = q[keep]
     return EnvelopeTable(
         eta=float(eta),
-        alpha_grid=alpha.copy(),
-        h_values=h[keep].copy(),
-        h_star_values=h_star[keep].copy(),
+        alpha_grid=alpha,
+        h_values=h[keep],
+        h_star_values=h_star[keep],
         c_values=h_star[keep] / (4.0 * alpha),
         hull_q=q[hull],
         hull_values=h[hull],

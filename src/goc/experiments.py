@@ -91,7 +91,6 @@ class TrialResult:
     regret_capped: float
     rounds_used: int
     best_arm_eliminated: bool
-    n_eliminated: int
     outcome: LearnerOutcome
 
 
@@ -116,7 +115,6 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
         regret_capped=max(0.0, raw),
         rounds_used=outcome.total_game_rounds,
         best_arm_eliminated=best_state.eliminated,
-        n_eliminated=sum(1 for s in outcome.arm_trace if s.eliminated),
         outcome=outcome,
     )
 
@@ -188,7 +186,8 @@ def summarize(results: Iterable[TrialResult], lam: float) -> tuple[AlgoSummary, 
                 median_regret=float(np.median(regrets)),
                 failure_rate=float(np.mean([r.regret_raw > lam for r in rs])),
                 mean_rounds_used=float(np.mean([r.rounds_used for r in rs])),
-                mean_eliminated=float(np.mean([r.n_eliminated for r in rs])),
+                mean_eliminated=float(np.mean([sum(s.eliminated for s in r.outcome.arm_trace)
+                                               for r in rs])),
                 best_arm_eliminated_rate=float(np.mean([r.best_arm_eliminated for r in rs])),
             )
         )

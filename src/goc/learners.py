@@ -111,7 +111,7 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class ArmState:
-    """Final per-candidate record; ``index`` is the 1-based grid position."""
+    """Final per-arm record (1-based ``index``); an eliminated arm stopped at ``rounds_played``."""
 
     index: int
     eta: float
@@ -120,7 +120,6 @@ class ArmState:
     alpha_hat: float
     u_hat: float
     eliminated: bool
-    eliminated_at_round: int | None = None
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _outcome(etas, alive, stop, counts, alpha, u, clamps) -> LearnerOutcome:
     trace = tuple(
         ArmState(index=i + 1, eta=float(etas[i]), rounds_played=int(stop[i]),
                  accept_count=int(counts[i]), alpha_hat=float(alpha[i]), u_hat=float(u[i]),
-                 eliminated=not alive[i], eliminated_at_round=None if alive[i] else int(stop[i]))
+                 eliminated=not alive[i])
         for i in range(len(etas))
     )
     return LearnerOutcome(eta_hat=float(etas[m]), eta_hat_index=m + 1,

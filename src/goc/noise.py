@@ -111,14 +111,17 @@ class HonestNoiseModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Global constants: noise bound ``delta``, value half-width ``big_m``, noise law."""
+    """Global constants: value half-width ``big_m`` and the noise law, which owns ``delta``."""
 
-    delta: float
     big_m: float
     noise: HonestNoiseModel
 
+    @property
+    def delta(self) -> float:
+        return self.noise.delta
+
     def __post_init__(self) -> None:
-        # the noise model checks delta itself; the match below rejects any other delta
+        # the noise model checks delta itself
         if not (self.big_m > 0.0 and math.isfinite(self.big_m)):
             raise ValueError("scenario.big_m: must be a positive finite real")
         if self.delta / self.big_m > MAX_DELTA_RATIO:
@@ -126,13 +129,11 @@ class Scenario:
                 "scenario.delta: delta << big_m violated "
                 f"(delta/big_m = {self.delta / self.big_m:g} exceeds {MAX_DELTA_RATIO:g})"
             )
-        if self.noise.delta != self.delta:
-            raise ValueError("scenario.delta: noise model delta does not match scenario delta")
 
 
 def uniform_scenario(delta: float = 1.0, big_m: float = 1e4) -> Scenario:
-    return Scenario(delta, big_m, HonestNoiseModel(UNIFORM, delta))
+    return Scenario(big_m, HonestNoiseModel(UNIFORM, delta))
 
 
 def truncated_gaussian_scenario(sigma: float, delta: float = 1.0, big_m: float = 1e4) -> Scenario:
-    return Scenario(delta, big_m, HonestNoiseModel(TRUNCATED_GAUSSIAN, delta, sigma))
+    return Scenario(big_m, HonestNoiseModel(TRUNCATED_GAUSSIAN, delta, sigma))

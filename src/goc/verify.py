@@ -57,8 +57,7 @@ def two_point_oracle(
         if size < least:
             raise ValueError(f"{flag}: must be >= {least}, got {size!r}")
     eta = table.eta
-    dom = offset_domain(scenario, eta)
-    z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)
+    z = np.linspace(*offset_domain(scenario, eta), z_grid_size)
     kz = np.asarray(k_eta(scenario, eta, z))
     nz = np.asarray(nu_eta(scenario, eta, z))
     if alpha > kz.max() + 1e-12:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table
@@ -44,10 +43,6 @@ def spec_pa_only():
     return UtilitySpec(
         dc_kind="linear", dc_gamma=0.0, ad_kind="weighted_sum", ad_w_mse=1e-9, ad_w_pa=1.0
     )
-
-
-def rng(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 def best_response_rates(tables, spec):

@@ -235,6 +235,35 @@ def test_simulate_physical_requires_adv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_bernoulli_rejects_adv(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--mode", "bernoulli", "--eta", "2.5", "--rounds", "5",
+               "--adv", "z=9", "--out", str(out)])
+    assert rc == 2
+    assert "error: --adv:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("envelope", "--seed", "experiment.base_seed", "7"),
+    ("envelope", "--grid", "envelope.grid", "501"),
+    ("learn", "--trials", "experiment.trials", "1"),
+    ("learn", "--budget-scale", "experiment.budget_scale", "0.01"),
+])
+def test_override_flags_write_the_config_file_csv(tmp_path, command, flag, key, value):
+    """A flag and the config key it overrides write the same bytes, header hash included."""
+    argv = {"envelope": ["envelope", "--eta-list", "2,2.5"], "learn": ["learn"]}[command]
+    base = "".join(line for line in SMOKE_CONFIG.splitlines(keepends=True)
+                   if command == "learn" and not line.startswith(f"{key} ="))
+    (tmp_path / "base.txt").write_text(base)
+    (tmp_path / "keyed.txt").write_text(f"{base}{key} = {value}\n")
+    flagged, keyed = tmp_path / "flagged.csv", tmp_path / "keyed.csv"
+    assert main([*argv, "--config", str(tmp_path / "base.txt"), flag, value,
+                 "--out", str(flagged)]) == 0
+    assert main([*argv, "--config", str(tmp_path / "keyed.txt"), "--out", str(keyed)]) == 0
+    assert flagged.read_bytes() == keyed.read_bytes()
+
+
 @pytest.mark.parametrize("given, missing", [("--verify-etas", "--verify-alphas"),
                                             ("--verify-alphas", "--verify-etas")])
 def test_verify_flags_come_in_pairs(tmp_path, capsys, given, missing):
@@ -293,10 +322,10 @@ def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):
     assert rc == 2
     assert "error: --z-grid: must be >= 201, got 100" in capsys.readouterr().err
     assert not out.exists()
-    # envelope's --grid too: 0 is not "absent", and the config's grid stays out of the message
+    # envelope's --grid too: 0 is not "absent", and the error names the key it overrides
     for grid in ("0", "-3"):
         assert main(["envelope", "--eta-list", "2", "--grid", grid, "--out", str(out)]) == 2
-        assert f"error: --grid: must be >= 101, got {grid}" in capsys.readouterr().err
+        assert f"error: envelope.grid: must be >= 101, got {grid}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -15,10 +15,9 @@ from goc.envelope import (
     nu_eta,
     offset_domain,
 )
-from goc.environment import envelope_witness_mixture
+from goc.environment import envelope_witness_mixture, make_rng
 from goc.noise import MAX_SIGMA_RATIO, truncated_gaussian_scenario, uniform_scenario
 
-from conftest import rng
 from reference import (
     adaptive_simpson,
     concave_envelope,
@@ -174,7 +173,7 @@ def test_envelope_chord_over_dip():
 
 
 def test_envelope_matches_chord_oracle():
-    g = rng(3, 14)
+    g = make_rng(3, 14)
     q = np.sort(g.random(201))
     q[0], q[-1] = 0.0, 1.0
     q = np.unique(q)

@@ -164,13 +164,11 @@ def test_elimination_drops_separated_arms(unif, spec_gamma1):
     assert out.total_game_rounds < cfg.k * (cfg.n + 1)
     assert any(s.eliminated for s in out.arm_trace)
     for s in out.arm_trace:
+        # an eliminated arm's rounds_played is the round it was dropped at
         if s.eliminated:
-            assert 1 <= s.eliminated_at_round <= cfg.k
-            assert s.rounds_played == s.eliminated_at_round
+            assert 1 <= s.rounds_played <= cfg.k
         else:
             assert s.rounds_played == cfg.k
-    # exactly the eliminated arms carry an elimination round
-    assert all((s.eliminated_at_round is not None) == s.eliminated for s in out.arm_trace)
 
 
 def _sequential_elimination(cfg, tables, draws, spec):
@@ -235,12 +233,12 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
             monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
             out = run_elimination(cfg, make_env(), spec)
-            assert sorted((s.eliminated_at_round, s.index)
+            assert sorted((s.rounds_played, s.index)
                           for s in out.arm_trace if s.eliminated) == log
             assert out.eta_hat_index == best_i + 1
             for i, s in enumerate(out.arm_trace):
                 assert (s.rounds_played, s.accept_count) == (played[i], counts[i])
-                assert s.eliminated_at_round == (None if alive[i] else played[i])
+                assert s.eliminated == (not alive[i])
                 assert s.alpha_hat == pytest.approx(rate[i], abs=1e-12)
                 assert s.u_hat == pytest.approx(u_now[i], abs=1e-12)
             assert out.clamp_count == clamps

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from goc.environment import make_rng
 from goc.noise import HonestNoiseModel, Scenario, truncated_gaussian_scenario, uniform_scenario
 
-from conftest import rng
 from reference import adaptive_simpson, noise_cdf, noise_pdf
 
 
@@ -58,7 +58,7 @@ def test_density_normalizes_and_is_symmetric(model):
 
 def test_uniform_sampling_moments():
     m = HonestNoiseModel("uniform", 1.0)
-    draws = m.ppf(rng(7, 0).random(10**6))
+    draws = m.ppf(make_rng(7, 0).random(10**6))
     assert abs(float(np.mean(draws))) < 0.005  # 3 sigma/sqrt(n) with sigma^2 = 1/3
     assert float(np.var(draws)) == pytest.approx(1.0 / 3.0, rel=0.02)
     assert draws.min() >= -1.0 and draws.max() <= 1.0
@@ -69,7 +69,7 @@ def test_uniform_sampling_moments():
     [HonestNoiseModel("uniform", 1.0), HonestNoiseModel("truncated_gaussian", 1.0, 0.5)],
 )
 def test_sampling_matches_cdf(model):
-    draws = model.ppf(rng(11, 1).random(10**5))
+    draws = model.ppf(make_rng(11, 1).random(10**5))
     assert draws.min() >= -model.delta and draws.max() <= model.delta
     ks = stats.kstest(draws, lambda x: noise_cdf(model, x)).statistic
     assert ks < 0.01
@@ -102,9 +102,8 @@ def test_partial_moments_match_quadrature():
 def test_scenario_validation():
     noise = HonestNoiseModel("uniform", 1.0)
     with pytest.raises(ValueError, match="scenario.delta"):
-        Scenario(1.0, 2.0, noise)  # delta / big_m way above the bound
-    with pytest.raises(ValueError):
-        Scenario(2.0, 1e4, noise)  # mismatched noise delta
+        Scenario(2.0, noise)  # delta / big_m way above the bound
+    assert Scenario(1e4, noise).delta == noise.delta
     assert uniform_scenario().delta == 1.0
 
 

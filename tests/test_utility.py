@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
+from goc.environment import make_rng
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response_curve
 from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz, q_ad, q_dc
-
-from conftest import rng
 
 
 def test_q_dc_values():
@@ -68,7 +67,7 @@ def check_monotonicity(spec, mse_hi=20.0, eps=1e-6):
 )
 def test_monotonicity_probes(spec):
     check_monotonicity(spec)
-    g = rng(5, 1)
+    g = make_rng(5, 1)
     mse = 20.0 * g.random(1000)
     pa = g.random(1000)
     eps = 1e-6

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from goc.envelope import build_envelope_table, k_eta, nu_eta, offset_domain
+from goc.environment import make_rng
 from goc.noise import truncated_gaussian_scenario
 from goc.verify import two_point_oracle, verify_grid
 
-from conftest import rng
 from reference import two_point_oracle_where
 
 
@@ -93,7 +93,7 @@ def three_point_spot_check(scenario, eta, alpha, z_grid_size=41, w_grid_size=13)
 
 
 def test_three_point_mixtures_add_nothing(unif, tgauss):
-    g = rng(21, 4)
+    g = make_rng(21, 4)
     for _ in range(5):
         scenario = unif if g.random() < 0.5 else tgauss
         eta = float(2.0 + 2.0 * g.random())
