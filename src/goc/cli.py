@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from goc.config import ConfigError, ExperimentConfig, load_config
-from goc.envelope import build_envelope_table
+from goc.envelope import build_envelope_table, build_envelope_tables
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
     ELIMINATION,
@@ -111,10 +111,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
     rows = []
-    for eta in args.eta_list:
-        t = build_envelope_table(scenario, eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
+    for t in build_envelope_tables(scenario, args.eta_list, cfg["envelope.grid"],
+                                   cfg["envelope.alpha_min"]):
         cols = (t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
-        rows += [(eta, *r) for r in zip(*(c.tolist() for c in cols))]
+        rows += [(t.eta, *r) for r in zip(*(c.tolist() for c in cols))]
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), rows,
               cfg.hash(), cfg["experiment.base_seed"])
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,8 @@ def offset_domain(scenario: Scenario, eta: float) -> OffsetDomain:
     check_eta(eta)
     z_lo, z_hi = (eta - 1.0) * scenario.delta, (eta + 1.0) * scenario.delta
     if not z_lo < z_hi:
-        raise ValueError("degenerate offset domain")
+        raise ValueError(f"eta must be small enough that (eta - 1) * delta < (eta + 1) * delta, "
+                         f"got {eta}")
     return OffsetDomain(z_lo, z_hi)
 
 
@@ -95,10 +96,14 @@ def nu_eta(scenario: Scenario, eta: float, z):
     Expanded into partial moments of the noise law, all closed-form for the
     built-in families; the tests cross-check it by adaptive quadrature.
     """
-    z = _check_domain(scenario, eta, z)
-    m0, m1, m2 = scenario.noise.partial_moments(z - eta * scenario.delta)
-    out = np.maximum(m2 + 2.0 * z * m1 + z * z * m0, 0.0)
+    out = _gap_mass(scenario, eta, _check_domain(scenario, eta, z))
     return out if out.ndim else float(out)
+
+
+def _gap_mass(scenario: Scenario, eta, z: np.ndarray) -> np.ndarray:
+    # eta is a scalar or a column of thresholds, one per row of z
+    m0, m1, m2 = scenario.noise.partial_moments(z - eta * scenario.delta)
+    return np.maximum(m2 + 2.0 * z * m1 + z * z * m0, 0.0)
 
 
 def k_inverse(scenario: Scenario, eta: float, q):
@@ -106,38 +111,49 @@ def k_inverse(scenario: Scenario, eta: float, q):
 
     Exact because ``k(z) = 1 - F(z - eta delta)`` with ``F`` the noise CDF.
     """
-    dom = offset_domain(scenario, eta)
+    offset_domain(scenario, eta)
     q = np.asarray(q, dtype=float)
     if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
         raise ValueError("q must lie in [0, 1]")
-    z = eta * scenario.delta + scenario.noise.ppf(1.0 - np.clip(q, 0.0, 1.0))
-    out = np.clip(z, dom.z_lo, dom.z_hi)
+    out = _offsets(scenario, eta, scenario.noise.ppf(1.0 - np.clip(q, 0.0, 1.0)))
     return out if out.ndim else float(out)
 
 
-def _upper_hull_indices(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the upper convex hull of ``(q, v)`` by monotone chain; ``q`` ascending.
+def _offsets(scenario: Scenario, eta, p) -> np.ndarray:
+    # eta delta + F^-1(1 - q) clipped to the offset domain; eta a scalar or a column
+    d = scenario.delta
+    return np.clip(eta * d + p, (eta - 1.0) * d, (eta + 1.0) * d)
 
-    Nothing pops before the first consecutive triple ``(i-1, i, i+1)`` with
-    ``cross <= 0``, so the stack is exactly ``0 .. i`` there: one numpy pass of
-    the loop's own ``cross`` finds that triple, and the loop resumes at ``i+1``.
+
+def _upper_hulls(q: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """Upper convex hull indices of ``(q, row)`` for each row of ``v``, by monotone chain.
+
+    ``q`` is ascending. Nothing pops before a row's first consecutive triple
+    ``(i-1, i, i+1)`` with ``cross <= 0``, so the stack is exactly ``0 .. i``
+    there: one numpy pass of the chain's own ``cross`` over every row finds
+    that triple, and the chain resumes at ``i+1`` on Python floats, with the
+    same expressions in the same order.
     """
-    cross = (v[1:-1] - v[:-2]) * (q[2:] - q[:-2]) - (v[2:] - v[:-2]) * (q[1:-1] - q[:-2])
-    bad = np.flatnonzero(cross <= 0.0)
-    if bad.size == 0:
-        return np.arange(q.size)
-    idx = list(range(bad[0] + 2))
-    for i in range(len(idx), q.size):
-        while len(idx) >= 2:
-            i0, i1 = idx[-2], idx[-1]
-            # middle point on or below the chord i0 -> i: drop it
-            cross = (v[i1] - v[i0]) * (q[i] - q[i0]) - (v[i] - v[i0]) * (q[i1] - q[i0])
-            if cross <= 0.0:
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    return np.array(idx)
+    dv1, dv2 = v[:, 1:-1] - v[:, :-2], v[:, 2:] - v[:, :-2]
+    cross = dv1 * (q[2:] - q[:-2]) - dv2 * (q[1:-1] - q[:-2])
+    bad = cross <= 0.0
+    hulls = [np.arange(q.size)] * v.shape[0]
+    qs = q.tolist()
+    for r in np.flatnonzero(bad.any(axis=1)).tolist():
+        vs = v[r].tolist()
+        idx = list(range(int(bad[r].argmax()) + 2))
+        for i in range(len(idx), len(qs)):
+            while len(idx) >= 2:
+                i0, i1 = idx[-2], idx[-1]
+                # middle point on or below the chord i0 -> i: drop it
+                cross = (vs[i1] - vs[i0]) * (qs[i] - qs[i0]) - (vs[i] - vs[i0]) * (qs[i1] - qs[i0])
+                if cross <= 0.0:
+                    idx.pop()
+                else:
+                    break
+            idx.append(i)
+        hulls[r] = np.array(idx)
+    return hulls
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,31 +193,56 @@ class EnvelopeTable:
         return out if out.ndim else float(out)
 
 
+# grid points per block of rows that build_envelope_tables evaluates at once: 8 rows at
+# the default grid. Larger blocks raise peak memory and gain little.
+_BLOCK_POINTS = 1 << 14
+
+
+def build_envelope_tables(
+    scenario: Scenario,
+    etas: Iterable[float],
+    grid_size: int = DEFAULT_GRID_SIZE,
+    alpha_min: float = DEFAULT_ALPHA_MIN,
+) -> Iterator[EnvelopeTable]:
+    """Sample ``h_eta`` on a uniform acceptance grid, envelope it, derive the value curve.
+
+    Yields one table per threshold of ``etas``, in order, after checking them
+    all. The envelope is computed on the full ``[0, 1]`` grid (the origin
+    anchors the hull) and each table keeps the part at or above ``alpha_min``,
+    where the ``1/(4 alpha)`` factor is tame. The quantile term of the offsets
+    does not depend on eta, so it is evaluated once; the rest runs on blocks
+    of rows, and the tables stream out so that a long sweep holds one block.
+    """
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        offset_domain(scenario, eta)
+    q, keep = acceptance_grid(grid_size, alpha_min)
+    p = scenario.noise.ppf(1.0 - q)
+    alpha = q[keep]  # read-only once the first table holds it; every table shares it
+    rows = max(1, _BLOCK_POINTS // grid_size)
+    for start in range(0, len(etas), rows):
+        block = etas[start:start + rows]
+        col = np.array(block)[:, None]
+        h = _gap_mass(scenario, col, _offsets(scenario, col, p))
+        h[:, 0] = 0.0  # exact by construction: empty integration range at q = 0
+        for eta, row, hull in zip(block, h, _upper_hulls(q, h)):
+            h_star = np.interp(q, q[hull], row[hull])
+            yield EnvelopeTable(
+                eta=eta,
+                alpha_grid=alpha,
+                h_values=row[keep],
+                h_star_values=h_star[keep],
+                c_values=h_star[keep] / (4.0 * alpha),
+                hull_q=q[hull],
+                hull_values=row[hull],
+            )
+
+
 def build_envelope_table(
     scenario: Scenario,
     eta: float,
     grid_size: int = DEFAULT_GRID_SIZE,
     alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> EnvelopeTable:
-    """Sample ``h_eta`` on a uniform acceptance grid, envelope it, derive the value curve.
-
-    The envelope is computed on the full ``[0, 1]`` grid (the origin anchors
-    the hull) and the table keeps the part at or above ``alpha_min``, where
-    the ``1/(4 alpha)`` factor is tame.
-    """
-    q, keep = acceptance_grid(grid_size, alpha_min)
-    z = k_inverse(scenario, eta, q)
-    h = nu_eta(scenario, eta, z)
-    h[0] = 0.0  # exact by construction: empty integration range at q = 0
-    hull = _upper_hull_indices(q, h)
-    h_star = np.interp(q, q[hull], h[hull])
-    alpha = q[keep]
-    return EnvelopeTable(
-        eta=float(eta),
-        alpha_grid=alpha,
-        h_values=h[keep],
-        h_star_values=h_star[keep],
-        c_values=h_star[keep] / (4.0 * alpha),
-        hull_q=q[hull],
-        hull_values=h[hull],
-    )
+    """The table of one threshold: a one-row ``build_envelope_tables``."""
+    return next(build_envelope_tables(scenario, (eta,), grid_size, alpha_min))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from goc.config import ExperimentConfig
-from goc.envelope import EnvelopeTable, build_envelope_table
+from goc.envelope import EnvelopeTable, build_envelope_tables
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
 from goc.noise import Scenario
@@ -66,7 +66,7 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
         a, b, config["learner.delta"], config["learner.lambda"], lip,
         budget_scale=config["experiment.budget_scale"],
     )
-    tables = tuple(build_envelope_table(scenario, e, grid_size, alpha_min) for e in learner.etas())
+    tables = tuple(build_envelope_tables(scenario, learner.etas(), grid_size, alpha_min))
     responses = [best_response(t, spec) for t in tables]
     ref_etas = np.linspace(a, b, REFERENCE_DENSITY * (learner.n + 1))
     reference = best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, ndtri
 
 UNIFORM = "uniform"
 TRUNCATED_GAUSSIAN = "truncated_gaussian"
@@ -32,6 +31,8 @@ def _phi(y: np.ndarray) -> np.ndarray:
 
 
 def _big_phi(y: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # only truncated-Gaussian noise loads scipy.special
+
     return 0.5 * (1.0 + erf(y / _SQRT2))
 
 
@@ -69,6 +70,9 @@ class HonestNoiseModel:
             # mass of the parent Gaussian inside [-delta, delta]
             z = math.erf(self.delta / (self.sigma * _SQRT2))
             object.__setattr__(self, "_norm", z)
+            # every quantile and moment of this family needs scipy.special, so it loads with
+            # the model: a run pays the import when its config is read, not inside a sweep
+            import scipy.special  # noqa: F401
 
     def ppf(self, u):
         """Inverse CDF on [0, 1]; exists because the CDF is strictly increasing."""
@@ -76,6 +80,8 @@ class HonestNoiseModel:
         if self.kind == UNIFORM:
             out = (2.0 * u - 1.0) * self.delta
         else:
+            from scipy.special import ndtri
+
             lo = _big_phi(-self.delta / self.sigma)
             out = self.sigma * ndtri(lo + u * self._norm)
             out = np.clip(out, -self.delta, self.delta)

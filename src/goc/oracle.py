@@ -18,6 +18,7 @@ from goc.envelope import (
     DEFAULT_GRID_SIZE,
     EnvelopeTable,
     build_envelope_table,
+    build_envelope_tables,
 )
 from goc.noise import Scenario
 from goc.utility import UtilitySpec, q_ad, q_dc
@@ -87,9 +88,9 @@ def best_response_curve(
     grid_size: int = DEFAULT_GRID_SIZE,
     alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> list[BestResponse]:
-    """Best responses along an eta grid, one freshly built table per point."""
+    """Best responses along an eta grid, one streamed table per point."""
     return [
-        best_response(build_envelope_table(scenario, eta, grid_size, alpha_min), spec)
-        for eta in eta_grid
+        best_response(table, spec)
+        for table in build_envelope_tables(scenario, eta_grid, grid_size, alpha_min)
     ]
 

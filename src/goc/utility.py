@@ -16,7 +16,7 @@ import numpy as np
 from goc.envelope import (
     DEFAULT_ALPHA_MIN,
     DEFAULT_GRID_SIZE,
-    build_envelope_table,
+    build_envelope_tables,
     check_threshold_range,
 )
 from goc.noise import Scenario
@@ -140,8 +140,8 @@ def estimate_lipschitz(
     check_resolution(resolution)
     # slope bound in alpha, exact on the piecewise-linear tables
     ell = 0.0
-    for eta in np.linspace(a, b, ELL_ETA_POINTS):
-        table = build_envelope_table(scenario, eta, grid_size, alpha_min)
+    for table in build_envelope_tables(scenario, np.linspace(a, b, ELL_ETA_POINTS), grid_size,
+                                       alpha_min):
         u_alpha = q_dc(spec, table.c_values, table.alpha_grid)
         slopes = np.abs(np.diff(u_alpha) / np.diff(table.alpha_grid))
         ell = max(ell, float(slopes.max()))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, build_envelope_table, k_eta, nu_eta, offset_domain
+from goc.envelope import EnvelopeTable, build_envelope_tables, k_eta, nu_eta, offset_domain
 from goc.noise import Scenario
 
 DEFAULT_Z_GRID = 401
@@ -129,8 +129,7 @@ def verify_grid(
 ) -> list[OracleResult]:
     """Oracle results over the (eta, alpha) matrix in eta-major order, one table per eta."""
     results = []
-    for eta in etas:
-        table = build_envelope_table(scenario, eta, grid_size, alpha_min)
+    for table in build_envelope_tables(scenario, etas, grid_size, alpha_min):
         for alpha in alphas:
             results.append(two_point_oracle(scenario, table, alpha, z_grid_size, w_grid_size))
     return results

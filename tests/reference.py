@@ -8,7 +8,10 @@ bisection on ``k_eta`` alone, with no use of the noise quantile that the
 library's ``k_inverse`` relies on. ``concave_envelope`` is a hull of its own,
 sharing no code with the one inside ``build_envelope_table``;
 ``upper_hull_indices_chain`` is the plain monotone chain that the library's
-hull must reproduce index for index. ``uniform_h_exact`` and
+hull must reproduce index for index. ``build_envelope_table_per_eta`` is the
+one-table-at-a-time build, with its hull ``upper_hull_indices_resumed`` on
+numpy scalars, that every table ``build_envelope_tables`` streams must equal
+byte for byte. ``uniform_h_exact`` and
 ``uniform_envelope_exact`` are the uniform family's value curve in closed form.
 ``csv_text_per_cell`` is the CSV text ``write_csv`` must write byte for byte,
 one ``_fmt`` call per cell; ``two_point_oracle_where`` is the oracle's weight
@@ -22,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from goc.envelope import k_eta, nu_eta, offset_domain
+from goc.envelope import EnvelopeTable, acceptance_grid, k_eta, k_inverse, nu_eta, offset_domain
 from goc.experiments import _fmt
 from goc.noise import UNIFORM, _big_phi, _phi
 
@@ -161,6 +164,38 @@ def upper_hull_indices_chain(q, v) -> list[int]:
                 break
         idx.append(i)
     return idx
+
+
+def upper_hull_indices_resumed(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``upper_hull_indices_chain`` resumed after one numpy pass of its ``cross``, on numpy scalars."""
+    cross = (v[1:-1] - v[:-2]) * (q[2:] - q[:-2]) - (v[2:] - v[:-2]) * (q[1:-1] - q[:-2])
+    bad = np.flatnonzero(cross <= 0.0)
+    if bad.size == 0:
+        return np.arange(q.size)
+    idx = list(range(bad[0] + 2))
+    for i in range(len(idx), q.size):
+        while len(idx) >= 2:
+            i0, i1 = idx[-2], idx[-1]
+            cross = (v[i1] - v[i0]) * (q[i] - q[i0]) - (v[i] - v[i0]) * (q[i1] - q[i0])
+            if cross <= 0.0:
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return np.array(idx)
+
+
+def build_envelope_table_per_eta(scenario, eta: float, grid_size: int, alpha_min: float):
+    """One table from ``k_inverse`` and ``nu_eta`` on the 1-D grid, enveloped by its own hull."""
+    q, keep = acceptance_grid(grid_size, alpha_min)
+    h = nu_eta(scenario, eta, k_inverse(scenario, eta, q))
+    h[0] = 0.0
+    hull = upper_hull_indices_resumed(q, h)
+    h_star = np.interp(q, q[hull], h[hull])
+    alpha = q[keep]
+    return EnvelopeTable(eta=float(eta), alpha_grid=alpha, h_values=h[keep],
+                         h_star_values=h_star[keep], c_values=h_star[keep] / (4.0 * alpha),
+                         hull_q=q[hull], hull_values=h[hull])
 
 
 def uniform_h_exact(delta: float, eta: float, q):

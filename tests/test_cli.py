@@ -51,6 +51,15 @@ def test_envelope_command(tmp_path):
     assert len(lines) > 400
 
 
+def test_envelope_names_a_threshold_too_large_for_its_offset_domain(tmp_path, capsys):
+    # from about 2^54 on, (eta - 1) delta and (eta + 1) delta round to the same float
+    out = tmp_path / "env.csv"
+    assert main(["envelope", "--eta-list", "1e17", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eta must be ") and err.rstrip().endswith("got 1e+17")
+    assert not out.exists()
+
+
 def test_solve_command(tmp_path, smoke_cfg):
     out = tmp_path / "solve.csv"
     rc = main(["solve", "--config", str(smoke_cfg), "--eta-list", "2,2.5,3", "--out", str(out)])

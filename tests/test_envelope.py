@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from goc.envelope import (
     DEFAULT_ALPHA_MIN,
-    _upper_hull_indices,
+    _upper_hulls,
     build_envelope_table,
+    build_envelope_tables,
     k_eta,
     k_inverse,
     nu_eta,
@@ -20,6 +21,7 @@ from goc.noise import MAX_SIGMA_RATIO, truncated_gaussian_scenario, uniform_scen
 
 from reference import (
     adaptive_simpson,
+    build_envelope_table_per_eta,
     concave_envelope,
     h_eta,
     k_inverse_bisect,
@@ -28,6 +30,7 @@ from reference import (
     uniform_h_exact,
     uniform_tangent_q,
     upper_hull_indices_chain,
+    upper_hull_indices_resumed,
 )
 
 
@@ -240,12 +243,17 @@ def hull_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_hull_indices_match_the_chain(case):
     shape, q, v = case
-    hull = _upper_hull_indices(q, v)
+    hull = _upper_hulls(q, v[None, :])[0]
     assert np.array_equal(hull, upper_hull_indices_chain(q, v))
+    assert np.array_equal(hull, upper_hull_indices_resumed(q, v))
     if shape == "concave":
         assert np.array_equal(hull, np.arange(q.size))
     if shape == "dip":
         assert 1 not in hull
+    # each row of a block is its own hull, whatever the rows beside it do
+    rows = np.stack([v, np.zeros_like(v), -v, v])
+    for row, row_hull in zip(rows, _upper_hulls(q, rows)):
+        assert np.array_equal(row_hull, upper_hull_indices_chain(q, row))
 
 
 def test_hull_resume_on_a_real_table(unif):
@@ -254,7 +262,7 @@ def test_hull_resume_on_a_real_table(unif):
     q = np.linspace(0.0, 1.0, 2001)
     h = nu_eta(unif, 2.0, k_inverse(unif, 2.0, q))
     h[0] = 0.0
-    hull = _upper_hull_indices(q, h)
+    hull = _upper_hulls(q, h[None, :])[0]
     assert np.array_equal(hull, np.r_[0:1572, 2000])
     assert np.array_equal(hull, upper_hull_indices_chain(q, h))
     t = build_envelope_table(unif, 2.0, 2001)
@@ -262,6 +270,38 @@ def test_hull_resume_on_a_real_table(unif):
 
 
 # -- table construction -------------------------------------------------------
+
+TABLE_FIELDS = ("alpha_grid", "h_values", "h_star_values", "c_values", "hull_q", "hull_values")
+
+
+@pytest.mark.parametrize("sigma", [None, 0.1, 0.5, 3.0], ids=["uniform", "s0.1", "s0.5", "s3"])
+@pytest.mark.parametrize("count", [1, 7, 9, 801])
+def test_streamed_tables_equal_the_per_eta_build(sigma, count):
+    # 7, 8 and 9 rows straddle the edge of an 8-row block at the default grid
+    scenario = family(sigma)
+    etas = np.linspace(2.0, 6.0, count)
+    tables = list(build_envelope_tables(scenario, etas, 2001, DEFAULT_ALPHA_MIN))
+    assert [t.eta for t in tables] == etas.tolist()
+    for eta, t in zip(etas, tables):
+        ref = build_envelope_table_per_eta(scenario, eta, 2001, DEFAULT_ALPHA_MIN)
+        for name in TABLE_FIELDS:
+            assert getattr(t, name).tobytes() == getattr(ref, name).tobytes(), (eta, name)
+    if sigma is None and count == 801:
+        # the 133 etas below 8/3: the chain resumes after the numpy pass on these rows
+        assert sum(t.hull_q.size < 2001 for t in tables) == 133
+
+
+def test_tables_check_every_eta_before_any_work(unif):
+    tables = build_envelope_tables(unif, [2.0, 3.0, 1.5], 2001)
+    with pytest.raises(ValueError, match=r"^eta must be >= 2, got 1.5"):
+        next(tables)
+
+
+def test_degenerate_offset_domain_names_eta(unif):
+    with pytest.raises(ValueError, match=r"^eta must be .*got 1e\+17$"):
+        offset_domain(unif, 1e17)
+    # below the degenerate range (eta - 1) and (eta + 1) still round apart
+    offset_domain(unif, 2.0 ** 53)
 
 
 def test_table_endpoint_value(unif, table_unif_2):

@@ -1,9 +1,11 @@
-"""The package imports no submodule, and each submodule imports on its own.
+"""The package imports no submodule, each submodule imports on its own, and
+only truncated-Gaussian noise loads ``scipy.special``.
 
 ``goc/__init__.py`` re-exports nothing, so it no longer fixes an import
 order: a cycle between two submodules would surface only when one of them
-is imported first. Each check runs in a fresh interpreter, where nothing
-is imported yet.
+is imported first. Uniform noise calls no scipy function, so a uniform run
+does not pay for importing ``scipy.special``. Each check runs in a fresh
+interpreter, where nothing is imported yet.
 """
 
 import os
@@ -33,3 +35,44 @@ def test_package_imports_no_submodule():
 def test_submodule_imports_first(name):
     run = _fresh(f"import goc.{name}")
     assert run.returncode == 0, run.stderr
+
+
+SMOKE_CONFIG = (
+    "learner.a = 2.0\nlearner.b = 3.0\nlearner.lambda = 0.5\n"
+    "lipschitz.ell = 2.0\nlipschitz.L = 0.3\nlipschitz.d = 1.0\n"
+    "envelope.grid = 401\nexperiment.budget_scale = 0.02\n"
+)
+LOADED = "print('scipy.special' in sys.modules)"
+
+
+def test_uniform_set_up_leaves_scipy_special_unloaded():
+    run = _fresh(
+        "import sys\n"
+        "from goc.config import load_config_text\n"
+        "from goc.experiments import prepare_instance\n"
+        f"prepare_instance(load_config_text({SMOKE_CONFIG!r}))\n" + LOADED
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_uniform_envelope_command_leaves_scipy_special_unloaded(tmp_path):
+    out = tmp_path / "env.csv"
+    run = _fresh(
+        "import sys\n"
+        "from goc.cli import main\n"
+        f"assert main(['envelope', '--eta-list', '2,2.5', '--out', {str(out)!r}]) == 0\n" + LOADED
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_truncated_gaussian_config_loads_scipy_special():
+    run = _fresh(
+        "import sys\n"
+        "from goc.config import load_config_text\n" + LOADED + "\n"
+        "cfg = load_config_text('noise.kind = truncated_gaussian\\nnoise.sigma = 0.5\\n')\n"
+        + LOADED
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]

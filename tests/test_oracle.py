@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,20 @@ def test_realized_u_fine_grid_consistency(unif, spec_default):
 def test_best_response_curve_lengths(unif, spec_default):
     curve = best_response_curve(unif, spec_default, [2.0, 2.5], grid_size=401)
     assert [b.eta for b in curve] == [2.0, 2.5]
+
+
+# One block of rows and a few tables at a time. Holding all 801 tables of the sweep
+# at once takes about 60 MB; a 64-row block takes about 7 MB.
+SWEEP_PEAK_BYTES = 4 << 20
+
+
+def test_best_response_curve_streams_its_tables(unif, spec_default):
+    best_response_curve(unif, spec_default, [2.0])  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        curve = best_response_curve(unif, spec_default, np.linspace(2.0, 6.0, 801), 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 801
+    assert peak < SWEEP_PEAK_BYTES
