@@ -109,14 +109,12 @@ def _trial_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    scenario = cfg.scenario()
-    rows = []
-    for t in build_envelope_tables(scenario, args.eta_list, cfg["envelope.grid"],
-                                   cfg["envelope.alpha_min"]):
-        cols = (t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
-        rows += [(t.eta, *r) for r in zip(*(c.tolist() for c in cols))]
-    write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), rows,
-              cfg.hash(), cfg["experiment.base_seed"])
+    tables = build_envelope_tables(cfg.scenario(), args.eta_list, cfg["envelope.grid"],
+                                   cfg["envelope.alpha_min"])
+    write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), (), cfg.hash(),
+              cfg["experiment.base_seed"],
+              blocks=((t.eta, t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
+                      for t in tables))
     return 0
 
 
@@ -158,22 +156,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         table = build_envelope_table(scenario, args.eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
         alpha = best_response(table, cfg.utility_spec()).alpha_star
 
-    def rows():
+    def blocks():
         # Consecutive bulk draws equal one draw of every round (in Bernoulli mode, also
         # step_bernoulli's per-round draws). Zero rounds still draw one empty block,
         # which checks eta and --adv.
         for start in range(0, max(args.rounds, 1), SIMULATE_BLOCK):
             n = min(SIMULATE_BLOCK, args.rounds - start)
+            rounds = np.arange(start, start + n)
             if args.mode == "bernoulli":
-                acc, est, u = (rng.random(n) < alpha).tolist(), [""] * n, [""] * n
+                yield rounds, args.eta, rng.random(n) < alpha, "", ""
             else:
                 b = physical_rounds(scenario, args.eta, args.adv, rng, n)
-                acc, est, u = b.accepted.tolist(), b.estimate.tolist(), b.u_true.tolist()
-            for i, (a, e, v) in enumerate(zip(acc, est, u), start):
-                yield i, args.eta, a, e if a else "", v
+                estimate = b.estimate.tolist()
+                for i in np.flatnonzero(~b.accepted).tolist():
+                    estimate[i] = ""
+                yield rounds, args.eta, b.accepted, estimate, b.u_true
 
-    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), rows(),
-              cfg.hash(), cfg["experiment.base_seed"])
+    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), (),
+              cfg.hash(), cfg["experiment.base_seed"], blocks=blocks())
     return 0
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -224,15 +224,65 @@ _CELL_TEXT = {
     bool: ("false", "true").__getitem__,
 }
 
+# _fmt for the ``.tolist()`` cells of an array, by dtype kind (longdouble excepted)
+_KIND_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _CELL_TEXT[bool]}
+
 CSV_CHUNK = 1024  # rows write_csv formats per column pass
 
 
-def _column_text(column: tuple) -> Iterable[str]:
+def _list_text(column: Sequence) -> Iterable[str]:
     types = set(map(type, column))
     if len(types) == 1:
         return map(_CELL_TEXT.get(types.pop(), _fmt), column)
     cell_text = _CELL_TEXT.get
     return [cell_text(type(x), _fmt)(x) for x in column]
+
+
+def _column_cells(column) -> tuple[int | None, Callable[[int, int], Iterable[str]]]:
+    """``(length, cells)`` of one block column; ``cells(start, stop)`` is the text of those rows.
+
+    An array picks its formatter by dtype, a list or tuple by cell type, and
+    anything else is a scalar: formatted once, repeated on every row, no length.
+    """
+    if isinstance(column, np.ndarray) and column.ndim:
+        dtype = column.dtype
+        text = _KIND_TEXT.get(dtype.kind) if dtype.itemsize <= 8 else None
+        if text is None:
+            return len(column), lambda start, stop: _list_text(list(column[start:stop]))
+        return len(column), lambda start, stop: map(text, column[start:stop].tolist())
+    if isinstance(column, (list, tuple)):
+        return len(column), lambda start, stop: _list_text(column[start:stop])
+    cell = _fmt(column)
+    return None, lambda start, stop: repeat(cell, stop - start)
+
+
+def _row_blocks(path: Path, rows: Iterable[Sequence], width: int) -> Iterator[tuple[int, list]]:
+    """Rows regrouped into blocks of at most ``CSV_CHUNK`` rows, each as ``(length, cells)``."""
+    it = iter(rows)
+    written = 0
+    for chunk in iter(lambda: list(islice(it, CSV_CHUNK)), []):
+        if set(map(len, chunk)) != {width}:
+            i = next(i for i, row in enumerate(chunk) if len(row) != width)
+            raise ValueError(
+                f"{path}: row {written + i} has {len(chunk[i])} cells, header has {width}"
+            )
+        yield len(chunk), [_column_cells(col)[1] for col in zip(*chunk)]
+        written += len(chunk)
+
+
+def _column_blocks(
+    path: Path, blocks: Iterable[Sequence], width: int
+) -> Iterator[tuple[int, list]]:
+    """Column blocks, checked and each given as ``(length, cells)``."""
+    for b, block in enumerate(blocks):
+        if len(block) != width:
+            raise ValueError(f"{path}: block {b} has {len(block)} columns, header has {width}")
+        lengths, cells = zip(*map(_column_cells, block)) if width else ((), ())
+        sizes = set(lengths) - {None}
+        if len(sizes) != 1:
+            raise ValueError(f"{path}: block {b} has array and list columns of lengths "
+                             f"{sorted(sizes)}; it needs one length")
+        yield sizes.pop(), cells
 
 
 def write_csv(
@@ -241,31 +291,32 @@ def write_csv(
     rows: Iterable[Sequence],
     config_hash: str,
     seed: int,
+    *,
+    blocks: Iterable[Sequence] = (),
 ) -> None:
-    """CSV led by a ``# config_hash=... seed=...`` line; rows stream to a temp file renamed to ``path``.
+    """CSV led by a ``# config_hash=... seed=...`` line; ``rows``, then ``blocks``, stream to a
+    temp file renamed to ``path``.
 
-    Each row holds one cell per header column, written as ``_fmt`` writes it. Rows
-    are formatted a chunk at a time, column by column, so a column of Python
-    ``float``, ``int``, ``bool`` or ``str`` costs one formatter call per cell.
+    Each row holds one cell per header column, written as ``_fmt`` writes it.
+    Each block holds one column per header column: a numpy array, a list or
+    tuple of cells, or a scalar cell that repeats on every row; its array and
+    list columns share one length. Rows and blocks are formatted column by
+    column, at most ``CSV_CHUNK`` rows at a time, and write the same bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     width = len(header)
-    it = iter(rows)
     try:
         with open(tmp, "w") as fh:
             fh.write(f"# config_hash={config_hash} seed={seed}\n{','.join(header)}\n")
-            written = 0
-            for chunk in iter(lambda: list(islice(it, CSV_CHUNK)), []):
-                if set(map(len, chunk)) != {width}:
-                    i = next(i for i, row in enumerate(chunk) if len(row) != width)
-                    raise ValueError(
-                        f"{path}: row {written + i} has {len(chunk[i])} cells, header has {width}"
-                    )
-                lines = zip(*map(_column_text, zip(*chunk))) if width else [()] * len(chunk)
-                fh.write("\n".join(map(",".join, lines)) + "\n")
-                written += len(chunk)
+            for n, cells in chain(_row_blocks(path, rows, width),
+                                  _column_blocks(path, blocks, width)):
+                for start in range(0, n, CSV_CHUNK):
+                    stop = min(start + CSV_CHUNK, n)
+                    lines = (zip(*(c(start, stop) for c in cells)) if cells
+                             else [()] * (stop - start))
+                    fh.write("\n".join(map(",".join, lines)) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

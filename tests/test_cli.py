@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,59 @@ def test_simulate_blocks_do_not_change_the_csv(tmp_path, monkeypatch, mode_args)
     monkeypatch.setattr(goc.cli, "SIMULATE_BLOCK", 7)
     assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+
+# SHA-256 of each CSV below its config-hash line, recorded at commit 1f79512, when the
+# commands still built rows one tuple at a time; the column-block writer must keep them.
+_PINNED_BODIES = {
+    "simulate-bernoulli": (
+        ["simulate", "--mode", "bernoulli", "--eta", "3", "--rounds", "2500"],
+        "2b79aeb7551cf99d50ee80e996b8ff9f191b58a1efe81a16eaab783f45680453"),
+    "simulate-physical": (
+        ["simulate", "--mode", "physical", "--eta", "3", "--rounds", "2500",
+         "--adv", "z=2.5:0.6,z=3.5:0.4"],
+        "5027d3c4f1e80fc2586fd0b5f464544cd80985d4173b9a9ba5d4e840f6388f07"),
+    "simulate-physical-0": (
+        ["simulate", "--mode", "physical", "--eta", "3", "--rounds", "0",
+         "--adv", "z=2.5:0.6,z=3.5:0.4"],
+        "ce20e918c244ce393a9a56c669b095bf081c47f3bcffad9ad81376fc74a189a0"),
+    "envelope": (
+        ["envelope", "--eta-list", "2,3,4.5", "--grid", "301"],
+        "f9fac1b77f8c0af7b5222addf4dbe1fec66b07a22a051b368a545af962bea7a0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_BODIES))
+@pytest.mark.parametrize("simulate_block, csv_chunk", [(None, None), (300, 7)],
+                         ids=["defaults", "small-blocks"])
+def test_csv_bodies_match_their_pinned_digests(tmp_path, monkeypatch, name,
+                                                simulate_block, csv_chunk):
+    if simulate_block is not None:  # 2,500 rounds then span nine draw blocks
+        monkeypatch.setattr(goc.cli, "SIMULATE_BLOCK", simulate_block)
+        monkeypatch.setattr(goc.experiments, "CSV_CHUNK", csv_chunk)
+    cfg = tmp_path / "tg3.txt"
+    cfg.write_text("noise.kind = truncated_gaussian\nnoise.sigma = 3.0\n")
+    argv, digest = _PINNED_BODIES[name]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes().split(b"\n", 1)[1]).hexdigest() == digest
+
+
+def test_envelope_memory_does_not_grow_with_the_sweep(tmp_path):
+    # the sweep holds one block of table rows and CSV_CHUNK rows of text, whatever its length
+    out = str(tmp_path / "env.csv")
+
+    def peak(eta_list: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["envelope", "--eta-list", eta_list, "--grid", "201", "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(["envelope", "--eta-list", "2", "--out", out])  # imports and caches off the books
+    five, two_hundred = peak("2:1:6"), peak("2:0.02:5.99")
+    assert two_hundred < five + 2 * 2**20, (five, two_hundred)
 
 
 def test_simulate_rejects_negative_rounds(tmp_path, capsys):

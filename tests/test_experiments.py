@@ -246,17 +246,62 @@ def _csv_tables(draw):
     return tuple(f"c{j}" for j in range(width)), rows
 
 
+_SPECIAL_BITS = [int(np.float64(x).view(np.uint64))
+                 for x in (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5)]
+_INT64_ENDS = [-(2**63), 2**63 - 1]
+_ARRAYS = {  # array kind -> strategy for an array of that kind and a given length
+    "float64": lambda n: st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_SPECIAL_BITS),
+                                  min_size=n, max_size=n)
+    .map(lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)),
+    "float32": lambda n: st.lists(st.floats(width=32), min_size=n, max_size=n)
+    .map(lambda v: np.array(v, dtype=np.float32)),
+    "int64": lambda n: st.lists(st.integers(*_INT64_ENDS) | st.sampled_from(_INT64_ENDS),
+                                min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n)
+    .map(lambda v: np.array(v, dtype=bool)),
+}
+
+
+@st.composite
+def _column_block(draw, width):
+    """A block of ``width`` columns: arrays and cell lists of one length, and scalar cells."""
+    n = draw(st.integers(0, 20))
+    sized = draw(st.integers(0, width - 1))  # an array or a list, so the block has a length
+    columns = []
+    for j in range(width):
+        kind = draw(st.sampled_from(["list", *_ARRAYS] + (["scalar"] if j != sized else [])))
+        if kind == "scalar":
+            columns.append(draw(st.one_of(*_CELLS.values())))
+        elif kind == "list":
+            kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3,
+                                  unique=True))
+            cells = st.one_of(*(_CELLS[k] for k in kinds))
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+        else:
+            columns.append(draw(_ARRAYS[kind](n)))
+    return tuple(columns)
+
+
+def _block_rows(block) -> list[tuple]:
+    """The rows a column block stands for, each cell as the block holds it."""
+    n = next(len(c) for c in block if isinstance(c, (list, np.ndarray)))
+    return list(zip(*(c if isinstance(c, (list, np.ndarray)) else [c] * n for c in block)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(table=_csv_tables(), chunk=st.integers(1, 8))
-def test_write_csv_matches_the_per_cell_writer(table, chunk):
+@given(table=_csv_tables(), chunk=st.integers(1, 8), data=st.data())
+def test_write_csv_matches_the_per_cell_writer(table, chunk, data):
     header, rows = table
+    width = len(header)
+    blocks = data.draw(st.lists(_column_block(width), max_size=3) if width else st.just([]))
     saved = experiments.CSV_CHUNK
-    experiments.CSV_CHUNK = chunk  # small chunks: most tables cross a chunk boundary
+    experiments.CSV_CHUNK = chunk  # small chunks: most tables and blocks cross a chunk boundary
     try:
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "t.csv"
-            write_csv(path, header, iter(rows), "deadbeef", 7)
-            assert path.read_bytes() == csv_text_per_cell(header, rows, "deadbeef", 7).encode()
+            write_csv(path, header, iter(rows), "deadbeef", 7, blocks=iter(blocks))
+            expected = rows + [row for block in blocks for row in _block_rows(block)]
+            assert path.read_bytes() == csv_text_per_cell(header, expected, "deadbeef", 7).encode()
     finally:
         experiments.CSV_CHUNK = saved
 
@@ -269,5 +314,22 @@ def test_write_csv_rejects_a_ragged_row(tmp_path, monkeypatch, bad_row):
     rows = [(1, 0.5), (2, 1.5), (3, 2.5), bad_row, (5, 3.5)]
     with pytest.raises(ValueError, match=rf"t\.csv: row 3 has {len(bad_row)} cells, header has 2"):
         write_csv(path, ("a", "b"), rows, "deadbeef", 7)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("bad_block, message", [
+    ((np.arange(3.0),), "has 1 columns, header has 2"),
+    ((np.arange(3.0), 0.5, "x"), "has 3 columns, header has 2"),
+    ((np.arange(3.0), [1.0, 2.0]), r"has array and list columns of lengths \[2, 3\]"),
+    ((1, "x"), r"has array and list columns of lengths \[\]"),
+], ids=["narrow", "wide", "unequal", "no-length"])
+def test_write_csv_rejects_a_ragged_block(tmp_path, monkeypatch, bad_block, message):
+    monkeypatch.setattr(experiments, "CSV_CHUNK", 2)
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    blocks = [(np.arange(5), 0.5), bad_block, (np.arange(2), 1.5)]
+    with pytest.raises(ValueError, match=rf"t\.csv: block 1 {message}"):
+        write_csv(path, ("a", "b"), [(1, 2.5)], "deadbeef", 7, blocks=blocks)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
