@@ -41,6 +41,9 @@ def _float(token: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {token.strip()!r}") from None
 
 
+MAX_RANGE_VALUES = 10 ** 6  # most values a start:step:stop range may expand to
+
+
 def _parse_float_list(raw: str) -> list[float]:
     """Comma list ("2,2.5,3") or inclusive colon range ("0.1:0.1:1.0"); never empty."""
     raw = raw.strip()
@@ -49,10 +52,14 @@ def _parse_float_list(raw: str) -> list[float]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range must be start:step:stop")
         start, step, stop = map(_float, parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("range step must be positive")
-        count = int(round((stop - start) / step))
-        values = [v for v in (start + i * step for i in range(count + 1)) if v <= stop + 1e-12]
+        if not (np.isfinite([start, stop]).all() and 0 < step < np.inf):
+            raise argparse.ArgumentTypeError(f"range needs a finite start, stop and step > 0: {raw!r}")
+        # the values the range expands to; the clip also bounds the +-inf of an overflow
+        count = round(min(max((stop - start) / step, -1.0), MAX_RANGE_VALUES)) + 1
+        if count > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"range {raw!r} expands to more than {MAX_RANGE_VALUES} values")
+        values = [v for v in (start + i * step for i in range(count)) if v <= stop + 1e-12]
     else:
         values = [_float(p) for p in raw.split(",") if p.strip()]
     if not values:
@@ -113,7 +120,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
                                    cfg["envelope.alpha_min"])
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), (), cfg.hash(),
               cfg["experiment.base_seed"],
-              blocks=((t.eta, t.alpha_grid, t.h_values, t.h_star_values, t.c_values)
+              blocks=((t.eta, t.alpha_grid, t.h_values, t.h_star_at(t.alpha_grid), t.c_values)
                       for t in tables))
     return 0
 
@@ -192,7 +199,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.trace is not None:
         trace_rows = [
             (r.trial, r.algo, s.index, s.eta, s.rounds_played, s.accept_count,
-             s.alpha_hat, s.u_hat, s.eliminated, s.rounds_played if s.eliminated else "")
+             s.accept_count / s.rounds_played, s.u_hat, s.eliminated,
+             s.rounds_played if s.eliminated else "")
             for r in results
             for s in r.outcome.arm_trace
         ]

@@ -185,7 +185,3 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return validate_config({})
     return load_config_text(Path(path).read_text())
-
-
-def default_config() -> ExperimentConfig:
-    return validate_config({})

@@ -160,26 +160,22 @@ def _upper_hulls(q: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
 class EnvelopeTable:
     """Sampled value curve for one threshold multiple.
 
-    ``alpha_grid`` is the acceptance-level grid restricted to
-    ``[alpha_min, 1]``; ``h_values`` / ``h_star_values`` the raw and
-    enveloped squared-gap mass there; ``c_values`` the value curve
-    ``h* / (4 alpha)``. Immutable after construction.
+    ``alpha_grid`` is the acceptance-level grid restricted to ``[alpha_min, 1]``;
+    ``h_values`` the raw squared-gap mass there; ``c_values`` the value curve
+    ``h* / (4 alpha)``; ``hull_q`` / ``hull_values`` the vertices of the envelope
+    ``h*``, which ``h_star_at`` interpolates. Immutable after construction.
     """
 
     eta: float
     alpha_grid: np.ndarray
     h_values: np.ndarray
-    h_star_values: np.ndarray
     c_values: np.ndarray
     hull_q: np.ndarray
     hull_values: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.alpha_grid, self.h_values, self.h_star_values, self.c_values,
-                  self.hull_q, self.hull_values):
+        for a in (self.alpha_grid, self.h_values, self.c_values, self.hull_q, self.hull_values):
             a.setflags(write=False)
-        if np.any(self.h_star_values < self.h_values - 1e-12):
-            raise ValueError("envelope fails to dominate sampled values")
         if np.any(self.c_values < 0.0):
             raise ValueError("value curve must be nonnegative")
 
@@ -226,13 +222,14 @@ def build_envelope_tables(
         h = _gap_mass(scenario, col, _offsets(scenario, col, p))
         h[:, 0] = 0.0  # exact by construction: empty integration range at q = 0
         for eta, row, hull in zip(block, h, _upper_hulls(q, h)):
-            h_star = np.interp(q, q[hull], row[hull])
+            h_kept, h_star = row[keep], np.interp(q, q[hull], row[hull])[keep]
+            if np.any(h_star < h_kept - 1e-12):
+                raise ValueError("envelope fails to dominate sampled values")
             yield EnvelopeTable(
                 eta=eta,
                 alpha_grid=alpha,
-                h_values=row[keep],
-                h_star_values=h_star[keep],
-                c_values=h_star[keep] / (4.0 * alpha),
+                h_values=h_kept,
+                c_values=h_star / (4.0 * alpha),
                 hull_q=q[hull],
                 hull_values=row[hull],
             )

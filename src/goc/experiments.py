@@ -86,12 +86,17 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
 class TrialResult:
     trial: int
     algo: str
-    eta_hat: float
     regret_raw: float
-    regret_capped: float
-    rounds_used: int
     best_arm_eliminated: bool
     outcome: LearnerOutcome
+
+    @property
+    def eta_hat(self) -> float:
+        return self.outcome.eta_hat
+
+    @property
+    def rounds_used(self) -> int:
+        return self.outcome.total_game_rounds
 
 
 def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
@@ -105,16 +110,11 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
         outcome = run_elimination(art.learner, env, art.spec)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    raw = art.u_star - float(art.u_grid[outcome.eta_hat_index - 1])
-    best_state = outcome.arm_trace[int(np.argmax(art.u_grid))]
     return TrialResult(
         trial=trial,
         algo=algo,
-        eta_hat=outcome.eta_hat,
-        regret_raw=raw,
-        regret_capped=max(0.0, raw),
-        rounds_used=outcome.total_game_rounds,
-        best_arm_eliminated=best_state.eliminated,
+        regret_raw=art.u_star - float(art.u_grid[outcome.eta_hat_index - 1]),
+        best_arm_eliminated=outcome.arm_trace[int(np.argmax(art.u_grid))].eliminated,
         outcome=outcome,
     )
 
@@ -177,7 +177,7 @@ def summarize(results: Iterable[TrialResult], lam: float) -> tuple[AlgoSummary, 
     summaries = []
     for algo in sorted(by_algo):
         rs = sorted(by_algo[algo], key=lambda r: r.trial)
-        regrets = np.array([r.regret_capped for r in rs])
+        regrets = np.array([max(0.0, r.regret_raw) for r in rs])
         summaries.append(
             AlgoSummary(
                 algo=algo,

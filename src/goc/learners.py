@@ -117,20 +117,25 @@ class ArmState:
     eta: float
     rounds_played: int
     accept_count: int
-    alpha_hat: float
     u_hat: float
     eliminated: bool
 
 
 @dataclass(frozen=True)
 class LearnerOutcome:
-    """Learner output with the full per-candidate trace."""
+    """Learner output: the committed arm (1-based ``eta_hat_index``) and every arm's record."""
 
-    eta_hat: float
     eta_hat_index: int
-    total_game_rounds: int
     arm_trace: tuple[ArmState, ...]
     clamp_count: int = 0
+
+    @property
+    def eta_hat(self) -> float:
+        return self.arm_trace[self.eta_hat_index - 1].eta
+
+    @property
+    def total_game_rounds(self) -> int:
+        return sum(s.rounds_played for s in self.arm_trace)
 
 
 def _u_hat_rows(
@@ -153,21 +158,19 @@ def _u_hat_rows(
     return out, clamped
 
 
-def _outcome(etas, alive, stop, counts, alpha, u, clamps) -> LearnerOutcome:
+def _outcome(etas, alive, stop, counts, u, clamps) -> LearnerOutcome:
     """Commit to the best live arm (lowest index on ties) and record every arm.
 
-    ``stop[i]`` is the last round arm ``i`` played; ``counts``, ``alpha`` and ``u``
-    hold its accept count, rate and estimated utility at that round.
+    ``stop[i]`` is the last round arm ``i`` played; ``counts`` and ``u`` hold its
+    accept count and estimated utility at that round.
     """
     m = int(np.argmax(np.where(alive, u, -np.inf)))
     trace = tuple(
         ArmState(index=i + 1, eta=float(etas[i]), rounds_played=int(stop[i]),
-                 accept_count=int(counts[i]), alpha_hat=float(alpha[i]), u_hat=float(u[i]),
-                 eliminated=not alive[i])
+                 accept_count=int(counts[i]), u_hat=float(u[i]), eliminated=not alive[i])
         for i in range(len(etas))
     )
-    return LearnerOutcome(eta_hat=float(etas[m]), eta_hat_index=m + 1,
-                          total_game_rounds=int(np.sum(stop)), arm_trace=trace, clamp_count=clamps)
+    return LearnerOutcome(eta_hat_index=m + 1, arm_trace=trace, clamp_count=clamps)
 
 
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -183,10 +186,9 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     counts = np.zeros(n_arms, dtype=np.int64)
     for r0 in range(0, config.k, _ETC_BLOCK):
         counts += env.acceptance_block(r0, min(r0 + _ETC_BLOCK, config.k)).sum(axis=1)
-    alpha = counts / config.k
-    u, clamped = _u_hat_rows(spec, env.tables, alpha[:, None])
+    u, clamped = _u_hat_rows(spec, env.tables, (counts / config.k)[:, None])
     return _outcome(config.etas(), np.ones(n_arms, dtype=bool), np.full(n_arms, config.k),
-                    counts, alpha, u[:, 0], clamps=int(np.count_nonzero(clamped)))
+                    counts, u[:, 0], clamps=int(np.count_nonzero(clamped)))
 
 
 def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -203,12 +205,10 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     n_arms, k = config.n + 1, config.k
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
-    # one record per arm: the last round it played, and its accept count, rate and
-    # estimated utility at that round
+    # per arm: the last round it played, and its accept count and estimated utility there
     alive = np.ones(n_arms, dtype=bool)
     stop = np.zeros(n_arms, dtype=np.int64)
     counts = np.zeros(n_arms, dtype=np.int64)
-    alpha = np.zeros(n_arms)
     u = np.full(n_arms, -np.inf)
     clamps = 0
 
@@ -245,8 +245,7 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         at = (np.arange(rows.size), col)  # each live arm at the last round it played
         stop[rows] = pos + col + 1
         counts[rows] = cum[at]
-        alpha[rows] = alpha_hat[at]
         u[rows] = u_live[at]
         pos += b
 
-    return _outcome(config.etas(), alive, stop, counts, alpha, u, clamps)
+    return _outcome(config.etas(), alive, stop, counts, u, clamps)

@@ -194,18 +194,22 @@ def build_envelope_table_per_eta(scenario, eta: float, grid_size: int, alpha_min
     h_star = np.interp(q, q[hull], h[hull])
     alpha = q[keep]
     return EnvelopeTable(eta=float(eta), alpha_grid=alpha, h_values=h[keep],
-                         h_star_values=h_star[keep], c_values=h_star[keep] / (4.0 * alpha),
-                         hull_q=q[hull], hull_values=h[hull])
+                         c_values=h_star[keep] / (4.0 * alpha), hull_q=q[hull], hull_values=h[hull])
 
 
 def uniform_h_exact(delta: float, eta: float, q):
     """``h_eta(q)`` for uniform noise on ``[-delta, delta]``: a cubic in ``q``.
 
     With ``t = delta (1 - 2q)`` the noise level that ``q`` inverts to,
-    ``h = ((delta (1 + eta) + t)^3 - (2t + eta delta)^3) / (6 delta)``.
+    ``h = (a^3 - b^3) / (6 delta)`` with ``a = delta (1 + eta) + t`` and
+    ``b = 2t + eta delta``. Since ``a - b = 2 delta q``, this is evaluated as
+    ``q (a^2 + a b + b^2) / 3``: a sum of nonnegative terms, where the
+    difference of cubes loses up to ``a^3 / h`` ulps to cancellation at small ``q``.
     """
-    t = delta * (1.0 - 2.0 * np.asarray(q, dtype=float))
-    return ((delta * (1.0 + eta) + t) ** 3 - (2.0 * t + eta * delta) ** 3) / (6.0 * delta)
+    q = np.asarray(q, dtype=float)
+    t = delta * (1.0 - 2.0 * q)
+    a, b = delta * (1.0 + eta) + t, 2.0 * t + eta * delta
+    return q * (a * a + a * b + b * b) / 3.0
 
 
 def uniform_tangent_q(eta: float) -> float:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from goc.config import default_config
+from goc.config import load_config
 from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
@@ -32,7 +32,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def default_art():
     # uniform noise, linear collector (gamma 0.3), product adversary;
     # (a, b, delta, lambda) = (2, 6, 0.05, 0.1) with estimated smoothness
-    return prepare_instance(default_config())
+    return prepare_instance(load_config(None))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def default_results(default_art):
 def separated_config():
     # sharply varying utility over a short range: gamma = 1 collector,
     # product adversary, accuracy target 0.5
-    return default_config().with_overrides(**{
+    return load_config(None).with_overrides(**{
         "utility.dc.gamma": 1.0,
         "learner.b": 3.0,
         "learner.lambda": 0.5,
@@ -160,8 +160,8 @@ def test_criterion_5_safe_elimination_frequency(separated_art):
 
 def test_criterion_6_quantization_bound(default_art, separated_art):
     worst_excess = -np.inf
-    gentle = default_config().with_overrides(**{"utility.dc.gamma": 0.1})
-    mixed = default_config().with_overrides(**{
+    gentle = load_config(None).with_overrides(**{"utility.dc.gamma": 0.1})
+    mixed = load_config(None).with_overrides(**{
         "utility.ad.kind": "weighted_sum",
         "utility.ad.w_mse": 1.0,
         "utility.ad.w_pa": 8.0,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 
 import goc.cli
 import goc.experiments
-from goc.cli import _parse_adversary, _parse_float_list, main
-from goc.config import default_config
+from goc.cli import MAX_RANGE_VALUES, _parse_adversary, _parse_float_list, build_parser, main
+from goc.config import load_config
 from goc.oracle import best_response_curve
 
 SMOKE_CONFIG = """
@@ -34,6 +35,24 @@ def smoke_cfg(tmp_path):
 def test_float_list_parsing():
     assert _parse_float_list("2,2.5,3") == [2.0, 2.5, 3.0]
     assert _parse_float_list("0.1:0.1:0.4") == pytest.approx([0.1, 0.2, 0.3, 0.4])
+    # a range may expand to MAX_RANGE_VALUES values, and no more
+    assert len(_parse_float_list(f"1:1:{MAX_RANGE_VALUES}")) == MAX_RANGE_VALUES
+    with pytest.raises(argparse.ArgumentTypeError, match="expands to more than"):
+        _parse_float_list(f"1:1:{MAX_RANGE_VALUES + 1}")
+
+
+@pytest.mark.parametrize("eta_list, reason", [
+    ("2:nan:3", "range needs a finite start, stop and step > 0: '2:nan:3'"),
+    ("inf:1:2", "range needs a finite start, stop and step > 0: 'inf:1:2'"),
+    ("0:1e-7:1", "range '0:1e-7:1' expands to more than 1000000 values"),
+], ids=["nan-step", "inf-start", "over-the-cap"])
+def test_bad_ranges_fail_at_their_flag(capsys, eta_list, reason):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["envelope", "--eta-list", eta_list, "--out", "never.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --eta-list: {reason}\n" in err
+    assert "_parse" not in err
 
 
 def test_adversary_parsing():
@@ -103,23 +122,41 @@ def test_simulate_blocks_do_not_change_the_csv(tmp_path, monkeypatch, mode_args)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
 
 
-# SHA-256 of each CSV below its config-hash line, recorded at commit 1f79512, when the
-# commands still built rows one tuple at a time; the column-block writer must keep them.
+# SHA-256 of each CSV below its config-hash line, by output path, recorded at commit 1f79512
+# (simulate, envelope), when the commands still built rows one tuple at a time, and at
+# 0098249 (learn, report), when the trial records still stored alpha_hat, eta_hat,
+# rounds_used and the capped regret; the writer and the records must keep them.
+_TINY = ["--trials", "2", "--budget-scale", "0.001"]
 _PINNED_BODIES = {
     "simulate-bernoulli": (
-        ["simulate", "--mode", "bernoulli", "--eta", "3", "--rounds", "2500"],
-        "2b79aeb7551cf99d50ee80e996b8ff9f191b58a1efe81a16eaab783f45680453"),
+        ["simulate", "--mode", "bernoulli", "--eta", "3", "--rounds", "2500",
+         "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "2b79aeb7551cf99d50ee80e996b8ff9f191b58a1efe81a16eaab783f45680453"}),
     "simulate-physical": (
         ["simulate", "--mode", "physical", "--eta", "3", "--rounds", "2500",
-         "--adv", "z=2.5:0.6,z=3.5:0.4"],
-        "5027d3c4f1e80fc2586fd0b5f464544cd80985d4173b9a9ba5d4e840f6388f07"),
+         "--adv", "z=2.5:0.6,z=3.5:0.4", "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "5027d3c4f1e80fc2586fd0b5f464544cd80985d4173b9a9ba5d4e840f6388f07"}),
     "simulate-physical-0": (
         ["simulate", "--mode", "physical", "--eta", "3", "--rounds", "0",
-         "--adv", "z=2.5:0.6,z=3.5:0.4"],
-        "ce20e918c244ce393a9a56c669b095bf081c47f3bcffad9ad81376fc74a189a0"),
+         "--adv", "z=2.5:0.6,z=3.5:0.4", "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "ce20e918c244ce393a9a56c669b095bf081c47f3bcffad9ad81376fc74a189a0"}),
     "envelope": (
-        ["envelope", "--eta-list", "2,3,4.5", "--grid", "301"],
-        "f9fac1b77f8c0af7b5222addf4dbe1fec66b07a22a051b368a545af962bea7a0"),
+        ["envelope", "--eta-list", "2,3,4.5", "--grid", "301", "--config", "tg3.txt",
+         "--out", "out.csv"],
+        {"out.csv": "f9fac1b77f8c0af7b5222addf4dbe1fec66b07a22a051b368a545af962bea7a0"}),
+    "learn-trace-bernoulli": (
+        ["learn", *_TINY, "--config", "tg3.txt", "--out", "trials.csv", "--trace", "trace.csv"],
+        {"trials.csv": "2344dec5df9d22554bd0791f6474e9405f362da62b35738ae3452423f9d5cead",
+         "trace.csv": "c6aab59b16bcc2a6e885978e601243223039ae372a844b216d9525e2326d03d7"}),
+    "learn-trace-physical": (
+        ["learn", *_TINY, "--config", "tg3-physical.txt", "--out", "trials.csv",
+         "--trace", "trace.csv"],
+        {"trials.csv": "fcc497459740deda358340c9aee906267c1214e25f79a3b9e9bf207b876475d1",
+         "trace.csv": "6af2cd875afba63a0556614b22196ce2fc529474467a7c6c7ce5a03358bf4e34"}),
+    "report": (
+        ["report", *_TINY, "--config", "tg3.txt", "--out", "rep"],
+        {"rep/trials.csv": "2344dec5df9d22554bd0791f6474e9405f362da62b35738ae3452423f9d5cead",
+         "rep/summary.csv": "cfdf755fc53451187375f031a292a04416253fdc2caa02f225331496e71172cb"}),
 }
 
 
@@ -131,12 +168,15 @@ def test_csv_bodies_match_their_pinned_digests(tmp_path, monkeypatch, name,
     if simulate_block is not None:  # 2,500 rounds then span nine draw blocks
         monkeypatch.setattr(goc.cli, "SIMULATE_BLOCK", simulate_block)
         monkeypatch.setattr(goc.experiments, "CSV_CHUNK", csv_chunk)
-    cfg = tmp_path / "tg3.txt"
-    cfg.write_text("noise.kind = truncated_gaussian\nnoise.sigma = 3.0\n")
-    argv, digest = _PINNED_BODIES[name]
-    out = tmp_path / "out.csv"
-    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes().split(b"\n", 1)[1]).hexdigest() == digest
+    monkeypatch.chdir(tmp_path)
+    tg3 = "noise.kind = truncated_gaussian\nnoise.sigma = 3.0\n"
+    (tmp_path / "tg3.txt").write_text(tg3)
+    (tmp_path / "tg3-physical.txt").write_text(tg3 + "env.mode = physical\n")
+    argv, digests = _PINNED_BODIES[name]
+    assert main(argv) == 0
+    bodies = {path: hashlib.sha256((tmp_path / path).read_bytes().split(b"\n", 1)[1]).hexdigest()
+              for path in digests}
+    assert bodies == digests
 
 
 def test_envelope_memory_does_not_grow_with_the_sweep(tmp_path):
@@ -248,7 +288,7 @@ def test_curves_command_and_subset_consistency(tmp_path, smoke_cfg):
 
 
 def test_curves_gamma_zero_u_equals_alpha(tmp_path):
-    cfg = default_config().with_overrides(**{
+    cfg = load_config(None).with_overrides(**{
         "utility.dc.gamma": 0.0, "envelope.grid": 401, "learner.b": 3.0,
     })
     curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), np.linspace(2.0, 3.0, 15),

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from goc.config import ConfigError, default_config, load_config_text, validate_config
+from goc.config import ConfigError, load_config, load_config_text, validate_config
 
 
 def test_minimal_file_fills_defaults():
@@ -98,7 +98,7 @@ def test_lipschitz_override_requires_all_three():
 
 
 def test_hash_stable_and_sensitive():
-    a = default_config()
+    a = load_config(None)
     b = validate_config({})
     assert a.hash() == b.hash()
     c = a.with_overrides(**{"experiment.base_seed": 7})
@@ -107,7 +107,7 @@ def test_hash_stable_and_sensitive():
 
 def test_with_overrides_validates():
     with pytest.raises(ConfigError, match="nonsense"):
-        default_config().with_overrides(nonsense=1)
+        load_config(None).with_overrides(nonsense=1)
 
 
 @pytest.mark.parametrize("key,raw", [
@@ -123,7 +123,7 @@ def test_non_finite_float_named(key, raw):
 
 def test_non_finite_override_named():
     with pytest.raises(ConfigError, match=r"^learner.a: must be finite"):
-        default_config().with_overrides(**{"learner.a": float("nan")})
+        load_config(None).with_overrides(**{"learner.a": float("nan")})
 
 
 @pytest.mark.parametrize("key,raw", [

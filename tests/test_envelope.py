@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goc.envelope
 from goc.envelope import (
     DEFAULT_ALPHA_MIN,
     _upper_hulls,
+    acceptance_grid,
     build_envelope_table,
     build_envelope_tables,
     k_eta,
@@ -271,7 +273,7 @@ def test_hull_resume_on_a_real_table(unif):
 
 # -- table construction -------------------------------------------------------
 
-TABLE_FIELDS = ("alpha_grid", "h_values", "h_star_values", "c_values", "hull_q", "hull_values")
+TABLE_FIELDS = ("alpha_grid", "h_values", "c_values", "hull_q", "hull_values")
 
 
 @pytest.mark.parametrize("sigma", [None, 0.1, 0.5, 3.0], ids=["uniform", "s0.1", "s0.5", "s3"])
@@ -282,10 +284,14 @@ def test_streamed_tables_equal_the_per_eta_build(sigma, count):
     etas = np.linspace(2.0, 6.0, count)
     tables = list(build_envelope_tables(scenario, etas, 2001, DEFAULT_ALPHA_MIN))
     assert [t.eta for t in tables] == etas.tolist()
+    q, keep = acceptance_grid(2001, DEFAULT_ALPHA_MIN)
     for eta, t in zip(etas, tables):
         ref = build_envelope_table_per_eta(scenario, eta, 2001, DEFAULT_ALPHA_MIN)
         for name in TABLE_FIELDS:
             assert getattr(t, name).tobytes() == getattr(ref, name).tobytes(), (eta, name)
+        # h* derived on the kept grid: the same bytes as the envelope of the full grid, cut
+        h_star = np.interp(q, ref.hull_q, ref.hull_values)[keep]
+        assert t.h_star_at(t.alpha_grid).tobytes() == h_star.tobytes(), eta
     if sigma is None and count == 801:
         # the 133 etas below 8/3: the chain resumes after the numpy pass on these rows
         assert sum(t.hull_q.size < 2001 for t in tables) == 133
@@ -315,11 +321,23 @@ def test_table_invariants(unif, tgauss):
         for eta in (2.0, 3.0, 6.0):
             t = build_envelope_table(scenario, eta, 801)
             assert np.all(t.c_values >= 0.0)
-            assert np.all(t.h_star_values >= t.h_values - 1e-12)
-            hull_second = np.diff(t.h_star_values, 2)
+            h_star = t.h_star_at(t.alpha_grid)
+            assert np.all(h_star >= t.h_values - 1e-12)
+            hull_second = np.diff(h_star, 2)
             assert np.all(hull_second <= 1e-9)
             assert t.alpha_grid[0] >= DEFAULT_ALPHA_MIN - 1e-15
             assert t.alpha_grid[-1] == 1.0
+
+
+def test_a_hull_that_misses_a_vertex_fails_the_dominance_check(unif, monkeypatch):
+    real = goc.envelope._upper_hulls
+
+    def drop_a_vertex(q, v):  # an interior vertex of the concave run, well above alpha_min
+        return [np.delete(hull, hull.size // 2) for hull in real(q, v)]
+
+    monkeypatch.setattr(goc.envelope, "_upper_hulls", drop_a_vertex)
+    with pytest.raises(ValueError, match="^envelope fails to dominate sampled values$"):
+        build_envelope_table(unif, 2.0)
 
 
 def test_table_pickle_round_trip(tgauss):
@@ -356,8 +374,9 @@ def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
     # against the independent hull in tests/reference.py
     scenario = family(sigma)
     t = build_envelope_table(scenario, eta, grid_size, alpha_min)
-    assert np.all(t.h_star_values >= t.h_values - 1e-12)
-    assert np.all(np.diff(t.h_star_values, 2) <= 1e-9)
+    h_star = t.h_star_at(t.alpha_grid)
+    assert np.all(h_star >= t.h_values - 1e-12)
+    assert np.all(np.diff(h_star, 2) <= 1e-9)
     assert np.all(t.c_values >= 0.0)
     q = np.linspace(0.0, 1.0, grid_size)
     h = nu_eta(scenario, eta, k_inverse(scenario, eta, q))
@@ -365,7 +384,7 @@ def test_built_table_is_the_envelope(sigma, eta, grid_size, alpha_min):
     keep = q >= alpha_min - 1e-15
     assert np.array_equal(t.alpha_grid, q[keep])
     assert np.array_equal(t.h_values, h[keep])
-    assert np.array_equal(t.h_star_values, concave_envelope(q, h)[keep])
+    assert np.array_equal(h_star, concave_envelope(q, h)[keep])
 
 
 @given(

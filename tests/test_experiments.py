@@ -15,7 +15,7 @@ import goc.environment
 import goc.oracle
 from goc import experiments
 from goc.cli import main
-from goc.config import default_config
+from goc.config import load_config
 from goc.experiments import (
     ELIMINATION,
     ETC,
@@ -44,7 +44,7 @@ SMOKE = {
 
 @pytest.fixture(scope="module")
 def smoke_cfg():
-    return default_config().with_overrides(**SMOKE)
+    return load_config(None).with_overrides(**SMOKE)
 
 
 def _report(tmp_path, out):
@@ -100,10 +100,10 @@ def test_regret_caps_and_reports_raw(smoke_art):
     assert smoke_art.u_star - res.regret_raw == pytest.approx(u_chosen, abs=1e-12)
     low = run_trial(dataclasses.replace(smoke_art, u_star=u_chosen - 1.0), 0, ETC)
     assert low.regret_raw == pytest.approx(-1.0, abs=1e-9)
-    assert low.regret_capped == 0.0
+    assert summarize([low], lam=1.0)[0].mean_regret == 0.0
     high = run_trial(dataclasses.replace(smoke_art, u_star=u_chosen + 0.25), 0, ETC)
     assert high.regret_raw == pytest.approx(0.25, abs=1e-9)
-    assert high.regret_capped == pytest.approx(0.25, abs=1e-9)
+    assert summarize([high], lam=1.0)[0].mean_regret == pytest.approx(0.25, abs=1e-9)
 
 
 def test_summary_counts_match_trials(smoke_art, smoke_cfg):
