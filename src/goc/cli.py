@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from goc.config import ConfigError, ExperimentConfig, load_config
-from goc.envelope import build_envelope_table, build_envelope_tables
+from goc.envelope import build_envelope_table, build_envelope_tables, check_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import (
     ELIMINATION,
@@ -31,7 +30,7 @@ from goc.experiments import (
     write_csv,
 )
 from goc.oracle import best_response, best_response_curve
-from goc.verify import DEFAULT_W_GRID, DEFAULT_Z_GRID, verify_grid
+from goc.verify import DEFAULT_W_GRID, DEFAULT_Z_GRID, check_alpha, verify_grid
 
 
 def _float(token: str) -> float:
@@ -65,6 +64,24 @@ def _parse_float_list(raw: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {raw!r}")
     return values
+
+
+def _checked(parse, check):
+    """An argparse type: ``parse``, then ``check`` on each value, failing at the flag."""
+    def checked(raw: str):
+        value = parse(raw)
+        try:
+            for v in value if isinstance(value, list) else [value]:
+                check(v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return checked
+
+
+_ETA = _checked(_float, check_eta)
+_ETAS = _checked(_parse_float_list, check_eta)
+_ALPHAS = _checked(_parse_float_list, check_alpha)
 
 
 def _parse_adversary(raw: str) -> MixtureAdversary:
@@ -118,10 +135,9 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
     tables = build_envelope_tables(cfg.scenario(), args.eta_list, cfg["envelope.grid"],
                                    cfg["envelope.alpha_min"])
-    write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"), (), cfg.hash(),
-              cfg["experiment.base_seed"],
-              blocks=((t.eta, t.alpha_grid, t.h_values, t.h_star_at(t.alpha_grid), t.c_values)
-                      for t in tables))
+    write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"),
+              ((t.eta, t.alpha_grid, t.h_values, t.h_star_at(t.alpha_grid), t.c_values)
+               for t in tables), cfg.hash(), cfg["experiment.base_seed"])
     return 0
 
 
@@ -134,8 +150,9 @@ def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> i
     etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
     curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), etas,
                                 cfg["envelope.grid"], cfg["envelope.alpha_min"])
-    cells = attrgetter(*("eta", "alpha_star", "mmse", "dc_value", "ad_value")[:len(header)])
-    write_csv(args.out, header, map(cells, curve), cfg.hash(), cfg["experiment.base_seed"])
+    names = ("eta", "alpha_star", "mmse", "dc_value", "ad_value")[:len(header)]
+    write_csv(args.out, header, [tuple([getattr(br, name) for br in curve] for name in names)],
+              cfg.hash(), cfg["experiment.base_seed"])
     return 0
 
 
@@ -179,8 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     estimate[i] = ""
                 yield rounds, args.eta, b.accepted, estimate, b.u_true
 
-    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), (),
-              cfg.hash(), cfg["experiment.base_seed"], blocks=blocks())
+    write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), blocks(),
+              cfg.hash(), cfg["experiment.base_seed"])
     return 0
 
 
@@ -197,18 +214,17 @@ def cmd_learn(args: argparse.Namespace) -> int:
     results = run_trials(art, algos, threads=threads)
     write_csv(args.out, TRIAL_HEADER, trial_rows(results), cfg.hash(), cfg["experiment.base_seed"])
     if args.trace is not None:
-        trace_rows = [
-            (r.trial, r.algo, s.index, s.eta, s.rounds_played, s.accept_count,
-             s.accept_count / s.rounds_played, s.u_hat, s.eliminated,
-             s.rounds_played if s.eliminated else "")
-            for r in results
-            for s in r.outcome.arm_trace
-        ]
+        def trace_block(r):
+            o = r.outcome  # alpha_hat is one IEEE division of two exact integers
+            return (r.trial, r.algo, np.arange(1, len(o.etas) + 1), o.etas, o.rounds_played,
+                    o.accept_count, np.divide(o.accept_count, o.rounds_played), o.u_hat,
+                    o.eliminated, [p if e else "" for p, e in zip(o.rounds_played, o.eliminated)])
+
         write_csv(
             args.trace,
             ("trial", "algo", "arm", "eta", "rounds_played", "accept_count",
              "alpha_hat", "u_hat", "eliminated", "eliminated_at_round"),
-            trace_rows, cfg.hash(), cfg["experiment.base_seed"],
+            map(trace_block, results), cfg.hash(), cfg["experiment.base_seed"],
         )
     return 0
 
@@ -218,12 +234,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = verify_grid(cfg.scenario(), args.eta_list, args.alpha_list, cfg["envelope.grid"],
                           cfg["envelope.alpha_min"], args.z_grid, args.w_grid)
     rows = [(r.eta, r.alpha, r.oracle_value, r.envelope_value, r.gap, *r.witness) for r in results]
-    write_csv(args.out, ("eta", "alpha", "oracle", "envelope", "gap", "z1", "z2", "w"), rows,
-              cfg.hash(), cfg["experiment.base_seed"])
+    write_csv(args.out, ("eta", "alpha", "oracle", "envelope", "gap", "z1", "z2", "w"),
+              [tuple(zip(*rows))], cfg.hash(), cfg["experiment.base_seed"])
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.verify_etas and not args.verify_alphas:
+        raise ValueError("--verify-etas requires --verify-alphas")
+    if args.verify_alphas and not args.verify_etas:
+        raise ValueError("--verify-alphas requires --verify-etas")
     cfg = _load(args)
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     threads = resolve_threads(args.threads)
@@ -254,20 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="sample the value curve for a list of thresholds")
     _common(p)
-    p.add_argument("--eta-list", type=_parse_float_list, required=True)
+    p.add_argument("--eta-list", type=_ETAS, required=True)
     p.add_argument("--grid", type=int, default=None, help="override envelope.grid")
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("solve", help="the adversary's best response at each threshold")
     _common(p)
-    p.add_argument("--eta-list", type=_parse_float_list, default=None)
+    p.add_argument("--eta-list", type=_ETAS, default=None)
     p.add_argument("--points", type=int, default=101)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="simulate rounds at one committed threshold")
     _common(p)
     p.add_argument("--mode", choices=("bernoulli", "physical"), default="physical")
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=_ETA, required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--adv", type=_parse_adversary, default=None,
                    help='offset mixture, e.g. "z=2.0:1.0" or "z=1.5:0.6,z=3.0:0.4"')
@@ -281,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force oracle vs the value curve")
     _common(p)
-    p.add_argument("--eta-list", type=_parse_float_list, required=True)
-    p.add_argument("--alpha-list", type=_parse_float_list, required=True)
+    p.add_argument("--eta-list", type=_ETAS, required=True)
+    p.add_argument("--alpha-list", type=_ALPHAS, required=True)
     p.add_argument("--z-grid", type=int, default=DEFAULT_Z_GRID)
     p.add_argument("--w-grid", type=int, default=DEFAULT_W_GRID)
     p.set_defaults(func=cmd_verify)
@@ -295,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="trial matrix plus summary statistics")
     _common(p)
     _trial_flags(p)
-    p.add_argument("--verify-etas", type=_parse_float_list, default=None)
-    p.add_argument("--verify-alphas", type=_parse_float_list, default=None)
+    p.add_argument("--verify-etas", type=_ETAS, default=None)
+    p.add_argument("--verify-alphas", type=_ALPHAS, default=None)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -305,10 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "verify_etas", None) and not getattr(args, "verify_alphas", None):
-        parser.error("--verify-etas requires --verify-alphas")
-    if getattr(args, "verify_alphas", None) and not getattr(args, "verify_etas", None):
-        parser.error("--verify-alphas requires --verify-etas")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

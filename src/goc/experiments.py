@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
-from itertools import chain, islice, repeat
+from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
         trial=trial,
         algo=algo,
         regret_raw=art.u_star - float(art.u_grid[outcome.eta_hat_index - 1]),
-        best_arm_eliminated=outcome.arm_trace[int(np.argmax(art.u_grid))].eliminated,
+        best_arm_eliminated=outcome.eliminated[int(np.argmax(art.u_grid))],
         outcome=outcome,
     )
 
@@ -186,8 +186,7 @@ def summarize(results: Iterable[TrialResult], lam: float) -> tuple[AlgoSummary, 
                 median_regret=float(np.median(regrets)),
                 failure_rate=float(np.mean([r.regret_raw > lam for r in rs])),
                 mean_rounds_used=float(np.mean([r.rounds_used for r in rs])),
-                mean_eliminated=float(np.mean([sum(s.eliminated for s in r.outcome.arm_trace)
-                                               for r in rs])),
+                mean_eliminated=float(np.mean([sum(r.outcome.eliminated) for r in rs])),
                 best_arm_eliminated_rate=float(np.mean([r.best_arm_eliminated for r in rs])),
             )
         )
@@ -216,7 +215,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# _fmt for one exact type, with the isinstance chain resolved once per column
+# _fmt for one exact type, with the isinstance chain resolved once per column slice
 _CELL_TEXT = {
     float: float.__repr__,
     int: int.__repr__,
@@ -230,92 +229,62 @@ _KIND_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _C
 CSV_CHUNK = 1024  # rows write_csv formats per column pass
 
 
-def _list_text(column: Sequence) -> Iterable[str]:
-    types = set(map(type, column))
-    if len(types) == 1:
-        return map(_CELL_TEXT.get(types.pop(), _fmt), column)
-    cell_text = _CELL_TEXT.get
-    return [cell_text(type(x), _fmt)(x) for x in column]
-
-
 def _column_cells(column) -> tuple[int | None, Callable[[int, int], Iterable[str]]]:
     """``(length, cells)`` of one block column; ``cells(start, stop)`` is the text of those rows.
 
-    An array picks its formatter by dtype, a list or tuple by cell type, and
-    anything else is a scalar: formatted once, repeated on every row, no length.
+    An array picks its formatter by dtype, a list or tuple by cell type (each
+    slice of one type at once, a mixed slice cell by cell), and anything else
+    is a scalar: formatted once, repeated on every row, no length.
     """
     if isinstance(column, np.ndarray) and column.ndim:
-        dtype = column.dtype
-        text = _KIND_TEXT.get(dtype.kind) if dtype.itemsize <= 8 else None
-        if text is None:
-            return len(column), lambda start, stop: _list_text(list(column[start:stop]))
-        return len(column), lambda start, stop: map(text, column[start:stop].tolist())
+        text = _KIND_TEXT.get(column.dtype.kind) if column.dtype.itemsize <= 8 else None
+        if text is not None:
+            return len(column), lambda start, stop: map(text, column[start:stop].tolist())
+        column = list(column)
     if isinstance(column, (list, tuple)):
-        return len(column), lambda start, stop: _list_text(column[start:stop])
+        def cells(start: int, stop: int) -> Iterable[str]:
+            part = column[start:stop]
+            types = set(map(type, part))
+            if len(types) == 1:
+                return map(_CELL_TEXT.get(types.pop(), _fmt), part)
+            return [_CELL_TEXT.get(type(x), _fmt)(x) for x in part]
+        return len(column), cells
     cell = _fmt(column)
     return None, lambda start, stop: repeat(cell, stop - start)
 
 
-def _row_blocks(path: Path, rows: Iterable[Sequence], width: int) -> Iterator[tuple[int, list]]:
-    """Rows regrouped into blocks of at most ``CSV_CHUNK`` rows, each as ``(length, cells)``."""
-    it = iter(rows)
-    written = 0
-    for chunk in iter(lambda: list(islice(it, CSV_CHUNK)), []):
-        if set(map(len, chunk)) != {width}:
-            i = next(i for i, row in enumerate(chunk) if len(row) != width)
-            raise ValueError(
-                f"{path}: row {written + i} has {len(chunk[i])} cells, header has {width}"
-            )
-        yield len(chunk), [_column_cells(col)[1] for col in zip(*chunk)]
-        written += len(chunk)
-
-
-def _column_blocks(
-    path: Path, blocks: Iterable[Sequence], width: int
-) -> Iterator[tuple[int, list]]:
-    """Column blocks, checked and each given as ``(length, cells)``."""
-    for b, block in enumerate(blocks):
-        if len(block) != width:
-            raise ValueError(f"{path}: block {b} has {len(block)} columns, header has {width}")
-        lengths, cells = zip(*map(_column_cells, block)) if width else ((), ())
-        sizes = set(lengths) - {None}
-        if len(sizes) != 1:
-            raise ValueError(f"{path}: block {b} has array and list columns of lengths "
-                             f"{sorted(sizes)}; it needs one length")
-        yield sizes.pop(), cells
-
-
 def write_csv(
-    path: str | Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    config_hash: str,
-    seed: int,
-    *,
-    blocks: Iterable[Sequence] = (),
+    path: str | Path, header: Sequence[str], blocks: Iterable[Sequence], config_hash: str, seed: int
 ) -> None:
-    """CSV led by a ``# config_hash=... seed=...`` line; ``rows``, then ``blocks``, stream to a
-    temp file renamed to ``path``.
+    """CSV led by a ``# config_hash=... seed=...`` line; ``blocks`` stream to a temp file
+    renamed to ``path``.
 
-    Each row holds one cell per header column, written as ``_fmt`` writes it.
     Each block holds one column per header column: a numpy array, a list or
     tuple of cells, or a scalar cell that repeats on every row; its array and
-    list columns share one length. Rows and blocks are formatted column by
-    column, at most ``CSV_CHUNK`` rows at a time, and write the same bytes.
+    list columns share one length. Cells are written as ``_fmt`` writes them,
+    column by column, at most ``CSV_CHUNK`` rows at a time.
     """
     path = Path(path)
+    width = len(header)
+    if not width:
+        raise ValueError(f"{path}: the header has no columns")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    width = len(header)
     try:
         with open(tmp, "w") as fh:
             fh.write(f"# config_hash={config_hash} seed={seed}\n{','.join(header)}\n")
-            for n, cells in chain(_row_blocks(path, rows, width),
-                                  _column_blocks(path, blocks, width)):
+            for b, block in enumerate(blocks):
+                if len(block) != width:
+                    raise ValueError(
+                        f"{path}: block {b} has {len(block)} columns, header has {width}")
+                lengths, cells = zip(*map(_column_cells, block))
+                sizes = set(lengths) - {None}
+                if len(sizes) != 1:
+                    raise ValueError(f"{path}: block {b} has array and list columns of lengths "
+                                     f"{sorted(sizes)}; it needs one length")
+                n = sizes.pop()
                 for start in range(0, n, CSV_CHUNK):
-                    stop = min(start + CSV_CHUNK, n)
-                    lines = (zip(*(c(start, stop) for c in cells)) if cells
-                             else [()] * (stop - start))
+                    lines = zip(*(c(start, min(start + CSV_CHUNK, n)) for c in cells))
                     fh.write("\n".join(map(",".join, lines)) + "\n")
         os.replace(tmp, path)
     finally:
@@ -326,7 +295,9 @@ TRIAL_HEADER = ("trial", "algo", "eta_hat", "regret_raw", "rounds_used", "best_a
 
 
 def trial_rows(results: Iterable[TrialResult]) -> list[tuple]:
-    return list(map(attrgetter(*TRIAL_HEADER), sorted(results, key=lambda r: (r.algo, r.trial))))
+    """One column block of ``TRIAL_HEADER`` columns, in (algo, trial) order."""
+    rs = sorted(results, key=attrgetter("algo", "trial"))
+    return [tuple([getattr(r, name) for r in rs] for name in TRIAL_HEADER)]
 
 
 SUMMARY_HEADER = (*(f.name for f in fields(AlgoSummary)), "envelope_max_gap")
@@ -335,6 +306,7 @@ SUMMARY_HEADER = (*(f.name for f in fields(AlgoSummary)), "envelope_max_gap")
 def summary_rows(
     summaries: Iterable[AlgoSummary], envelope_max_gap: float | None = None
 ) -> list[tuple]:
+    """One column block of ``SUMMARY_HEADER`` columns; the gap is a scalar column."""
+    ss = list(summaries)
     gap = "" if envelope_max_gap is None else envelope_max_gap
-    return [(*astuple(s), gap) for s in summaries]
-
+    return [(*([getattr(s, f.name) for s in ss] for f in fields(AlgoSummary)), gap)]

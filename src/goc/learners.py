@@ -110,32 +110,26 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class ArmState:
-    """Final per-arm record (1-based ``index``); an eliminated arm stopped at ``rounds_played``."""
-
-    index: int
-    eta: float
-    rounds_played: int
-    accept_count: int
-    u_hat: float
-    eliminated: bool
-
-
-@dataclass(frozen=True)
 class LearnerOutcome:
-    """Learner output: the committed arm (1-based ``eta_hat_index``) and every arm's record."""
+    """Learner output: the committed arm (1-based ``eta_hat_index``) and one column per arm
+    field, position ``i`` holding arm ``i + 1``; an eliminated arm stopped at its
+    ``rounds_played``."""
 
     eta_hat_index: int
-    arm_trace: tuple[ArmState, ...]
+    etas: tuple[float, ...]
+    rounds_played: tuple[int, ...]
+    accept_count: tuple[int, ...]
+    u_hat: tuple[float, ...]
+    eliminated: tuple[bool, ...]
     clamp_count: int = 0
 
     @property
     def eta_hat(self) -> float:
-        return self.arm_trace[self.eta_hat_index - 1].eta
+        return self.etas[self.eta_hat_index - 1]
 
     @property
     def total_game_rounds(self) -> int:
-        return sum(s.rounds_played for s in self.arm_trace)
+        return sum(self.rounds_played)
 
 
 def _u_hat_rows(
@@ -159,18 +153,14 @@ def _u_hat_rows(
 
 
 def _outcome(etas, alive, stop, counts, u, clamps) -> LearnerOutcome:
-    """Commit to the best live arm (lowest index on ties) and record every arm.
+    """Commit to the best live arm (lowest index on ties) and record every arm's columns.
 
     ``stop[i]`` is the last round arm ``i`` played; ``counts`` and ``u`` hold its
     accept count and estimated utility at that round.
     """
     m = int(np.argmax(np.where(alive, u, -np.inf)))
-    trace = tuple(
-        ArmState(index=i + 1, eta=float(etas[i]), rounds_played=int(stop[i]),
-                 accept_count=int(counts[i]), u_hat=float(u[i]), eliminated=not alive[i])
-        for i in range(len(etas))
-    )
-    return LearnerOutcome(eta_hat_index=m + 1, arm_trace=trace, clamp_count=clamps)
+    columns = (etas, stop, counts, u, ~alive)
+    return LearnerOutcome(m + 1, *(tuple(c.tolist()) for c in columns), clamp_count=clamps)
 
 
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:

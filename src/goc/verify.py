@@ -36,6 +36,12 @@ class OracleResult:
         return self.oracle_value - self.envelope_value
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an acceptance floor outside (0, 1], allowing 1 + 1e-12 of float fuzz."""
+    if not 0.0 < alpha <= 1.0 + 1e-12:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def two_point_oracle(
     scenario: Scenario,
     table: EnvelopeTable,
@@ -51,8 +57,7 @@ def two_point_oracle(
     (the maximizer usually sits on the constraint boundary, which a weight
     grid alone would miss).
     """
-    if not 0.0 < alpha <= 1.0 + 1e-12:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_alpha(alpha)
     for flag, size, least in (("--z-grid", z_grid_size, 201), ("--w-grid", w_grid_size, 101)):
         if size < least:
             raise ValueError(f"{flag}: must be >= {least}, got {size!r}")

@@ -2,11 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The learning criteria
 use the full derived per-candidate budget (no smoke scaling) on the
-default instance and on a well-separated instance; trial artifacts are
-shared across criteria through module-scoped fixtures.
+default instance, on an instance whose optimum is an interior arm, and on
+a well-separated instance; trial artifacts are shared across criteria
+through module-scoped fixtures.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +30,17 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def matched_trials(art):
+    """ETC and elimination results over ``experiment.trials`` matched-seed trials."""
+    trials = art.config["experiment.trials"]
+    return tuple([run_trial(art, t, algo) for t in range(trials)] for algo in (ETC, ELIMINATION))
+
+
+def picked_arms(results) -> dict[int, int]:
+    """How often each 1-based arm was committed to, by arm."""
+    return dict(sorted(Counter(r.outcome.eta_hat_index for r in results).items()))
+
+
 @pytest.fixture(scope="module")
 def default_art():
     # uniform noise, linear collector (gamma 0.3), product adversary;
@@ -37,10 +50,22 @@ def default_art():
 
 @pytest.fixture(scope="module")
 def default_results(default_art):
-    trials = default_art.config["experiment.trials"]
-    etc = [run_trial(default_art, t, ETC) for t in range(trials)]
-    elim = [run_trial(default_art, t, ELIMINATION) for t in range(trials)]
-    return etc, elim
+    return matched_trials(default_art)
+
+
+@pytest.fixture(scope="module")
+def interior_art():
+    # the defaults with a gentle collector (gamma 0.1) and a steeper adversary (theta 3):
+    # n = 20, and the best arm is arm 5 of 21 (eta 2.8), with 8 arms within lambda of it
+    return prepare_instance(load_config(None).with_overrides(**{
+        "utility.ad.theta": 3.0,
+        "utility.dc.gamma": 0.1,
+    }))
+
+
+@pytest.fixture(scope="module")
+def interior_results(interior_art):
+    return matched_trials(interior_art)
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +86,7 @@ def separated_art(separated_config):
 
 @pytest.fixture(scope="module")
 def separated_results(separated_art):
-    trials = separated_art.config["experiment.trials"]
-    etc = [run_trial(separated_art, t, ETC) for t in range(trials)]
-    elim = [run_trial(separated_art, t, ELIMINATION) for t in range(trials)]
-    return etc, elim
+    return matched_trials(separated_art)
 
 
 def test_criterion_1_envelope_oracle_agreement():
@@ -108,39 +130,44 @@ def test_criterion_2_physical_bridge():
     assert ok
 
 
-def test_criterion_3_etc_pac_validation(default_art, default_results):
-    etc, _ = default_results
-    delta = default_art.config["learner.delta"]
-    lam = default_art.config["learner.lambda"]
-    failures = sum(r.regret_raw > lam for r in etc)
-    rate = failures / len(etc)
-    ok = rate < delta and default_art.learner.budget_scale == 1.0
-    report(
-        3,
-        ok,
-        f"ETC failure rate {rate:.4f} over {len(etc)} trials "
-        f"(n={default_art.learner.n}, k={default_art.learner.k}, full budget, target < {delta})",
-    )
+def test_criterion_3_etc_pac_validation(
+    default_art, default_results, interior_art, interior_results
+):
+    ok, details = True, []
+    for name, art, (etc, _) in (("default", default_art, default_results),
+                                ("interior", interior_art, interior_results)):
+        delta = art.config["learner.delta"]
+        lam = art.config["learner.lambda"]
+        rate = sum(r.regret_raw > lam for r in etc) / len(etc)
+        ok = ok and rate < delta and art.learner.budget_scale == 1.0
+        details.append(
+            f"{name}: ETC failure rate {rate:.4f} over {len(etc)} trials (n={art.learner.n}, "
+            f"k={art.learner.k}, full budget, target < {delta}), picked arms {picked_arms(etc)}")
+    report(3, ok, "; ".join(details))
     assert ok
 
 
 def test_criterion_4_elimination_validation_and_efficiency(
-    default_art, default_results, separated_art, separated_results
+    default_art, default_results, interior_art, interior_results, separated_results
 ):
-    etc_d, elim_d = default_results
-    delta = default_art.config["learner.delta"]
-    lam = default_art.config["learner.lambda"]
-    rate = sum(r.regret_raw > lam for r in elim_d) / len(elim_d)
-    bounded_default = all(e.rounds_used <= c.rounds_used for e, c in zip(elim_d, etc_d))
+    ok, bounded, details = True, True, []
+    for name, art, (etc, elim) in (("default", default_art, default_results),
+                                   ("interior", interior_art, interior_results)):
+        delta = art.config["learner.delta"]
+        rate = sum(r.regret_raw > art.config["learner.lambda"] for r in elim) / len(elim)
+        ok = ok and rate < delta
+        details.append(f"{name}: elimination failure rate {rate:.4f} (target < {delta}), "
+                       f"picked arms {picked_arms(elim)}")
+    for etc, elim in (default_results, interior_results, separated_results):
+        bounded = bounded and all(e.rounds_used <= c.rounds_used for e, c in zip(elim, etc))
     etc_s, elim_s = separated_results
-    bounded_sep = all(e.rounds_used <= c.rounds_used for e, c in zip(elim_s, etc_s))
     strict = np.mean([e.rounds_used < c.rounds_used for e, c in zip(elim_s, etc_s)])
-    ok = rate < delta and bounded_default and bounded_sep and strict >= 0.5
+    ok = ok and bounded and strict >= 0.5
     report(
         4,
         ok,
-        f"elimination failure rate {rate:.4f} (target < {delta}); rounds bounded in 100% "
-        f"({bounded_default and bounded_sep}); strict saving in {strict:.0%} of separated trials",
+        f"{'; '.join(details)}; rounds bounded in 100% ({bounded}); "
+        f"strict saving in {strict:.0%} of separated trials",
     )
     assert ok
 

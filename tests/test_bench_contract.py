@@ -121,7 +121,7 @@ PROBE = textwrap.dedent(
     csv = Path(sys.argv[1]) / "probe.csv"
     _, attrs["write_csv"] = spans_of(
         "experiments.write_csv",
-        lambda: goc.experiments.write_csv(csv, ("x",), [(1,)], cfg.hash(), 42))
+        lambda: goc.experiments.write_csv(csv, ("x",), [([1],)], cfg.hash(), 42))
     assert type(accepted) is bool
     expected = {"run_trial": [{"trial": 3, "algo": "etc", "rounds": trial.rounds_used}],
                 "write_csv": [{"bytes": csv.stat().st_size}]}

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,9 +124,11 @@ def test_simulate_blocks_do_not_change_the_csv(tmp_path, monkeypatch, mode_args)
 
 
 # SHA-256 of each CSV below its config-hash line, by output path, recorded at commit 1f79512
-# (simulate, envelope), when the commands still built rows one tuple at a time, and at
+# (simulate, envelope), when the commands still built rows one tuple at a time, at
 # 0098249 (learn, report), when the trial records still stored alpha_hat, eta_hat,
-# rounds_used and the capped regret; the writer and the records must keep them.
+# rounds_used and the capped regret, and at ce88dd2 (solve, curves, verify, report with a
+# verify gap), when write_csv still took rows and learners kept one record per arm; the
+# writer and the records must keep them.
 _TINY = ["--trials", "2", "--budget-scale", "0.001"]
 _PINNED_BODIES = {
     "simulate-bernoulli": (
@@ -157,6 +160,21 @@ _PINNED_BODIES = {
         ["report", *_TINY, "--config", "tg3.txt", "--out", "rep"],
         {"rep/trials.csv": "2344dec5df9d22554bd0791f6474e9405f362da62b35738ae3452423f9d5cead",
          "rep/summary.csv": "cfdf755fc53451187375f031a292a04416253fdc2caa02f225331496e71172cb"}),
+    "report-verify": (
+        ["report", *_TINY, "--verify-etas", "2", "--verify-alphas", "0.5", "--config", "tg3.txt",
+         "--out", "rep"],
+        {"rep/trials.csv": "2344dec5df9d22554bd0791f6474e9405f362da62b35738ae3452423f9d5cead",
+         "rep/summary.csv": "4adee03fdee7e100ca2aa17bcaf7d5f5fd94fdc94111fd619c5b53e4634d0bf4"}),
+    "solve": (
+        ["solve", "--points", "7", "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "4d62fffd0aa5437a441926594287bcfea0eeee7847d5c46b93debf2902afcf34"}),
+    "curves": (
+        ["curves", "--points", "9", "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "5cdb13afdaa7732055c17cbfc6ea9cd2711a825cc32f825ba70b335e35d0685d"}),
+    "verify": (
+        ["verify", "--eta-list", "2,3", "--alpha-list", "0.5,1", "--z-grid", "201",
+         "--w-grid", "101", "--config", "tg3.txt", "--out", "out.csv"],
+        {"out.csv": "9cc677c07a454f4b3a5e2ed091f3347db8e51c35217d4629b1e04dd59c5ab1f7"}),
 }
 
 
@@ -369,16 +387,6 @@ def test_override_flags_write_the_config_file_csv(tmp_path, command, flag, key, 
     assert flagged.read_bytes() == keyed.read_bytes()
 
 
-@pytest.mark.parametrize("given, missing", [("--verify-etas", "--verify-alphas"),
-                                            ("--verify-alphas", "--verify-etas")])
-def test_verify_flags_come_in_pairs(tmp_path, capsys, given, missing):
-    with pytest.raises(SystemExit) as exc:
-        main(["report", given, "2", "--out", str(tmp_path / "rep")])
-    assert exc.value.code == 2
-    assert f"error: {given} requires {missing}" in capsys.readouterr().err
-    assert not (tmp_path / "rep").exists()
-
-
 def _no_set_up(monkeypatch):
     # a run that fails on its output path must fail before set-up and any trial
     def refuse(config):
@@ -386,6 +394,18 @@ def _no_set_up(monkeypatch):
 
     monkeypatch.setattr(goc.experiments, "prepare_instance", refuse)
     monkeypatch.setattr(goc.cli, "prepare_instance", refuse)
+
+
+@pytest.mark.parametrize("given, missing", [("--verify-etas", "--verify-alphas"),
+                                            ("--verify-alphas", "--verify-etas")])
+def test_verify_flags_come_in_pairs(tmp_path, capsys, monkeypatch, given, missing):
+    # report checks the pairing itself, before its output directory, set-up or any check
+    _no_set_up(monkeypatch)
+    monkeypatch.setattr(goc.cli, "verify_grid", lambda *a: pytest.fail("verify_grid called"))
+    value = {"--verify-etas": "2", "--verify-alphas": "0.5"}[given]
+    assert main(["report", given, value, "--out", str(tmp_path / "rep")]) == 2
+    assert f"error: {given} requires {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_out_at_existing_file(tmp_path, smoke_cfg, capsys, monkeypatch):
@@ -464,6 +484,25 @@ def test_empty_lists_fail_at_their_flag(tmp_path, capsys, argv, flag):
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert f"argument {flag}: no values in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["verify", "--eta-list", "2", "--alpha-list", "1.5"], "--alpha-list",
+     r"alpha must lie in \(0, 1\], got 1.5"),
+    (["solve", "--eta-list", "2,inf"], "--eta-list", "eta must be >= 2, got inf"),
+    (["report", "--verify-etas", "1", "--verify-alphas", "0.5"], "--verify-etas",
+     "eta must be >= 2, got 1.0"),
+    (["report", "--verify-etas", "2", "--verify-alphas", "0"], "--verify-alphas",
+     r"alpha must lie in \(0, 1\], got 0.0"),
+    (["simulate", "--eta", "1.5", "--rounds", "3"], "--eta", "eta must be >= 2, got 1.5"),
+], ids=["alpha-list", "eta-list", "verify-etas", "verify-alphas", "eta"])
+def test_library_checks_fail_at_their_flag(tmp_path, capsys, argv, flag, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert re.search(rf"error: argument {flag}: {message}$", capsys.readouterr().err, re.M)
     assert not out.exists()
 
 

@@ -202,7 +202,7 @@ def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
 
 def test_write_csv_formats(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b", "c"), [(1, 0.5, True), (2, 1e-9, False)], "deadbeef", 7)
+    write_csv(path, ("a", "b", "c"), [([1, 2], [0.5, 1e-9], [True, False])], "deadbeef", 7)
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=deadbeef seed=7"
     assert lines[2] == "1,0.5,true"
@@ -213,12 +213,12 @@ def test_write_csv_failure_keeps_the_old_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("old\n")
 
-    def rows():
-        yield (1, 0.5)
+    def blocks():
+        yield ([1], [0.5])
         raise ValueError("draw failed")
 
     with pytest.raises(ValueError, match="draw failed"):
-        write_csv(path, ("a", "b"), rows(), "deadbeef", 7)
+        write_csv(path, ("a", "b"), blocks(), "deadbeef", 7)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
@@ -239,7 +239,7 @@ _CELLS = {
 @st.composite
 def _csv_tables(draw):
     """A header and rows whose columns hold one cell kind each, or a mix of up to three."""
-    width = draw(st.integers(0, 5))
+    width = draw(st.integers(1, 5))
     kinds = st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3, unique=True)
     columns = [st.one_of(*(_CELLS[k] for k in draw(kinds))) for _ in range(width)]
     rows = draw(st.lists(st.tuples(*columns), max_size=25))
@@ -293,14 +293,16 @@ def _block_rows(block) -> list[tuple]:
 def test_write_csv_matches_the_per_cell_writer(table, chunk, data):
     header, rows = table
     width = len(header)
-    blocks = data.draw(st.lists(_column_block(width), max_size=3) if width else st.just([]))
+    # the rows as one block of cell lists, then drawn blocks of arrays, lists and scalars
+    blocks = [tuple([row[j] for row in rows] for j in range(width)),
+              *data.draw(st.lists(_column_block(width), max_size=3))]
     saved = experiments.CSV_CHUNK
     experiments.CSV_CHUNK = chunk  # small chunks: most tables and blocks cross a chunk boundary
     try:
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "t.csv"
-            write_csv(path, header, iter(rows), "deadbeef", 7, blocks=iter(blocks))
-            expected = rows + [row for block in blocks for row in _block_rows(block)]
+            write_csv(path, header, iter(blocks), "deadbeef", 7)
+            expected = [row for block in blocks for row in _block_rows(block)]
             assert path.read_bytes() == csv_text_per_cell(header, expected, "deadbeef", 7).encode()
     finally:
         experiments.CSV_CHUNK = saved
@@ -308,12 +310,17 @@ def test_write_csv_matches_the_per_cell_writer(table, chunk, data):
 
 @pytest.mark.parametrize("bad_row", [(4,), (4, 1.0, 2.0)])
 def test_write_csv_rejects_a_ragged_row(tmp_path, monkeypatch, bad_row):
+    # as columns, a row short of a cell leaves its column short, and a row with a cell too
+    # many adds a column
+    message = (r"has array and list columns of lengths \[4, 5\]" if len(bad_row) == 1
+               else "has 3 columns, header has 2")
     monkeypatch.setattr(experiments, "CSV_CHUNK", 2)
     path = tmp_path / "t.csv"
     path.write_text("old\n")
     rows = [(1, 0.5), (2, 1.5), (3, 2.5), bad_row, (5, 3.5)]
-    with pytest.raises(ValueError, match=rf"t\.csv: row 3 has {len(bad_row)} cells, header has 2"):
-        write_csv(path, ("a", "b"), rows, "deadbeef", 7)
+    block = tuple([row[j] for row in rows if j < len(row)] for j in range(max(map(len, rows))))
+    with pytest.raises(ValueError, match=rf"t\.csv: block 1 {message}"):
+        write_csv(path, ("a", "b"), [([0], [0.0]), block], "deadbeef", 7)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
@@ -330,6 +337,15 @@ def test_write_csv_rejects_a_ragged_block(tmp_path, monkeypatch, bad_block, mess
     path.write_text("old\n")
     blocks = [(np.arange(5), 0.5), bad_block, (np.arange(2), 1.5)]
     with pytest.raises(ValueError, match=rf"t\.csv: block 1 {message}"):
-        write_csv(path, ("a", "b"), [(1, 2.5)], "deadbeef", 7, blocks=blocks)
+        write_csv(path, ("a", "b"), blocks, "deadbeef", 7)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_csv_rejects_an_empty_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    with pytest.raises(ValueError, match=r"t\.csv: the header has no columns"):
+        write_csv(path, (), [()], "deadbeef", 7)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

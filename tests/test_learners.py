@@ -91,7 +91,7 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     rates = best_response_rates(tables, spec_default)
     out = run_etc(cfg, cls(unif, tables, rates, base_seed=3, trial=1), spec_default)
     full = cls(unif, tables, rates, base_seed=3, trial=1).acceptance_block(0, k)
-    assert [s.accept_count for s in out.arm_trace] == full.sum(axis=1).tolist()
+    assert list(out.accept_count) == full.sum(axis=1).tolist()
 
 
 def _tiny_instance(unif, spec, n_arms=3, k=400, alpha_min=DEFAULT_ALPHA_MIN):
@@ -117,7 +117,7 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
     assert out.eta_hat == etas[0]
     assert out.eta_hat_index == 1
     assert out.total_game_rounds == cfg.k * (cfg.n + 1)
-    assert all(s.accept_count / s.rounds_played == 1.0 for s in out.arm_trace)
+    assert all(a / r == 1.0 for a, r in zip(out.accept_count, out.rounds_played))
 
 
 def test_etc_identifies_best_arm(unif, spec_default):
@@ -127,9 +127,9 @@ def test_etc_identifies_best_arm(unif, spec_default):
     out = run_etc(cfg, env, spec_default)
     # on this instance the realized utility decreases in eta
     assert out.eta_hat == etas[0]
-    for s in out.arm_trace:
-        assert 0 <= s.accept_count <= s.rounds_played == cfg.k
-        assert s.accept_count / s.rounds_played == pytest.approx(s.accept_count / cfg.k, abs=0.0)
+    for a, r in zip(out.accept_count, out.rounds_played):
+        assert 0 <= a <= r == cfg.k
+        assert a / r == pytest.approx(a / cfg.k, abs=0.0)
 
 
 def test_etc_matches_manual_argmax(unif, spec_default):
@@ -151,7 +151,7 @@ def test_etc_matches_manual_argmax(unif, spec_default):
             a = np.clip(rate, t.alpha_grid[0], 1.0)
             manual.append(float(q_dc(spec_default, np.interp(a, t.alpha_grid, t.c_values), a)))
         assert out.eta_hat_index == int(np.argmax(manual)) + 1
-        assert out.arm_trace[0].u_hat == pytest.approx(manual[0], abs=1e-12)
+        assert out.u_hat[0] == pytest.approx(manual[0], abs=1e-12)
         assert out.clamp_count == clamps
     assert clamps > 0
 
@@ -162,13 +162,13 @@ def test_elimination_drops_separated_arms(unif, spec_gamma1):
                           base_seed=6, trial=3)
     out = run_elimination(cfg, env, spec_gamma1)
     assert out.total_game_rounds < cfg.k * (cfg.n + 1)
-    assert any(s.eliminated for s in out.arm_trace)
-    for s in out.arm_trace:
+    assert any(out.eliminated)
+    for eliminated, played in zip(out.eliminated, out.rounds_played):
         # an eliminated arm's rounds_played is the round it was dropped at
-        if s.eliminated:
-            assert 1 <= s.rounds_played <= cfg.k
+        if eliminated:
+            assert 1 <= played <= cfg.k
         else:
-            assert s.rounds_played == cfg.k
+            assert played == cfg.k
 
 
 def _sequential_elimination(cfg, tables, draws, spec):
@@ -233,14 +233,15 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
             monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
             out = run_elimination(cfg, make_env(), spec)
-            assert sorted((s.rounds_played, s.index)
-                          for s in out.arm_trace if s.eliminated) == log
+            assert sorted((r, i + 1) for i, r in enumerate(out.rounds_played)
+                          if out.eliminated[i]) == log
             assert out.eta_hat_index == best_i + 1
-            for i, s in enumerate(out.arm_trace):
-                assert (s.rounds_played, s.accept_count) == (played[i], counts[i])
-                assert s.eliminated == (not alive[i])
-                assert s.accept_count / s.rounds_played == pytest.approx(rate[i], abs=1e-12)
-                assert s.u_hat == pytest.approx(u_now[i], abs=1e-12)
+            for i in range(cfg.n + 1):
+                assert (out.rounds_played[i], out.accept_count[i]) == (played[i], counts[i])
+                assert out.eliminated[i] == (not alive[i])
+                assert out.accept_count[i] / out.rounds_played[i] == pytest.approx(rate[i],
+                                                                                   abs=1e-12)
+                assert out.u_hat[i] == pytest.approx(u_now[i], abs=1e-12)
             assert out.clamp_count == clamps
             assert out.total_game_rounds == sum(played)
 
@@ -257,7 +258,7 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
     for trial in range(200):
         env = BernoulliArmEnv(unif, [table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
         out = run_elimination(cfg, env, spec_default)
-        if any(s.eliminated for s in out.arm_trace):
+        if any(out.eliminated):
             eliminated_trials += 1
     assert eliminated_trials <= 10  # delta * trials
 
@@ -271,9 +272,8 @@ def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     out_b = run_elimination(cfg, env_b, spec_default)
     assert out_b.total_game_rounds <= out_a.total_game_rounds
     # if nothing was eliminated the final estimates coincide
-    if not any(s.eliminated for s in out_b.arm_trace):
-        for sa, sb in zip(out_a.arm_trace, out_b.arm_trace):
-            assert sa.accept_count == sb.accept_count
+    if not any(out_b.eliminated):
+        assert out_a.accept_count == out_b.accept_count
 
 
 def test_hoeffding_concentration_of_rate_estimates():
@@ -293,6 +293,6 @@ def test_learner_outcome_n_eliminated_consistency(unif, spec_gamma1):
     env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_gamma1),
                           base_seed=15, trial=0)
     out = run_elimination(cfg, env, spec_gamma1)
-    assert out.total_game_rounds == sum(s.rounds_played for s in out.arm_trace)
-    surviving = [s.index for s in out.arm_trace if not s.eliminated]
+    assert out.total_game_rounds == sum(out.rounds_played)
+    surviving = [i + 1 for i, eliminated in enumerate(out.eliminated) if not eliminated]
     assert out.eta_hat_index in surviving
