@@ -133,7 +133,7 @@ def _trial_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    tables = build_envelope_tables(cfg.scenario(), args.eta_list, cfg["envelope.grid"],
+    tables = build_envelope_tables(cfg.scenario, args.eta_list, cfg["envelope.grid"],
                                    cfg["envelope.alpha_min"])
     write_csv(args.out, ("eta", "alpha", "h", "h_star", "c"),
               ((t.eta, t.alpha_grid, t.h_values, t.h_star_at(t.alpha_grid), t.c_values)
@@ -148,7 +148,7 @@ def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> i
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
-    curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), etas,
+    curve = best_response_curve(cfg.scenario, cfg.utility_spec, etas,
                                 cfg["envelope.grid"], cfg["envelope.alpha_min"])
     names = ("eta", "alpha_star", "mmse", "dc_value", "ad_value")[:len(header)]
     write_csv(args.out, header, [tuple([getattr(br, name) for br in curve] for name in names)],
@@ -157,6 +157,8 @@ def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> i
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.points is None:
+        args.points = 101
     return _best_response_sweep(args, ("eta", "alpha_star", "mmse", "u_dc", "u_ad"))
 
 
@@ -174,11 +176,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.mode == "physical") != (args.adv is not None):
         raise ValueError("simulate --mode physical requires --adv" if args.adv is None
                          else "--adv: only --mode physical places offsets")
-    scenario = cfg.scenario()
+    scenario = cfg.scenario
     rng = make_rng(cfg["experiment.base_seed"], 0, 0)
     if args.mode == "bernoulli":
         table = build_envelope_table(scenario, args.eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
-        alpha = best_response(table, cfg.utility_spec()).alpha_star
+        alpha = best_response(table, cfg.utility_spec).alpha_star
 
     def blocks():
         # Consecutive bulk draws equal one draw of every round (in Bernoulli mode, also
@@ -231,7 +233,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    results = verify_grid(cfg.scenario(), args.eta_list, args.alpha_list, cfg["envelope.grid"],
+    results = verify_grid(cfg.scenario, args.eta_list, args.alpha_list, cfg["envelope.grid"],
                           cfg["envelope.alpha_min"], args.z_grid, args.w_grid)
     rows = [(r.eta, r.alpha, r.oracle_value, r.envelope_value, r.gap, *r.witness) for r in results]
     write_csv(args.out, ("eta", "alpha", "oracle", "envelope", "gap", "z1", "z2", "w"),
@@ -251,7 +253,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
     gap = None
     if args.verify_etas:
-        checks = verify_grid(cfg.scenario(), args.verify_etas, args.verify_alphas,
+        checks = verify_grid(cfg.scenario, args.verify_etas, args.verify_alphas,
                              cfg["envelope.grid"], cfg["envelope.alpha_min"])
         gap = max((abs(r.gap) for r in checks), default=0.0)
     art = prepare_instance(cfg)
@@ -280,8 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="the adversary's best response at each threshold")
     _common(p)
-    p.add_argument("--eta-list", type=_ETAS, default=None)
-    p.add_argument("--points", type=int, default=101)
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--eta-list", type=_ETAS, default=None)
+    # no default here: argparse lets a flag given at its default value past the group
+    sweep.add_argument("--points", type=int, default=None,
+                       help="thresholds over [a, b] (default 101)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="simulate rounds at one committed threshold")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from goc.envelope import (
@@ -64,37 +64,16 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully resolved experiment configuration."""
+    """Validated, fully resolved experiment configuration, with the scenario, utilities and
+    Lipschitz override (``None`` unless all three ``lipschitz.*`` keys are set) built from it."""
 
-    values: dict[str, object] = field(default_factory=dict)
+    values: dict[str, object]
+    scenario: Scenario
+    utility_spec: UtilitySpec
+    lipschitz_override: LipschitzProfile | None
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def scenario(self) -> Scenario:
-        noise = HonestNoiseModel(self.values["noise.kind"], self.values["scenario.delta"],
-                                 self.values["noise.sigma"])
-        return Scenario(self.values["scenario.big_m"], noise)
-
-    def utility_spec(self) -> UtilitySpec:
-        return UtilitySpec(
-            dc_kind=self.values["utility.dc.kind"],
-            dc_gamma=self.values["utility.dc.gamma"],
-            ad_kind=self.values["utility.ad.kind"],
-            ad_w_mse=self.values["utility.ad.w_mse"],
-            ad_w_pa=self.values["utility.ad.w_pa"],
-            ad_theta=self.values["utility.ad.theta"],
-        )
-
-    def lipschitz_override(self) -> LipschitzProfile | None:
-        ell = self.values["lipschitz.ell"]
-        big_l = self.values["lipschitz.L"]
-        d = self.values["lipschitz.d"]
-        if ell is None and big_l is None and d is None:
-            return None
-        if ell is None or big_l is None or d is None:
-            raise ConfigError("lipschitz.ell: override requires all of ell, L, d")
-        return LipschitzProfile(ell=ell, big_l=big_l, d=d)
 
     def with_overrides(self, **pairs) -> "ExperimentConfig":
         return validate_config({**self.values, **pairs})
@@ -145,11 +124,22 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         if tag == "float" and value is not None and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value!r}")
 
-    cfg = ExperimentConfig(values=resolved)
+    lipschitz = [resolved[f"lipschitz.{key}"] for key in ("ell", "L", "d")]
     try:
-        cfg.scenario()
-        cfg.utility_spec()
-        cfg.lipschitz_override()
+        noise = HonestNoiseModel(resolved["noise.kind"], resolved["scenario.delta"],
+                                 resolved["noise.sigma"])
+        scenario = Scenario(resolved["scenario.big_m"], noise)
+        spec = UtilitySpec(
+            dc_kind=resolved["utility.dc.kind"],
+            dc_gamma=resolved["utility.dc.gamma"],
+            ad_kind=resolved["utility.ad.kind"],
+            ad_w_mse=resolved["utility.ad.w_mse"],
+            ad_w_pa=resolved["utility.ad.w_pa"],
+            ad_theta=resolved["utility.ad.theta"],
+        )
+        if lipschitz.count(None) not in (0, 3):
+            raise ValueError("lipschitz.ell: override requires all of ell, L, d")
+        lip = None if None in lipschitz else LipschitzProfile(*lipschitz)
         check_threshold_range(resolved["learner.a"], resolved["learner.b"])
         check_learner_targets(resolved["learner.delta"], resolved["learner.lambda"],
                               resolved["experiment.budget_scale"])
@@ -163,7 +153,7 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError("experiment.trials: must be >= 1")
     if resolved["experiment.base_seed"] < 0:
         raise ConfigError("experiment.base_seed: must be >= 0")
-    return cfg
+    return ExperimentConfig(resolved, scenario, spec, lip)
 
 
 def load_config_text(text: str) -> ExperimentConfig:

@@ -26,8 +26,6 @@ import numpy as np
 
 from goc.envelope import EnvelopeTable, check_eta, k_inverse
 from goc.noise import Scenario
-from goc.oracle import best_response
-from goc.utility import UtilitySpec
 
 # per-round uniform draws consumed in physical mode, in order: value, honest noise,
 # mixture component, offset sign, and a fifth that no output reads, still drawn so that
@@ -72,27 +70,19 @@ class MixtureAdversary:
 
     def check_span(self, scenario: Scenario) -> None:
         if max(self.offsets) > scenario.big_m:
-            raise ValueError("offset exceeds the scenario's plausible span")
+            raise ValueError(f"offset {max(self.offsets)!r} exceeds scenario.big_m = "
+                             f"{scenario.big_m!r}, the scenario's plausible span")
 
     def cumulative_weights(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.weights, dtype=float))
 
 
-def step_bernoulli(
-    spec: UtilitySpec,
-    table: EnvelopeTable,
-    rng: np.random.Generator,
-    alpha: float | None = None,
-) -> bool:
-    """One accept/reject coin with the best-response acceptance rate.
+def step_bernoulli(rng: np.random.Generator, alpha: float) -> bool:
+    """One accept/reject coin at acceptance rate ``alpha``, one uniform from ``rng``.
 
-    Pass a precomputed ``alpha`` in loops; otherwise the best response is
-    recomputed from the table each call. No ``goc`` command calls it; the
-    benchmark tracer (``bench/spans.py`` ``TRACED``) wraps it by name, so it
-    stays until the tracer drops it.
+    No ``goc`` command calls it; the benchmark tracer (``bench/spans.py``
+    ``TRACED``) wraps it by name, so it stays until the tracer drops it.
     """
-    if alpha is None:
-        alpha = best_response(table, spec).alpha_star
     return bool(rng.random() < alpha)
 
 

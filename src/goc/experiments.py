@@ -21,9 +21,8 @@ from goc.config import ExperimentConfig
 from goc.envelope import EnvelopeTable, build_envelope_tables
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
-from goc.noise import Scenario
 from goc.oracle import best_response, best_response_curve
-from goc.utility import UtilitySpec, estimate_lipschitz
+from goc.utility import estimate_lipschitz
 
 ETC = "etc"
 ELIMINATION = "elim"
@@ -36,8 +35,6 @@ class InstanceArtifacts:
     """Everything a trial reads, derived from the configuration alone (no randomness)."""
 
     config: ExperimentConfig
-    scenario: Scenario
-    spec: UtilitySpec
     learner: LearnerConfig
     tables: tuple[EnvelopeTable, ...]
     alphas: np.ndarray  # best-response acceptance rate at the learner grid points
@@ -47,21 +44,12 @@ class InstanceArtifacts:
 
 def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     """Resolve smoothness constants, budgets, tables, best responses, and the reference optimum."""
-    scenario = config.scenario()
-    spec = config.utility_spec()
+    scenario, spec = config.scenario, config.utility_spec
     a, b = config["learner.a"], config["learner.b"]
     grid_size = config["envelope.grid"]
     alpha_min = config["envelope.alpha_min"]
-    lip = config.lipschitz_override()
-    if lip is None:
-        lip = estimate_lipschitz(
-            scenario,
-            spec,
-            (a, b),
-            resolution=config["estimator.resolution"],
-            grid_size=grid_size,
-            alpha_min=alpha_min,
-        ).profile
+    lip = config.lipschitz_override or estimate_lipschitz(
+        scenario, spec, (a, b), config["estimator.resolution"], grid_size, alpha_min).profile
     learner = LearnerConfig.derive(
         a, b, config["learner.delta"], config["learner.lambda"], lip,
         budget_scale=config["experiment.budget_scale"],
@@ -72,8 +60,6 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     reference = best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)
     return InstanceArtifacts(
         config=config,
-        scenario=scenario,
-        spec=spec,
         learner=learner,
         tables=tables,
         alphas=np.array([br.alpha_star for br in responses]),
@@ -103,11 +89,11 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
     """One seeded learning trial; matched algorithms share the same streams."""
     base_seed = art.config["experiment.base_seed"]
     env_cls = BernoulliArmEnv if art.config["env.mode"] == "bernoulli" else PhysicalArmEnv
-    env = env_cls(art.scenario, art.tables, art.alphas, base_seed, trial)
+    env = env_cls(art.config.scenario, art.tables, art.alphas, base_seed, trial)
     if algo == ETC:
-        outcome = run_etc(art.learner, env, art.spec)
+        outcome = run_etc(art.learner, env, art.config.utility_spec)
     elif algo == ELIMINATION:
-        outcome = run_elimination(art.learner, env, art.spec)
+        outcome = run_elimination(art.learner, env, art.config.utility_spec)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     return TrialResult(
@@ -133,11 +119,13 @@ def _worker_run(task: tuple[int, str]) -> TrialResult:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: ``explicit`` (at least 1), else 1; capped at the CPU count."""
+    """Worker count: ``explicit`` (at least 1), else 1; capped at the CPUs this process may use."""
     if explicit is None:
         explicit = 1
     elif explicit < 1:
         raise ValueError(f"--threads: must be >= 1, got {explicit!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(explicit, len(os.sched_getaffinity(0)))
     return min(explicit, os.cpu_count() or 1)
 
 

@@ -13,13 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import (
-    DEFAULT_ALPHA_MIN,
-    DEFAULT_GRID_SIZE,
-    EnvelopeTable,
-    build_envelope_table,
-    build_envelope_tables,
-)
+from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE, EnvelopeTable, build_envelope_tables
 from goc.noise import Scenario
 from goc.utility import UtilitySpec, q_ad, q_dc
 
@@ -63,21 +57,12 @@ def best_response(table: EnvelopeTable, spec: UtilitySpec) -> BestResponse:
     )
 
 
-def realized_u(
-    scenario: Scenario,
-    spec: UtilitySpec,
-    eta: float,
-    table: EnvelopeTable | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    alpha_min: float = DEFAULT_ALPHA_MIN,
-) -> float:
-    """Collector utility against the best-responding adversary at ``eta``.
+def realized_u(table: EnvelopeTable, spec: UtilitySpec) -> float:
+    """Collector utility against the adversary best-responding along ``table``.
 
     No ``goc`` command calls it; the benchmark tracer (``bench/spans.py``
     ``TRACED``) wraps it by name, so it stays until the tracer drops it.
     """
-    if table is None:
-        table = build_envelope_table(scenario, eta, grid_size, alpha_min)
     return best_response(table, spec).dc_value
 
 

@@ -173,15 +173,22 @@ def test_criterion_4_elimination_validation_and_efficiency(
 
 
 def test_criterion_5_safe_elimination_frequency(separated_art):
+    # beside the separated instance, one whose best arm is interior: the defaults with
+    # theta 3 over [2, 4] at lambda 0.5, so n = 4, k = 2,319 and the best arm is 2 of 5 (eta 2.5)
+    interior = prepare_instance(load_config(None).with_overrides(**{
+        "utility.ad.theta": 3.0,
+        "learner.b": 4.0,
+        "learner.lambda": 0.5,
+    }))
     trials = 500
-    eliminated = 0
-    for t in range(trials):
-        res = run_trial(separated_art, t, ELIMINATION)
-        eliminated += res.best_arm_eliminated
-    rate = eliminated / trials
-    delta = separated_art.config["learner.delta"]
-    ok = rate < delta
-    report(5, ok, f"best candidate eliminated in {rate:.4f} of {trials} trials (target < {delta})")
+    ok, details = True, []
+    for name, art in (("separated", separated_art), ("interior", interior)):
+        results = [run_trial(art, t, ELIMINATION) for t in range(trials)]
+        rate = sum(r.best_arm_eliminated for r in results) / trials
+        delta = art.config["learner.delta"]
+        ok = ok and rate < delta
+        details.append(f"{name} {rate:.4f} (target < {delta}, picked arms {picked_arms(results)})")
+    report(5, ok, f"best candidate eliminated in {trials} trials: {'; '.join(details)}")
     assert ok
 
 

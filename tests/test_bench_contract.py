@@ -107,10 +107,10 @@ PROBE = textwrap.dedent(
             scenario, 2.5, MixtureAdversary.point_mass(1.0), make_rng(0), 7))
     # no command calls these two, so this probe is all that checks the tracer still binds them
     _, attrs["realized_u"] = spans_of(
-        "oracle.realized_u", lambda: goc.oracle.realized_u(scenario, spec, 2.5, table))
+        "oracle.realized_u", lambda: goc.oracle.realized_u(table, spec))
     accepted, attrs["step_bernoulli"] = spans_of(
         "environment.step_bernoulli",
-        lambda: goc.environment.step_bernoulli(spec, table, make_rng(0)))
+        lambda: goc.environment.step_bernoulli(make_rng(0), best_response(table, spec).alpha_star))
     _, attrs["two_point_oracle"] = spans_of(
         "verify.two_point_oracle", lambda: goc.verify.two_point_oracle(scenario, table, 0.5, 201, 101))
     cfg = load_config_text("learner.b = 3.0\\nenvelope.grid = 201\\nexperiment.budget_scale = 0.001\\n"

@@ -235,6 +235,15 @@ def test_failed_simulate_leaves_no_csv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_offset_beyond_big_m_names_offset_and_key(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--mode", "physical", "--eta", "3", "--rounds", "5",
+               "--adv", "z=2e4", "--out", str(out)])
+    assert rc == 2
+    assert "error: offset 20000.0 exceeds scenario.big_m = 10000.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("adv, reason", [
     ("z=1:nan,z=2:1", "mixture weights must have a positive finite sum"),
     ("z=1:inf,z=2:1", "mixture weights must have a positive finite sum"),
@@ -309,7 +318,7 @@ def test_curves_gamma_zero_u_equals_alpha(tmp_path):
     cfg = load_config(None).with_overrides(**{
         "utility.dc.gamma": 0.0, "envelope.grid": 401, "learner.b": 3.0,
     })
-    curve = best_response_curve(cfg.scenario(), cfg.utility_spec(), np.linspace(2.0, 3.0, 15),
+    curve = best_response_curve(cfg.scenario, cfg.utility_spec, np.linspace(2.0, 3.0, 15),
                                 cfg["envelope.grid"], cfg["envelope.alpha_min"])
     for br in curve:
         assert br.dc_value == pytest.approx(br.alpha_star, abs=1e-12)
@@ -339,6 +348,16 @@ def test_config_error_reported(tmp_path, capsys):
     rc = main(["curves", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "scenario.delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["7", "101"])
+def test_solve_eta_list_excludes_points(tmp_path, capsys, points):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--eta-list", "2,3", "--points", points, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --points: not allowed with argument --eta-list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "curves"])

@@ -12,8 +12,8 @@ def test_minimal_file_fills_defaults():
     assert cfg["env.mode"] == "bernoulli"
     assert cfg["scenario.delta"] == 1.0
     assert cfg["scenario.big_m"] == 1e4
-    cfg.scenario()
-    cfg.utility_spec()
+    cfg.scenario
+    cfg.utility_spec
 
 
 def test_delta_ratio_rejected():
@@ -76,7 +76,7 @@ def test_sigma_far_above_delta_rejected(sigma, delta):
 def test_sigma_at_the_bound_accepted(sigma, delta):
     cfg = load_config_text(
         f"noise.kind = truncated_gaussian\nnoise.sigma = {sigma!r}\nscenario.delta = {delta!r}\n")
-    assert cfg.scenario().noise.sigma == sigma
+    assert cfg.scenario.noise.sigma == sigma
 
 
 def test_duplicate_key_rejected():
@@ -93,7 +93,7 @@ def test_lipschitz_override_requires_all_three():
     with pytest.raises(ConfigError, match="lipschitz"):
         load_config_text("lipschitz.ell = 2.0\n")
     cfg = load_config_text("lipschitz.ell = 2.0\nlipschitz.L = 0.5\nlipschitz.d = 4.0\n")
-    prof = cfg.lipschitz_override()
+    prof = cfg.lipschitz_override
     assert (prof.ell, prof.big_l, prof.d) == (2.0, 0.5, 4.0)
 
 
@@ -161,7 +161,7 @@ def test_alpha_min_leaves_two_grid_points(grid):
     # the largest accepted value keeps the last two grid points
     largest = (grid - 2) / (grid - 1)
     cfg = load_config_text(f"envelope.grid = {grid}\nenvelope.alpha_min = {largest!r}\n")
-    table = build_envelope_table(cfg.scenario(), 2.5, grid, cfg["envelope.alpha_min"])
+    table = build_envelope_table(cfg.scenario, 2.5, grid, cfg["envelope.alpha_min"])
     assert table.alpha_grid.size == 2
     # one point more leaves a single grid point, with or without a Lipschitz override
     above = (largest + 1.0) / 2.0

@@ -89,18 +89,16 @@ def test_physical_rounds_chunk_invariant(unif):
 def test_step_bernoulli_rate_and_determinism(spec_default, table_unif_25):
     alpha = best_response(table_unif_25, spec_default).alpha_star
     gen = make_rng(5, 6)
-    hits = sum(step_bernoulli(spec_default, table_unif_25, gen, alpha=alpha) for _ in range(10**5))
+    hits = sum(step_bernoulli(gen, alpha) for _ in range(10**5))
     assert hits / 10**5 == pytest.approx(alpha, abs=3.2 * np.sqrt(alpha * (1 - alpha) / 10**5))
-    seq1 = [step_bernoulli(spec_default, table_unif_25, make_rng(5, 7)) for _ in range(50)]
-    seq2 = [step_bernoulli(spec_default, table_unif_25, make_rng(5, 7)) for _ in range(50)]
+    seq1 = [step_bernoulli(make_rng(5, 7), alpha) for _ in range(50)]
+    seq2 = [step_bernoulli(make_rng(5, 7), alpha) for _ in range(50)]
     assert seq1 == seq2
 
 
-def test_degenerate_bernoulli_always_accepts(spec_pa_only, table_unif_2):
+def test_degenerate_bernoulli_always_accepts():
     gen = make_rng(5, 8)
-    assert all(
-        step_bernoulli(spec_pa_only, table_unif_2, gen, alpha=1.0) for _ in range(100)
-    )
+    assert all(step_bernoulli(gen, 1.0) for _ in range(100))
 
 
 def test_mode_equivalence(unif, spec_default):

@@ -76,7 +76,8 @@ def test_trials_compute_no_best_response(smoke_cfg, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a trial computed a best response")
 
-    for module in (goc.oracle, goc.environment, experiments):
+    assert not hasattr(goc.environment, "best_response")
+    for module in (goc.oracle, experiments):
         monkeypatch.setattr(module, "best_response", refuse)
     for (mode, algo), result in expected.items():
         assert run_trial(arts[mode], 1, algo) == result
@@ -91,12 +92,14 @@ def test_trials_deterministic(smoke_art):
 
 
 def test_regret_caps_and_reports_raw(smoke_art):
+    from goc.envelope import build_envelope_table
     from goc.oracle import realized_u
 
     res = run_trial(smoke_art, 0, ETC)
     cfg = smoke_art.config
-    u_chosen = realized_u(smoke_art.scenario, smoke_art.spec, res.eta_hat,
-                          grid_size=cfg["envelope.grid"], alpha_min=cfg["envelope.alpha_min"])
+    table = build_envelope_table(cfg.scenario, res.eta_hat, cfg["envelope.grid"],
+                                 cfg["envelope.alpha_min"])
+    u_chosen = realized_u(table, cfg.utility_spec)
     assert smoke_art.u_star - res.regret_raw == pytest.approx(u_chosen, abs=1e-12)
     low = run_trial(dataclasses.replace(smoke_art, u_star=u_chosen - 1.0), 0, ETC)
     assert low.regret_raw == pytest.approx(-1.0, abs=1e-9)
@@ -165,6 +168,7 @@ def test_parallel_trials_match_sequential(smoke_cfg, smoke_art):
 def test_workers_run_the_parents_instance(smoke_art, monkeypatch):
     seq = run_trials(smoke_art, (ETC, ELIMINATION), threads=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def no_rederivation(config):
         raise AssertionError("a pool worker derived the instance again")
@@ -182,6 +186,12 @@ def test_pickled_instance_runs_the_same_trials(smoke_art):
 
 
 def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
+    # the cap is the CPUs this process may run on, not the machine's count
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert resolve_threads(64) == 2
+    # without an affinity call the machine's count caps it
+    monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert resolve_threads(64) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)

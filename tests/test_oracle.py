@@ -68,7 +68,8 @@ def _solve(curve):
 def test_solve_single_point_grid(unif, spec_default):
     eta_hat, value = _solve(best_response_curve(unif, spec_default, [2.5]))
     assert eta_hat == 2.5
-    assert value == pytest.approx(realized_u(unif, spec_default, 2.5), abs=1e-12)
+    u = realized_u(build_envelope_table(unif, 2.5), spec_default)
+    assert value == pytest.approx(u, abs=1e-12)
 
 
 def test_solve_reduces_to_full_acceptance_scan(unif, spec_pa_only):
@@ -105,7 +106,7 @@ def test_realized_u_gamma_zero_equals_acceptance(unif):
     for eta in (2.0, 3.0):
         table = build_envelope_table(unif, eta)
         br = best_response(table, spec)
-        assert realized_u(unif, spec, eta, table=table) == pytest.approx(br.alpha_star, abs=1e-12)
+        assert realized_u(table, spec) == pytest.approx(br.alpha_star, abs=1e-12)
 
 
 def test_realized_u_chain_value(unif):
@@ -113,7 +114,7 @@ def test_realized_u_chain_value(unif):
     spec = UtilitySpec(
         dc_kind="linear", dc_gamma=1.0, ad_kind="weighted_sum", ad_w_mse=1e-9, ad_w_pa=1.0
     )
-    assert realized_u(unif, spec, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-6)
+    assert realized_u(build_envelope_table(unif, 2.0), spec) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 def test_realized_u_fine_grid_consistency(unif, spec_default):
@@ -122,9 +123,9 @@ def test_realized_u_fine_grid_consistency(unif, spec_default):
 
     est = estimate_lipschitz(unif, spec_default, (2.0, 3.0), resolution=201)
     coarse = np.linspace(2.0, 3.0, 21)
-    u_coarse = np.array([realized_u(unif, spec_default, e) for e in coarse])
+    u_coarse = np.array([realized_u(build_envelope_table(unif, e), spec_default) for e in coarse])
     fine = np.linspace(2.0, 3.0, 201)
-    u_fine = np.array([realized_u(unif, spec_default, e) for e in fine])
+    u_fine = np.array([realized_u(build_envelope_table(unif, e), spec_default) for e in fine])
     interp = np.interp(fine, coarse, u_coarse)
     step = coarse[1] - coarse[0]
     assert np.max(np.abs(u_fine - interp)) <= est.profile.big_l * step + 1e-6
