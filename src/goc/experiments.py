@@ -256,12 +256,16 @@ def write_csv(
     width = len(header)
     if not width:
         raise ValueError(f"{path}: the header has no columns")
+    blocks = iter(blocks)
+    # the first block is drawn before any directory is made, so a run that fails there
+    # (a rejected input) leaves nothing behind
+    block, b = next(blocks, None), 0
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
             fh.write(f"# config_hash={config_hash} seed={seed}\n{','.join(header)}\n")
-            for b, block in enumerate(blocks):
+            while block is not None:
                 if len(block) != width:
                     raise ValueError(
                         f"{path}: block {b} has {len(block)} columns, header has {width}")
@@ -274,6 +278,7 @@ def write_csv(
                 for start in range(0, n, CSV_CHUNK):
                     lines = zip(*(c(start, min(start + CSV_CHUNK, n)) for c in cells))
                     fh.write("\n".join(map(",".join, lines)) + "\n")
+                block, b = next(blocks, None), b + 1
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -18,9 +18,13 @@ import numpy as np
 from goc.envelope import EnvelopeTable, check_threshold_range
 from goc.utility import LipschitzProfile, UtilitySpec, q_dc
 
+# arm-rounds per block, which bounds a trial's working set whatever the arm count: an ETC
+# block is budget // arms rounds of every arm, and an elimination block's utilities take
+# 8 bytes per arm-round
+_BLOCK_ARM_ROUNDS = 1 << 19
+# rounds per elimination block, unless the budget allows fewer: each arm call per block
+# costs about 30-40 us in physical mode, so blocks much shorter than this slow those trials
 _ELIM_BLOCK = 4096
-# rounds per ETC block: bounds a trial's memory; 4096-round blocks cost 5-13% per trial
-_ETC_BLOCK = 1 << 16
 
 
 def _least_integer_above(x: float) -> int:
@@ -132,24 +136,21 @@ class LearnerOutcome:
         return sum(self.rounds_played)
 
 
-def _u_hat_rows(
-    spec: UtilitySpec, tables: list[EnvelopeTable], alpha_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated utility per (arm, round) entry, clamping the rate into the table range.
+def _u_hat(spec: UtilitySpec, table: EnvelopeTable, rate):
+    """Estimated utility at acceptance-rate estimates ``rate``, read through ``table``.
 
-    Row ``i`` is read through ``tables[i]``. Returns the utility matrix and the
-    mask of clamped entries (rates below the table's lower edge; the singular
-    small-rate region is far from optimal anyway).
+    Rates below the table's lower edge are clamped to it (the singular
+    small-rate region is far from optimal anyway); callers count them.
     """
-    out = np.empty_like(alpha_hat)
-    clamped = np.empty(alpha_hat.shape, dtype=bool)
-    for i, table in enumerate(tables):
-        row = alpha_hat[i]
-        clamped[i] = row < table.alpha_grid[0]
-        safe = np.clip(row, table.alpha_grid[0], 1.0)
-        c = np.interp(safe, table.alpha_grid, table.c_values)
-        out[i] = q_dc(spec, c, safe)
-    return out, clamped
+    safe = np.clip(rate, table.alpha_grid[0], 1.0)
+    return q_dc(spec, np.interp(safe, table.alpha_grid, table.c_values), safe)
+
+
+def _first_violation(best, u, eps, start: int) -> int:
+    """First column from ``start`` on where ``best - u`` exceeds ``eps``; ``len(u)`` if none."""
+    hit = best[start:] - u[start:] > eps[start:]
+    j = int(hit.argmax())
+    return start + j if hit[j] else len(u)
 
 
 def _outcome(etas, alive, stop, counts, u, clamps) -> LearnerOutcome:
@@ -174,11 +175,15 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
     counts = np.zeros(n_arms, dtype=np.int64)
-    for r0 in range(0, config.k, _ETC_BLOCK):
-        counts += env.acceptance_block(r0, min(r0 + _ETC_BLOCK, config.k)).sum(axis=1)
-    u, clamped = _u_hat_rows(spec, env.tables, (counts / config.k)[:, None])
+    b = max(1, _BLOCK_ARM_ROUNDS // n_arms)
+    for r0 in range(0, config.k, b):
+        block = env.acceptance_block(r0, min(r0 + b, config.k))
+        counts += [np.count_nonzero(row) for row in block]
+    rates = counts / config.k
+    u = np.array([_u_hat(spec, t, a) for t, a in zip(env.tables, rates)])
+    clamps = sum(a < t.alpha_grid[0] for t, a in zip(env.tables, rates))
     return _outcome(config.etas(), np.ones(n_arms, dtype=bool), np.full(n_arms, config.k),
-                    counts, u[:, 0], clamps=int(np.count_nonzero(clamped)))
+                    counts, u, clamps=int(clamps))
 
 
 def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -188,9 +193,9 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
     dropped as soon as the best current estimate exceeds its own by more
     than the shrinking radius. Processing is blocked for speed, which is
     equivalent to the sequential rule because candidate streams are
-    independent: an elimination restarts the scan inside the block with
-    the survivor set updated. A block draws and scores only the candidates
-    alive at its start.
+    independent: a block draws and scores only the candidates alive at its
+    start, and its scan drops each one at the first round where it trails
+    the best of the candidates still alive then.
     """
     n_arms, k = config.n + 1, config.k
     if env.n_arms != n_arms:
@@ -204,38 +209,48 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
 
     pos = 0
     while pos < k:
-        b = min(_ELIM_BLOCK, k - pos)
         rows = np.flatnonzero(alive)
-        cum = counts[rows, None] + np.cumsum(env.acceptance_block(pos, pos + b, rows), axis=1)
+        b = min(_ELIM_BLOCK, max(1, _BLOCK_ARM_ROUNDS // rows.size), k - pos)
+        block = env.acceptance_block(pos, pos + b, rows)
         r_vec = np.arange(pos + 1, pos + b + 1, dtype=float)
-        alpha_hat = cum / r_vec[None, :]
-        u_live, clamped = _u_hat_rows(spec, [env.tables[i] for i in rows], alpha_hat)
         eps = elimination_radius(config.lip.ell, config.n, config.delta, r_vec)
+        # the block's one scratch array: accept counts, then rates, then each row's utilities
+        u_live = block.astype(float)
+        np.cumsum(u_live, axis=1, out=u_live)
+        u_live += counts[rows, None]
+        u_live /= r_vec
+        clamped = {}  # row -> mask of its clamped rates, for the rows that have any
+        for j, i in enumerate(rows):
+            lo = env.tables[i].alpha_grid[0]
+            if u_live[j].min() < lo:
+                clamped[j] = u_live[j] < lo
+            u_live[j] = _u_hat(spec, env.tables[i], u_live[j])
+        # one-pass scan: each row's first violating column; dropping rows only lowers best,
+        # so no violation moves earlier, and only rows whose first violation sat where best
+        # fell need a look further on
+        best = u_live.max(axis=0)
+        first = np.array([_first_violation(best, row, eps, 0) for row in u_live])
         live = np.ones(rows.size, dtype=bool)
         col = np.full(rows.size, b - 1)  # the last column each row played in this block
-        best = u_live.max(axis=0)
-        j = 0
-        while j < b:
-            viol = (best[j:] - u_live[live, j:]) > eps[j:]
-            hit_cols = np.flatnonzero(viol.any(axis=0))
-            if hit_cols.size == 0:
-                break
-            jj = j + int(hit_cols[0])
-            dropped = np.flatnonzero(live)[viol[:, hit_cols[0]]]
+        while (jj := int(first.min())) < b:
+            dropped = np.flatnonzero(first == jj)
             live[dropped] = False
             col[dropped] = jj
+            first[dropped] = b
             alive[rows[dropped]] = False
             # later columns need a new best only where a dropped row attained it
             later = jj + 1 + np.flatnonzero((u_live[dropped, jj + 1:] == best[jj + 1:]).any(axis=0))
             if later.size:
-                best[later] = u_live[np.ix_(live, later)].max(axis=0)
-            j = jj + 1
-        played = np.arange(b)[None, :] <= col[:, None]
-        clamps += int(np.count_nonzero(clamped & played))
-        at = (np.arange(rows.size), col)  # each live arm at the last round it played
+                new = u_live[np.ix_(live, later)].max(axis=0)
+                fell = later[new < best[later]]
+                best[later] = new
+                for j in np.flatnonzero(np.isin(first, fell)):
+                    first[j] = _first_violation(best, u_live[j], eps, first[j])
+        clamps += sum(int(np.count_nonzero(m[:col[j] + 1])) for j, m in clamped.items())
         stop[rows] = pos + col + 1
-        counts[rows] = cum[at]
-        u[rows] = u_live[at]
+        counts[rows] += [np.count_nonzero(block[j, :c + 1]) for j, c in enumerate(col)]
+        u[rows] = u_live[np.arange(rows.size), col]
+        del block, u_live, clamped  # freed before the next block is drawn
         pos += b
 
     return _outcome(config.etas(), alive, stop, counts, u, clamps)

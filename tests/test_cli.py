@@ -244,6 +244,14 @@ def test_offset_beyond_big_m_names_offset_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rejected_run_makes_no_directory(tmp_path, capsys):
+    rc = main(["simulate", "--mode", "physical", "--eta", "3", "--rounds", "5",
+               "--adv", "z=2e4", "--out", str(tmp_path / "fx" / "sub" / "sim.csv")])
+    assert rc == 2
+    assert "exceeds scenario.big_m" in capsys.readouterr().err
+    assert not (tmp_path / "fx").exists()
+
+
 @pytest.mark.parametrize("adv, reason", [
     ("z=1:nan,z=2:1", "mixture weights must have a positive finite sum"),
     ("z=1:inf,z=2:1", "mixture weights must have a positive finite sum"),

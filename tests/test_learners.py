@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import goc.learners
-from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
+from goc.config import load_config
+from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table, build_envelope_tables
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv, make_rng
+from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
 from goc.learners import (
     LearnerConfig,
     derive_budget,
@@ -83,7 +88,7 @@ def test_config_validation():
 @pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
 def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     # k straddles the first block edge, so run_etc draws two blocks per arm
-    k = goc.learners._ETC_BLOCK + 5
+    k = goc.learners._BLOCK_ARM_ROUNDS // 2 + 5
     etas = [2.0, 3.0]
     tables = [build_envelope_table(unif, e, 201) for e in etas]
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
@@ -244,6 +249,76 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
                 assert out.u_hat[i] == pytest.approx(u_now[i], abs=1e-12)
             assert out.clamp_count == clamps
             assert out.total_game_rounds == sum(played)
+
+
+@pytest.fixture(scope="module")
+def scan_tables(unif):
+    return [build_envelope_table(unif, e, 201) for e in (2.0, 2.5, 3.0)]
+
+
+# fixed arm rates: 0 and 5e-4 sit below alpha_min, and 0 and 1 draw identical streams,
+# so arms sharing a table and one of those rates tie exactly
+_SCAN_RATES = st.sampled_from([0.0, 5e-4, 0.05, 0.3, 0.6, 0.9, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arms=st.lists(st.tuples(st.integers(0, 2), _SCAN_RATES), min_size=2, max_size=8),
+       k=st.integers(50, 3000), elim_block=st.integers(1, 300), arm_rounds=st.integers(1, 2000),
+       ell=st.sampled_from([0.05, 0.3, 2.0]), trial=st.integers(0, 1000))
+# a drop lowers best at a round where another arm still trails it by more than the radius,
+# so that arm's re-check must start at that round
+@example(arms=[(2, 0.534200021324978), (2, 0.7108481510736502), (0, 0.3), (2, 0.0),
+               (1, 0.6069226301458123)], k=111, elim_block=75, arm_rounds=1665, ell=0.05,
+         trial=744)
+def test_blocked_scan_matches_sequential_replay(unif, scan_tables, spec_default, arms, k,
+                                               elim_block, arm_rounds, ell, trial):
+    """Blocks of any size, down to one round, scan to the round-by-round outcome."""
+    lip = LipschitzProfile(ell=ell, big_l=0.05, d=2.0)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=len(arms) - 1, k=k,
+                        budget_scale=0.5)
+    tables = [scan_tables[t] for t, _ in arms]
+    rates = [rate for _, rate in arms]
+    draws = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=trial).acceptance_block(0, k)
+    alive, played, counts, _, u_now, _, clamps = _sequential_elimination(
+        cfg, tables, draws, spec_default)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goc.learners, "_ELIM_BLOCK", elim_block)
+        mp.setattr(goc.learners, "_BLOCK_ARM_ROUNDS", arm_rounds)
+        out = run_elimination(cfg, BernoulliArmEnv(unif, tables, rates, 9, trial), spec_default)
+    survivors = [i for i in range(len(arms)) if alive[i]]
+    assert out.eta_hat_index == max(survivors, key=lambda i: u_now[i]) + 1
+    assert list(out.rounds_played) == played
+    assert list(out.accept_count) == counts
+    assert list(out.eliminated) == [not a for a in alive]
+    assert list(out.u_hat) == pytest.approx(u_now, abs=1e-12)
+    assert out.clamp_count == clamps
+
+
+def test_trial_memory_is_bounded(unif, spec_default):
+    """A trial's working set is a block of a bounded arm-round count, whatever k and the arms."""
+    def peak_mb(run, *args) -> float:
+        run(*args)  # warm: imports and lazy set-up stay off the books
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    art = prepare_instance(load_config(None))  # 38 arms, k = 123,929
+    lip = LipschitzProfile(ell=art.learner.lip.ell, big_l=0.01, d=1.0)
+    wide = LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=lip, n=400, k=20_000,
+                         budget_scale=0.1)
+    tables = list(build_envelope_tables(unif, wide.etas(), 201))
+    rates = best_response_rates(tables, spec_default)
+    peaks = {
+        "etc": peak_mb(run_trial, art, 0, ETC),
+        "elimination": peak_mb(run_trial, art, 0, ELIMINATION),
+        "elimination, 401 arms": peak_mb(lambda: run_elimination(
+            wide, BernoulliArmEnv(unif, tables, rates, 42, 1), spec_default)),
+    }
+    bounds = {"etc": 1.5, "elimination": 3.0, "elimination, 401 arms": 8.0}
+    assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
 
 
 def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_unif_25):
