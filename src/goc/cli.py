@@ -166,7 +166,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return _best_response_sweep(args, ("eta", "alpha", "mmse", "u"))
 
 
-SIMULATE_BLOCK = 1 << 16  # rounds drawn and written per block
+SIMULATE_BLOCK = 1 << 14  # rounds drawn and written per block
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -188,15 +188,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # which checks eta and --adv.
         for start in range(0, max(args.rounds, 1), SIMULATE_BLOCK):
             n = min(SIMULATE_BLOCK, args.rounds - start)
-            rounds = np.arange(start, start + n)
             if args.mode == "bernoulli":
-                yield rounds, args.eta, rng.random(n) < alpha, "", ""
+                yield np.arange(start, start + n), args.eta, rng.random(n) < alpha, "", ""
             else:
                 b = physical_rounds(scenario, args.eta, args.adv, rng, n)
-                estimate = b.estimate.tolist()
-                for i in np.flatnonzero(~b.accepted).tolist():
-                    estimate[i] = ""
-                yield rounds, args.eta, b.accepted, estimate, b.u_true
+                # a rejected round's estimate is masked, so write_csv leaves it blank
+                yield (np.arange(start, start + n), args.eta, b.accepted,
+                       np.ma.masked_array(b.estimate, mask=~b.accepted), b.u_true)
+                del b  # the next block is drawn without this one alive
 
     write_csv(args.out, ("round", "eta", "accepted", "estimate", "u_true"), blocks(),
               cfg.hash(), cfg["experiment.base_seed"])
@@ -220,7 +219,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
             o = r.outcome  # alpha_hat is one IEEE division of two exact integers
             return (r.trial, r.algo, np.arange(1, len(o.etas) + 1), o.etas, o.rounds_played,
                     o.accept_count, np.divide(o.accept_count, o.rounds_played), o.u_hat,
-                    o.eliminated, [p if e else "" for p, e in zip(o.rounds_played, o.eliminated)])
+                    o.eliminated,
+                    np.ma.masked_array(o.rounds_played, mask=np.logical_not(o.eliminated)))
 
         write_csv(
             args.trace,

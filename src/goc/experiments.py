@@ -8,7 +8,7 @@ written with shortest-roundtrip formatting, so reruns are byte-identical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
@@ -138,6 +138,8 @@ def run_trials(
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(tasks) < 4:
         return [run_trial(art, *task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # imported only by a run that starts a pool
+
     # workers run art itself: forked ones inherit it, spawned ones unpickle it once each
     with ProcessPoolExecutor(
         max_workers=n_threads, initializer=_worker_init, initargs=(art,)
@@ -217,18 +219,31 @@ _KIND_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _C
 CSV_CHUNK = 1024  # rows write_csv formats per column pass
 
 
+def _array_text(values: np.ndarray) -> Iterable[str]:
+    """The text of each cell of a 1-d array: by dtype kind where it has one, else by ``_fmt``."""
+    text = _KIND_TEXT.get(values.dtype.kind) if values.dtype.itemsize <= 8 else None
+    return map(text, values.tolist()) if text is not None else map(_fmt, values)
+
+
 def _column_cells(column) -> tuple[int | None, Callable[[int, int], Iterable[str]]]:
     """``(length, cells)`` of one block column; ``cells(start, stop)`` is the text of those rows.
 
-    An array picks its formatter by dtype, a list or tuple by cell type (each
-    slice of one type at once, a mixed slice cell by cell), and anything else
-    is a scalar: formatted once, repeated on every row, no length.
+    An array is formatted by dtype; a masked array likewise on its shown cells,
+    with ``""`` at its masked ones. A list or tuple is formatted by cell type
+    (each slice of one type at once, a mixed slice cell by cell), and anything
+    else is a scalar: formatted once, repeated on every row, no length.
     """
     if isinstance(column, np.ndarray) and column.ndim:
-        text = _KIND_TEXT.get(column.dtype.kind) if column.dtype.itemsize <= 8 else None
-        if text is not None:
-            return len(column), lambda start, stop: map(text, column[start:stop].tolist())
-        column = list(column)
+        ma = sys.modules.get("numpy.ma")  # loaded wherever a masked array exists
+        if ma is not None and isinstance(column, ma.MaskedArray):
+            data, shown = column.data, ~ma.getmaskarray(column)
+
+            def masked_cells(start: int, stop: int) -> list[str]:
+                show = shown[start:stop]
+                text = _array_text(data[start:stop][show])
+                return [next(text) if s else "" for s in show.tolist()]
+            return len(column), masked_cells
+        return len(column), lambda start, stop: _array_text(column[start:stop])
     if isinstance(column, (list, tuple)):
         def cells(start: int, stop: int) -> Iterable[str]:
             part = column[start:stop]
@@ -247,10 +262,11 @@ def write_csv(
     """CSV led by a ``# config_hash=... seed=...`` line; ``blocks`` stream to a temp file
     renamed to ``path``.
 
-    Each block holds one column per header column: a numpy array, a list or
-    tuple of cells, or a scalar cell that repeats on every row; its array and
-    list columns share one length. Cells are written as ``_fmt`` writes them,
-    column by column, at most ``CSV_CHUNK`` rows at a time.
+    Each block holds one column per header column: a numpy array, a masked
+    array (a masked cell is written blank), a list or tuple of cells, or a
+    scalar cell that repeats on every row; its array and list columns share one
+    length. Cells are written as ``_fmt`` writes them, column by column, at
+    most ``CSV_CHUNK`` rows at a time.
     """
     path = Path(path)
     width = len(header)
@@ -278,6 +294,7 @@ def write_csv(
                 for start in range(0, n, CSV_CHUNK):
                     lines = zip(*(c(start, min(start + CSV_CHUNK, n)) for c in cells))
                     fh.write("\n".join(map(",".join, lines)) + "\n")
+                block = cells = lines = None  # hold nothing of this block while the next is drawn
                 block, b = next(blocks, None), b + 1
         os.replace(tmp, path)
     finally:

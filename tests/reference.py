@@ -14,9 +14,10 @@ numpy scalars, that every table ``build_envelope_tables`` streams must equal
 byte for byte. ``uniform_h_exact`` and
 ``uniform_envelope_exact`` are the uniform family's value curve in closed form.
 ``csv_text_per_cell`` is the CSV text ``write_csv`` must write byte for byte,
-one ``_fmt`` call per cell; ``two_point_oracle_where`` is the oracle's weight
-sweep with a fresh ``np.where`` array per weight, which the library's buffered
-sweep must match bit for bit.
+one ``_fmt`` call per cell; ``two_point_oracle_where`` is the oracle's sweep
+over the whole offset-pair grid at once, with a fresh ``np.where`` array per
+weight, which the library's buffered sweep over blocks of grid rows must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def csv_text_per_cell(
 
 
 def two_point_oracle_where(scenario, table, alpha: float, z_grid_size: int, w_grid_size: int):
-    """``(oracle_value, witness)`` of ``two_point_oracle``, allocating every weight's arrays."""
+    """``(oracle_value, witness)`` of ``two_point_oracle``, from full-grid arrays allocated
+    afresh for every weight."""
     eta = table.eta
     dom = offset_domain(scenario, eta)
     z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)

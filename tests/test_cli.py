@@ -214,6 +214,24 @@ def test_envelope_memory_does_not_grow_with_the_sweep(tmp_path):
     assert two_hundred < five + 2 * 2**20, (five, two_hundred)
 
 
+def test_simulate_memory_does_not_grow_with_rounds(tmp_path):
+    # a physical run holds one SIMULATE_BLOCK of rounds and CSV_CHUNK rows of text
+    out = str(tmp_path / "sim.csv")
+
+    def peak(rounds: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--mode", "physical", "--eta", "3", "--rounds", str(rounds),
+                         "--adv", "z=2.5:0.6,z=3.5:0.4", "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # imports and caches off the books
+    small, large = peak(2**15), peak(2**17)
+    assert large < small + 2**19, (small, large)
+
+
 def test_simulate_rejects_negative_rounds(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--mode", "bernoulli", "--eta", "2.5", "--out", str(out)]

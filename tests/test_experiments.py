@@ -206,7 +206,7 @@ def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert run_trials(smoke_art, (ETC,), threads=10**6) == seq
 
 
@@ -272,14 +272,19 @@ _ARRAYS = {  # array kind -> strategy for an array of that kind and a given leng
 }
 
 
+_MASKED = ("float64", "int64", "bool")  # array kinds also drawn as masked arrays
+
+
 @st.composite
 def _column_block(draw, width):
-    """A block of ``width`` columns: arrays and cell lists of one length, and scalar cells."""
+    """A block of ``width`` columns: arrays, masked arrays and cell lists of one length, and
+    scalar cells."""
     n = draw(st.integers(0, 20))
     sized = draw(st.integers(0, width - 1))  # an array or a list, so the block has a length
     columns = []
     for j in range(width):
-        kind = draw(st.sampled_from(["list", *_ARRAYS] + (["scalar"] if j != sized else [])))
+        kind = draw(st.sampled_from(["list", *_ARRAYS, *(f"masked {k}" for k in _MASKED)]
+                                    + (["scalar"] if j != sized else [])))
         if kind == "scalar":
             columns.append(draw(st.one_of(*_CELLS.values())))
         elif kind == "list":
@@ -287,15 +292,25 @@ def _column_block(draw, width):
                                   unique=True))
             cells = st.one_of(*(_CELLS[k] for k in kinds))
             columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+        elif kind.startswith("masked "):
+            mask = draw(st.just(np.ma.nomask) | st.lists(st.booleans(), min_size=n, max_size=n))
+            columns.append(np.ma.masked_array(draw(_ARRAYS[kind.split()[1]](n)), mask=mask))
         else:
             columns.append(draw(_ARRAYS[kind](n)))
     return tuple(columns)
 
 
+def _column_cells_as_held(column, n: int) -> list:
+    """A column's ``n`` cells as the block holds them; a masked cell is the blank ``""``."""
+    if isinstance(column, np.ma.MaskedArray):
+        return ["" if m else x for x, m in zip(column.data, np.ma.getmaskarray(column))]
+    return column if isinstance(column, (list, np.ndarray)) else [column] * n
+
+
 def _block_rows(block) -> list[tuple]:
     """The rows a column block stands for, each cell as the block holds it."""
     n = next(len(c) for c in block if isinstance(c, (list, np.ndarray)))
-    return list(zip(*(c if isinstance(c, (list, np.ndarray)) else [c] * n for c in block)))
+    return list(zip(*(_column_cells_as_held(c, n) for c in block)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,7 +318,8 @@ def _block_rows(block) -> list[tuple]:
 def test_write_csv_matches_the_per_cell_writer(table, chunk, data):
     header, rows = table
     width = len(header)
-    # the rows as one block of cell lists, then drawn blocks of arrays, lists and scalars
+    # the rows as one block of cell lists, then drawn blocks of arrays, masked arrays, lists
+    # and scalars
     blocks = [tuple([row[j] for row in rows] for j in range(width)),
               *data.draw(st.lists(_column_block(width), max_size=3))]
     saved = experiments.CSV_CHUNK

@@ -109,3 +109,18 @@ def test_truncated_gaussian_config_loads_scipy_special():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "True"]
+
+
+def test_cli_loads_the_pool_and_masked_arrays_only_when_used(tmp_path):
+    # run_trials imports the pool when it starts one; write_csv looks for masked arrays
+    # without importing numpy.ma, so a run that writes no blank cell never loads it
+    out = tmp_path / "env.csv"
+    run = _fresh(
+        "import sys\n"
+        "from goc.cli import main\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        f"assert main(['envelope', '--eta-list', '2,2.5', '--out', {str(out)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]

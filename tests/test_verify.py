@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import goc.verify
 from goc.envelope import build_envelope_table, k_eta, nu_eta, offset_domain
 from goc.environment import make_rng
 from goc.noise import truncated_gaussian_scenario
@@ -132,3 +135,28 @@ def test_buffered_sweep_matches_the_where_sweep(unif, tgauss):
                 res = two_point_oracle(scenario, table, alpha, 201, 101)
                 want = two_point_oracle_where(scenario, table, alpha, 201, 101)
                 assert (res.oracle_value, res.witness) == want
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("sigma", [None, 0.5, 3.0], ids=["uniform", "sigma0.5", "sigma3"])
+def test_row_blocks_match_the_full_array_sweep(unif, monkeypatch, sigma, alpha):
+    """Blocks of one grid row scan to the full-array sweep's value and first-maximum witness."""
+    scenario = unif if sigma is None else truncated_gaussian_scenario(sigma, 1.0, 1e4)
+    table = build_envelope_table(scenario, 2.5)
+    monkeypatch.setattr(goc.verify, "ORACLE_BLOCK_CELLS", 1)
+    res = two_point_oracle(scenario, table, alpha, 201, 101)
+    want = two_point_oracle_where(scenario, table, alpha, 201, 101)
+    assert (res.oracle_value, res.witness) == want
+
+
+def test_oracle_memory_is_bounded(tgauss):
+    """The oracle holds one block of grid rows at a time, not the z-by-z grid."""
+    table = build_envelope_table(tgauss, 2.5)
+    two_point_oracle(tgauss, table, 0.5, 201, 101)  # imports and caches off the books
+    tracemalloc.start()
+    try:
+        two_point_oracle(tgauss, table, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
