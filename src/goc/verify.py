@@ -20,6 +20,7 @@ from goc.noise import Scenario
 DEFAULT_Z_GRID = 401
 DEFAULT_W_GRID = 201
 ORACLE_BLOCK_CELLS = 1 << 14  # offset-pair cells the oracle computes at once, in whole rows
+_INFEASIBLE = "infeasible: alpha exceeds the maximum acceptance probability"
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,11 @@ def two_point_oracle(
     result. Sweeps an offset grid pair with a weight grid, plus the exact
     weight that makes the acceptance constraint active for each offset pair
     (the maximizer usually sits on the constraint boundary, which a weight
-    grid alone would miss). The offset-pair grid is computed one block of
+    grid alone would miss). The constraint-active stage runs first, and the
+    weight sweep then evaluates only the grid rows whose bound can still reach
+    the best value (``_rows_that_can_win``). The result is the first maximum in
+    the order weight-sweep cells by ``(w, row, column)``, then constraint-active
+    cells by ``(row, column)``. The offset-pair grid is computed one block of
     whole rows, about ``ORACLE_BLOCK_CELLS`` cells, at a time.
     """
     check_alpha(alpha)
@@ -68,48 +73,35 @@ def two_point_oracle(
     kz = np.asarray(k_eta(scenario, eta, z))
     nz = np.asarray(nu_eta(scenario, eta, z))
     if alpha > kz.max() + 1e-12:
-        raise ValueError("infeasible: alpha exceeds the maximum acceptance probability")
+        raise ValueError(_INFEASIBLE)
 
     k1 = kz[:, None]
     k2 = kz[None, :]
     n1 = nz[:, None]
     n2 = nz[None, :]
+    floor = alpha - 1e-15
     step = max(1, ORACLE_BLOCK_CELLS // z_grid_size)
     blocks = [(r0, min(r0 + step, z_grid_size)) for r0 in range(0, z_grid_size, step)]
 
     best_val = -np.inf
     best_witness = (float(z[0]), float(z[0]), 1.0)
+    held_by_constraint = False  # the best so far came from the constraint-active stage
 
-    def consider(values: np.ndarray, r0: int, w_of_pair) -> None:
-        """Keep the first maximum of ``values``, grid rows ``r0`` on, if it beats the best."""
-        nonlocal best_val, best_witness
+    def consider(values: np.ndarray, rows_z: np.ndarray, w_of_pair, sweep: bool) -> None:
+        """Keep the first maximum of ``values``, at offsets ``rows_z``, if it beats the best.
+
+        Weight-sweep cells come first in the search order, so one also takes a
+        tie from a constraint-active cell.
+        """
+        nonlocal best_val, best_witness, held_by_constraint
         flat = int(np.argmax(values))
         val = float(values.flat[flat])
-        if val > best_val:
+        if val > best_val or (sweep and held_by_constraint and val == best_val):
             i, j = np.unravel_index(flat, values.shape)
             w = float(w_of_pair[i, j]) if isinstance(w_of_pair, np.ndarray) else float(w_of_pair)
             best_val = val
-            best_witness = (float(z[r0 + i]), float(z[j]), w)
-
-    # Both stages run over blocks of rows in row order, so the strict > in consider keeps
-    # the whole grid's first maximum. The weight sweep reuses one block's buffers; k is
-    # finite, so pa < floor is exactly the complement of pa >= floor.
-    shape = (step, z_grid_size)
-    pa_rows, mse_rows = np.empty(shape), np.empty(shape)
-    infeasible_rows = np.empty(shape, dtype=bool)
-    for w in np.linspace(0.0, 1.0, w_grid_size):
-        wk1, wk2, wn1, wn2 = w * k1, (1.0 - w) * k2, w * n1, (1.0 - w) * n2
-        for r0, r1 in blocks:
-            pa, mse = pa_rows[:r1 - r0], mse_rows[:r1 - r0]
-            infeasible = infeasible_rows[:r1 - r0]
-            np.add(wk1[r0:r1], wk2, out=pa)
-            np.less(pa, alpha - 1e-15, out=infeasible)
-            np.add(wn1[r0:r1], wn2, out=mse)
-            np.multiply(4.0, pa, out=pa)
-            np.maximum(pa, 1e-300, out=pa)
-            np.divide(mse, pa, out=mse)
-            np.copyto(mse, -np.inf, where=infeasible)
-            consider(mse, r0, w)
+            best_witness = (float(rows_z[i]), float(z[j]), w)
+            held_by_constraint = not sweep
 
     # constraint-active weight per offset pair: acceptance exactly alpha
     for r0, r1 in blocks:
@@ -122,8 +114,37 @@ def two_point_oracle(
             (w_safe * n1[r0:r1] + (1.0 - w_safe) * n2) / (4.0 * alpha),
             -np.inf,
         )
-        consider(mse, r0, w_safe)
+        consider(mse, z[r0:r1], w_safe, sweep=False)
 
+    # The weight sweep skips only rows with no cell at or above the best so far, and takes
+    # the rest in ascending order, so consider still keeps the whole grid's first maximum.
+    # It reuses one block's buffers; k is finite, so pa < floor is exactly the complement
+    # of pa >= floor.
+    # a stable argsort maps in less of numpy's sort code on first use (peak RSS) than the default
+    order = np.argsort(kz, kind="stable")
+    k_sorted = kz[order]
+    n_top = np.append(np.maximum.accumulate(nz[order][::-1])[::-1], -np.inf)
+    shape = (step, z_grid_size)
+    pa_rows, mse_rows = np.empty(shape), np.empty(shape)
+    infeasible_rows = np.empty(shape, dtype=bool)
+    for w in np.linspace(0.0, 1.0, w_grid_size):
+        wk1, wk2, wn1, wn2 = w * k1, (1.0 - w) * k2, w * n1, (1.0 - w) * n2
+        rows = _rows_that_can_win(w, floor, kz, nz, k_sorted, n_top, best_val)
+        for s in range(0, rows.size, step):
+            r = rows[s:s + step]
+            pa, mse = pa_rows[:r.size], mse_rows[:r.size]
+            infeasible = infeasible_rows[:r.size]
+            np.add(wk1[r], wk2, out=pa)
+            np.less(pa, floor, out=infeasible)
+            np.add(wn1[r], wn2, out=mse)
+            np.multiply(4.0, pa, out=pa)
+            np.maximum(pa, 1e-300, out=pa)
+            np.divide(mse, pa, out=mse)
+            np.copyto(mse, -np.inf, where=infeasible)
+            consider(mse, z[r], w, sweep=True)
+
+    if best_val == -np.inf:  # every feasible cell is worth at least 0: none reaches the floor
+        raise ValueError(_INFEASIBLE)
     envelope_value = float(table.h_star_at(alpha) / (4.0 * alpha))
     return OracleResult(
         eta=float(eta),
@@ -132,6 +153,37 @@ def two_point_oracle(
         envelope_value=envelope_value,
         witness=best_witness,
     )
+
+
+def _rows_that_can_win(
+    w: float,
+    floor: float,
+    kz: np.ndarray,
+    nz: np.ndarray,
+    k_sorted: np.ndarray,
+    n_top: np.ndarray,
+    best: float,
+) -> np.ndarray:
+    """Ascending grid rows whose weight-``w`` cells could reach ``best``; all if ``floor <= 0``.
+
+    A feasible cell has ``pa >= floor``, so its denominator is at least
+    ``4 floor``, and its column has ``k >= kmin = (floor - w k_row - 1e-9) /
+    (1 - w)``. ``n_top[p]`` is the largest ``nu`` over the columns from
+    position ``p`` of ``k_sorted`` (ascending) on, and ``-inf`` past the end.
+    With ``nu >= 0``, ``0 <= k <= 1`` and ``0 <= w <= 1`` no term cancels, so
+    rounding moves a cell's acceptance by about 1e-16 and its value or the
+    bound by a few ulps, far inside the ``1e-9`` slacks: a skipped row holds
+    no cell at or above ``best``.
+    """
+    if floor <= 0.0:
+        return np.arange(kz.size)
+    if w == 1.0:  # pa is the row's own k
+        num = np.where(kz >= floor - 1e-9, nz, -np.inf)
+    else:
+        kmin = (floor - w * kz - 1e-9) / (1.0 - w)
+        num = w * nz + (1.0 - w) * n_top[np.searchsorted(k_sorted, kmin)]
+    bound = num / (4.0 * floor) * (1.0 + 1e-9)
+    return np.flatnonzero(bound >= best)
 
 
 def verify_grid(

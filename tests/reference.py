@@ -16,8 +16,9 @@ byte for byte. ``uniform_h_exact`` and
 ``csv_text_per_cell`` is the CSV text ``write_csv`` must write byte for byte,
 one ``_fmt`` call per cell; ``two_point_oracle_where`` is the oracle's sweep
 over the whole offset-pair grid at once, with a fresh ``np.where`` array per
-weight, which the library's buffered sweep over blocks of grid rows must match
-bit for bit.
+weight, which the library's buffered sweep over the blocks of grid rows its
+bound keeps must match bit for bit. ``direct_adversary_optimum`` is the
+adversary's own best two-offset mixture, searched with no value curve.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from goc.envelope import EnvelopeTable, acceptance_grid, k_eta, k_inverse, nu_eta, offset_domain
 from goc.experiments import _fmt
 from goc.noise import UNIFORM, _big_phi, _phi
+from goc.utility import q_ad
 
 _BISECT_ITERS = 80
 
@@ -275,3 +277,31 @@ def two_point_oracle_where(scenario, table, alpha: float, z_grid_size: int, w_gr
     consider(np.where(feasible, (w_safe * n1 + (1.0 - w_safe) * n2) / (4.0 * alpha), -np.inf),
              w_safe)
     return best_val, best_witness
+
+
+def direct_adversary_optimum(scenario, eta: float, spec, alpha_min: float, z_grid_size: int,
+                             w_grid_size: int):
+    """``(q_ad, pa, mse)`` at the adversary's best two-offset mixture with ``pa >= alpha_min``.
+
+    Searches mixtures ``(z1, z2, w)`` directly: every offset pair of the grid
+    with every weight of the grid, plus the weight that puts each pair's
+    acceptance exactly at ``alpha_min``. Only ``k_eta`` and ``nu_eta`` enter;
+    no value curve, envelope or best response does.
+    """
+    dom = offset_domain(scenario, eta)
+    z = np.linspace(dom.z_lo, dom.z_hi, z_grid_size)
+    kz = np.asarray(k_eta(scenario, eta, z))
+    nz = np.asarray(nu_eta(scenario, eta, z))
+    k1, k2, n1, n2 = kz[:, None], kz[None, :], nz[:, None], nz[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_active = (alpha_min - k2) / (k1 - k2)
+    w_active = np.where(np.isfinite(w_active), np.clip(w_active, 0.0, 1.0), 0.0)
+    best = (-np.inf, np.nan, np.nan)
+    for w in [*np.linspace(0.0, 1.0, w_grid_size), w_active]:
+        pa = w * k1 + (1.0 - w) * k2
+        mse = (w * n1 + (1.0 - w) * n2) / np.maximum(4.0 * pa, 1e-300)
+        q = np.where(pa >= alpha_min, q_ad(spec, mse, pa), -np.inf)
+        flat = np.unravel_index(int(np.argmax(q)), q.shape)
+        if q[flat] > best[0]:
+            best = (float(q[flat]), float(pa[flat]), float(mse[flat]))
+    return best

@@ -485,6 +485,17 @@ def test_learn_trace_cannot_overwrite_out(tmp_path, smoke_cfg, capsys, monkeypat
     assert not out.exists()
 
 
+def test_verify_rejects_an_admitted_alpha_that_no_mixture_reaches(tmp_path, capsys):
+    # --alpha-list admits 1 + 1e-12; above 1 + 1e-15 no acceptance reaches the floor
+    out = tmp_path / "verify.csv"
+    rc = main(["verify", "--eta-list", "3", "--alpha-list", "1.0000000000005", "--z-grid", "201",
+               "--w-grid", "101", "--out", str(out)])
+    assert rc == 2
+    assert "error: infeasible: alpha exceeds the maximum acceptance probability" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_verify_names_the_coarse_grid_flag(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     rc = main(["verify", "--eta-list", "2", "--alpha-list", "0.5", "--z-grid", "100",

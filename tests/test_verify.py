@@ -7,8 +7,9 @@ import goc.verify
 from goc.envelope import build_envelope_table, k_eta, nu_eta, offset_domain
 from goc.environment import make_rng
 from goc.noise import truncated_gaussian_scenario
-from goc.verify import two_point_oracle, verify_grid
+from goc.verify import DEFAULT_W_GRID, DEFAULT_Z_GRID, two_point_oracle, verify_grid
 
+import reference
 from reference import two_point_oracle_where
 
 
@@ -160,3 +161,98 @@ def test_oracle_memory_is_bounded(tgauss):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def _count_sweep_rows(monkeypatch):
+    """Patch the oracle's row filter to tally the weight-sweep rows it lets through."""
+    counted = []
+    real = goc.verify._rows_that_can_win
+
+    def counting(*args):
+        rows = real(*args)
+        counted.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(goc.verify, "_rows_that_can_win", counting)
+    return counted
+
+
+@pytest.mark.parametrize("eta", [2.0, 3.0])
+def test_pruned_sweep_matches_the_full_grid_on_the_benchmark_cells(eta):
+    """The two cells ``goc verify`` checks in the benchmark, at the default grids."""
+    scenario = truncated_gaussian_scenario(sigma=3.0, delta=1.0, big_m=1e4)
+    table = build_envelope_table(scenario, eta)
+    res = two_point_oracle(scenario, table, 0.5)
+    want = two_point_oracle_where(scenario, table, 0.5, DEFAULT_Z_GRID, DEFAULT_W_GRID)
+    assert (res.oracle_value, res.witness) == want
+
+
+def test_pruning_skips_most_rows_at_an_interior_alpha(monkeypatch):
+    scenario = truncated_gaussian_scenario(sigma=3.0, delta=1.0, big_m=1e4)
+    table = build_envelope_table(scenario, 2.0)
+    counted = _count_sweep_rows(monkeypatch)
+    two_point_oracle(scenario, table, 0.5)
+    assert len(counted) == DEFAULT_W_GRID
+    assert sum(counted) < 0.05 * DEFAULT_W_GRID * DEFAULT_Z_GRID, sum(counted)
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 1e-15])
+def test_a_floor_at_or_below_zero_evaluates_every_row(unif, tgauss, monkeypatch, alpha):
+    # alpha - 1e-15 <= 0: every cell is feasible and no bound applies
+    counted = _count_sweep_rows(monkeypatch)
+    for scenario in (unif, tgauss):
+        table = build_envelope_table(scenario, 2.5)
+        counted.clear()
+        res = two_point_oracle(scenario, table, alpha, 201, 101)
+        assert counted == [201] * 101
+        assert (res.oracle_value, res.witness) == two_point_oracle_where(
+            scenario, table, alpha, 201, 101)
+
+
+def _synthetic_law(monkeypatch, k_head, nu_head):
+    """Give the oracle and its reference offsets whose k and nu start with the given values
+    and are 0 after them."""
+    k, nu = np.zeros(201), np.zeros(201)
+    k[:len(k_head)], nu[:len(nu_head)] = k_head, nu_head
+    for module in (goc.verify, reference):
+        monkeypatch.setattr(module, "k_eta", lambda scenario, eta, z: k[:z.size].copy())
+        monkeypatch.setattr(module, "nu_eta", lambda scenario, eta, z: nu[:z.size].copy())
+
+
+@pytest.mark.parametrize("nu_on_support", [1.0, 0.0], ids=["positive", "zero"])
+def test_a_sweep_cell_takes_a_tie_from_the_constraint_active_stage(
+        unif, table_unif_2, monkeypatch, nu_on_support):
+    """Row 0 reaches acceptance 0.5 exactly with column 1 at w* = 1/3 (off the weight grid)
+    and with column 2 at w = 0.5 (on it), both worth nu / 2. The constraint-active stage,
+    which runs first, holds column 1; the weight sweep comes first in the search order, so
+    its cell wins the tie. With nu = 0 every bound equals the best value, 0."""
+    _synthetic_law(monkeypatch, (1.0, 0.25, 0.0), (nu_on_support,) * 3)
+    z = np.linspace(*offset_domain(unif, 2.0), 201)
+    res = two_point_oracle(unif, table_unif_2, 0.5, 201, 101)
+    assert (res.oracle_value, res.witness) == two_point_oracle_where(
+        unif, table_unif_2, 0.5, 201, 101)
+    assert res.oracle_value == nu_on_support / 2.0
+    assert res.witness != (float(z[0]), float(z[1]), 1.0 / 3.0)  # the constraint-active cell
+    assert res.witness[2] in np.linspace(0.0, 1.0, 101)
+
+
+def test_a_sweep_cell_on_the_floor_survives_the_bound(unif, table_unif_2, monkeypatch):
+    """At w = 0.5 the mixture of k = 0.97 and 0.61 lands exactly on the feasibility floor and
+    beats the constraint-active cell by a few ulps; without its slack the bound's column
+    threshold, (floor - 0.5 * 0.97) / 0.5, rounds above 0.61 and would skip the row."""
+    alpha = 0.790000000000001
+    assert alpha - 1e-15 == 0.5 * 0.97 + 0.5 * 0.61
+    _synthetic_law(monkeypatch, (0.97, 0.61), (0.1, 1.0))
+    z = np.linspace(*offset_domain(unif, 2.0), 201)
+    res = two_point_oracle(unif, table_unif_2, alpha, 201, 101)
+    assert (res.oracle_value, res.witness) == two_point_oracle_where(
+        unif, table_unif_2, alpha, 201, 101)
+    assert res.witness == (float(z[0]), float(z[1]), 0.5)
+
+
+def test_an_admitted_alpha_that_no_cell_reaches_is_infeasible(unif):
+    # check_alpha admits 1 + 1e-12, but above 1 + 1e-15 the floor exceeds every acceptance
+    table = build_envelope_table(unif, 3.0)
+    with pytest.raises(ValueError, match="^infeasible: "):
+        two_point_oracle(unif, table, 1.0000000000005, 201, 101)
+    assert np.isfinite(two_point_oracle(unif, table, 1.0 + 1e-15, 201, 101).oracle_value)
