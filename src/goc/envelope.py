@@ -102,7 +102,19 @@ def nu_eta(scenario: Scenario, eta: float, z):
 
 def _gap_mass(scenario: Scenario, eta, z: np.ndarray) -> np.ndarray:
     # eta is a scalar or a column of thresholds, one per row of z
-    m0, m1, m2 = scenario.noise.partial_moments(z - eta * scenario.delta)
+    d = scenario.delta
+    t = np.clip(z - eta * d, -d, d)
+    if t.ndim < 2 or t.shape[0] < 2:
+        m0, m1, m2 = scenario.noise.partial_moments(t)
+    else:
+        # a column of t = fl(eta d + p) - eta d repeats a few values (p rounded near eta d + p);
+        # partial_moments works element by element, so the first row's moments, copied, and
+        # those of the entries that differ from it are the bytes of one call on the block
+        new = t != t[0]
+        m0, m1, m2 = (np.broadcast_to(m, t.shape).copy()
+                      for m in scenario.noise.partial_moments(t[0]))
+        for m, vals in zip((m0, m1, m2), scenario.noise.partial_moments(t[new])):
+            m[new] = vals
     return np.maximum(m2 + 2.0 * z * m1 + z * z * m0, 0.0)
 
 

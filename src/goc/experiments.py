@@ -27,8 +27,6 @@ from goc.utility import estimate_lipschitz
 ETC = "etc"
 ELIMINATION = "elim"
 
-REFERENCE_DENSITY = 10  # reference grid points per learner grid point
-
 
 @dataclass(frozen=True)
 class InstanceArtifacts:
@@ -39,7 +37,7 @@ class InstanceArtifacts:
     tables: tuple[EnvelopeTable, ...]
     alphas: np.ndarray  # best-response acceptance rate at the learner grid points
     u_grid: np.ndarray  # realized utility at the learner grid points
-    u_star: float  # max realized utility on the reference grid
+    u_star: float  # max realized utility over the estimator sweep and the learner grid
 
 
 def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
@@ -48,23 +46,26 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     a, b = config["learner.a"], config["learner.b"]
     grid_size = config["envelope.grid"]
     alpha_min = config["envelope.alpha_min"]
+    etas = np.linspace(a, b, config["estimator.resolution"])  # one sweep: L, d and u_star
+    u = np.array([br.dc_value
+                  for br in best_response_curve(scenario, spec, etas, grid_size, alpha_min)])
     lip = config.lipschitz_override or estimate_lipschitz(
-        scenario, spec, (a, b), config["estimator.resolution"], grid_size, alpha_min).profile
+        scenario, spec, etas, u, grid_size, alpha_min).profile
     learner = LearnerConfig.derive(
         a, b, config["learner.delta"], config["learner.lambda"], lip,
         budget_scale=config["experiment.budget_scale"],
     )
     tables = tuple(build_envelope_tables(scenario, learner.etas(), grid_size, alpha_min))
     responses = [best_response(t, spec) for t in tables]
-    ref_etas = np.linspace(a, b, REFERENCE_DENSITY * (learner.n + 1))
-    reference = best_response_curve(scenario, spec, ref_etas, grid_size, alpha_min)
+    u_grid = np.array([br.dc_value for br in responses])
     return InstanceArtifacts(
         config=config,
         learner=learner,
         tables=tables,
         alphas=np.array([br.alpha_star for br in responses]),
-        u_grid=np.array([br.dc_value for br in responses]),
-        u_star=float(np.max([br.dc_value for br in reference])),
+        u_grid=u_grid,
+        # the learner grid is not nested in the sweep: its maximum keeps every regret >= 0
+        u_star=max(float(u.max()), float(u_grid.max())),
     )
 
 

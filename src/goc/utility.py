@@ -119,25 +119,24 @@ def check_resolution(resolution: int) -> None:
 def estimate_lipschitz(
     scenario: Scenario,
     spec: UtilitySpec,
-    eta_range: tuple[float, float],
-    resolution: int = 801,
+    etas: np.ndarray,
+    u: np.ndarray,
     grid_size: int = DEFAULT_GRID_SIZE,
     alpha_min: float = DEFAULT_ALPHA_MIN,
 ) -> LipschitzEstimate:
     """Estimate (ell, L, d) from the computed curves.
 
-    ``ell`` is the exact maximum segment slope of the piecewise-linear map
-    alpha -> q_dc(c(alpha), alpha) over a coarse eta sweep. ``L`` and ``d``
-    come from finite differences of the realized-utility curve over a fixed
-    physical window (stable under grid refinement); windowed slopes above
-    ``JUMP_FACTOR`` times the median flag piece boundaries and are excluded
-    from ``L``. Overestimates only inflate the learners' budgets.
+    ``etas`` is an evenly spaced sweep over ``[a, b]`` and ``u`` the realized
+    utility at each of its points. ``ell`` is the exact maximum segment slope
+    of the piecewise-linear map alpha -> q_dc(c(alpha), alpha) over a coarse
+    eta sweep. ``L`` and ``d`` come from finite differences of ``u`` over a
+    fixed physical window (stable under grid refinement); windowed slopes
+    above ``JUMP_FACTOR`` times the median flag piece boundaries and are
+    excluded from ``L``. Overestimates only inflate the learners' budgets.
     """
-    from goc.oracle import best_response_curve  # local import: oracle depends on this module
-
-    a, b = eta_range
+    check_resolution(len(etas))
+    a, b = float(etas[0]), float(etas[-1])
     check_threshold_range(a, b)
-    check_resolution(resolution)
     # slope bound in alpha, exact on the piecewise-linear tables
     ell = 0.0
     for table in build_envelope_tables(scenario, np.linspace(a, b, ELL_ETA_POINTS), grid_size,
@@ -147,10 +146,6 @@ def estimate_lipschitz(
         ell = max(ell, float(slopes.max()))
     ell = max(ell, 1e-9)
 
-    etas = np.linspace(a, b, resolution)
-    u = np.array(
-        [br.dc_value for br in best_response_curve(scenario, spec, etas, grid_size, alpha_min)]
-    )
     step = etas[1] - etas[0]
     m = max(1, int(round(WINDOW_FRACTION * (b - a) / step)))
     wslopes = np.abs(u[m:] - u[:-m]) / (m * step)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import goc.envelope
 from goc.envelope import (
     DEFAULT_ALPHA_MIN,
+    _gap_mass,
+    _offsets,
     _upper_hulls,
     acceptance_grid,
     build_envelope_table,
@@ -295,6 +297,38 @@ def test_streamed_tables_equal_the_per_eta_build(sigma, count):
     if sigma is None and count == 801:
         # the 133 etas below 8/3: the chain resumes after the numpy pass on these rows
         assert sum(t.hull_q.size < 2001 for t in tables) == 133
+
+
+def _scaled_family(sigma):
+    # a non-unit scenario; sigma = 3 stays within MAX_SIGMA_RATIO * 0.37
+    if sigma is None:
+        return uniform_scenario(delta=0.37, big_m=100.0)
+    return truncated_gaussian_scenario(sigma=sigma, delta=0.37, big_m=100.0)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.5, 3.0], ids=["uniform", "s0.5", "s3"])
+def test_streamed_tables_reuse_moments_bytewise(sigma):
+    # etas over [2, 9.5] cross binades of eta * delta, so more offsets differ from their
+    # block's first row; a 101-point grid packs 162 rows into a block (blocks 162, 162, 77)
+    scenario = _scaled_family(sigma)
+    etas = np.linspace(2.0, 9.5, 401)
+    tables = build_envelope_tables(scenario, etas, 101, DEFAULT_ALPHA_MIN)
+    for eta, t in zip(etas, tables):
+        ref = build_envelope_table_per_eta(scenario, eta, 101, DEFAULT_ALPHA_MIN)
+        for name in TABLE_FIELDS:
+            assert getattr(t, name).tobytes() == getattr(ref, name).tobytes(), (eta, name)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.5, 3.0], ids=["uniform", "s0.5", "s3"])
+def test_gap_mass_of_a_block_equals_its_rows(sigma):
+    scenario = _scaled_family(sigma)
+    q, _ = acceptance_grid(101, DEFAULT_ALPHA_MIN)
+    col = np.linspace(2.0, 9.5, 162)[:, None]
+    z = _offsets(scenario, col, scenario.noise.ppf(1.0 - q))
+    t = z - col * scenario.delta
+    assert 0 < np.count_nonzero(t != t[0]) < t.size  # some moments are reused, some are not
+    rows = [_gap_mass(scenario, eta, row) for eta, row in zip(col[:, 0], z)]
+    assert _gap_mass(scenario, col, z).tobytes() == np.array(rows).tobytes()
 
 
 def test_tables_check_every_eta_before_any_work(unif):

@@ -16,6 +16,7 @@ import goc.oracle
 from goc import experiments
 from goc.cli import main
 from goc.config import load_config
+from goc.envelope import EnvelopeTable
 from goc.experiments import (
     ELIMINATION,
     ETC,
@@ -26,6 +27,7 @@ from goc.experiments import (
     summarize,
     write_csv,
 )
+from goc.utility import ELL_ETA_POINTS
 
 from reference import csv_text_per_cell
 
@@ -63,7 +65,40 @@ def test_prepare_instance_shapes(smoke_art):
     n_arms = smoke_art.learner.n + 1
     assert len(smoke_art.tables) == n_arms
     assert smoke_art.alphas.shape == smoke_art.u_grid.shape == (n_arms,)
-    assert smoke_art.u_star >= smoke_art.u_grid.max() - 1e-12
+    assert smoke_art.u_star >= smoke_art.u_grid.max()
+
+
+def _count_tables(monkeypatch) -> list[float]:
+    """The eta of every ``EnvelopeTable`` built from here on, in order."""
+    built = []
+    post_init = EnvelopeTable.__post_init__
+
+    def counting(self):
+        built.append(self.eta)
+        post_init(self)
+
+    monkeypatch.setattr(EnvelopeTable, "__post_init__", counting)
+    return built
+
+
+def test_an_estimated_profile_costs_one_sweep(monkeypatch):
+    # the ell pass, one realized-utility sweep for L, d and u_star, and the learner's arms
+    cfg = load_config(None)
+    built = _count_tables(monkeypatch)
+    art = prepare_instance(cfg)
+    n_arms = art.learner.n + 1
+    assert len(built) == ELL_ETA_POINTS + cfg["estimator.resolution"] + n_arms == 856
+    assert art.u_star >= art.u_grid.max()
+
+
+def test_an_overridden_profile_keeps_the_sweep_for_u_star(smoke_cfg, monkeypatch):
+    # 42 arms against a 51-eta sweep: the learner grid is finer than the sweep
+    cfg = smoke_cfg.with_overrides(**{"lipschitz.L": 10.0, "estimator.resolution": 51})
+    built = _count_tables(monkeypatch)
+    art = prepare_instance(cfg)
+    assert art.learner.n == 41
+    assert len(built) == 51 + art.learner.n + 1
+    assert art.u_star >= art.u_grid.max()
 
 
 def test_trials_compute_no_best_response(smoke_cfg, monkeypatch):

@@ -40,33 +40,24 @@ def test_submodule_imports_first(name):
     assert run.returncode == 0, run.stderr
 
 
-def _goc_imports(name: str) -> list[tuple[str, str | None]]:
-    """``(goc submodule, enclosing function or None)`` for each import in ``goc/<name>.py``,
-    read with ``ast`` so that nothing is imported."""
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                found.extend((a.name, func) for a in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.extend((child.module, func) if child.module != "goc" else
-                             (f"goc.{a.name}", func) for a in child.names)
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
-
-    visit(ast.parse((SRC / "goc" / f"{name}.py").read_text()), None)
-    return [(m.split(".")[1], func) for m, func in found if m.startswith("goc.")]
+def _goc_imports(name: str) -> set[str]:
+    """The ``goc`` submodules that ``goc/<name>.py`` imports anywhere, function bodies
+    included, read with ``ast`` so that nothing is imported."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "goc" / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.update([node.module] if node.module != "goc" else
+                         (f"goc.{a.name}" for a in node.names))
+    return {m.split(".")[1] for m in found if m.startswith("goc.")}
 
 
 def test_module_layering():
-    imports = {name: _goc_imports(name) for name in SUBMODULES}
+    graph = {name: _goc_imports(name) for name in SUBMODULES}
     # arm environments draw from tables alone; best responses come from prepare_instance
-    assert {m for m, _ in imports["environment"]} == {"envelope", "noise"}
-    assert imports["noise"] == []
-    # the one cycle: estimate_lipschitz imports oracle inside the function, as its comment says
-    local = ("utility", "oracle", "estimate_lipschitz")
-    graph = {name: {m for m, func in deps if (name, m, func) != local}
-             for name, deps in imports.items()}
+    assert graph["environment"] == {"envelope", "noise"}
+    assert graph["noise"] == set()
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 

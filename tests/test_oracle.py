@@ -126,11 +126,11 @@ def test_realized_u_fine_grid_consistency(unif, spec_default):
     # within the single piece of this instance the curve obeys the estimated slope
     from goc.utility import estimate_lipschitz
 
-    est = estimate_lipschitz(unif, spec_default, (2.0, 3.0), resolution=201)
-    coarse = np.linspace(2.0, 3.0, 21)
-    u_coarse = np.array([realized_u(build_envelope_table(unif, e), spec_default) for e in coarse])
     fine = np.linspace(2.0, 3.0, 201)
     u_fine = np.array([realized_u(build_envelope_table(unif, e), spec_default) for e in fine])
+    est = estimate_lipschitz(unif, spec_default, fine, u_fine)
+    coarse = np.linspace(2.0, 3.0, 21)
+    u_coarse = np.array([realized_u(build_envelope_table(unif, e), spec_default) for e in coarse])
     interp = np.interp(fine, coarse, u_coarse)
     step = coarse[1] - coarse[0]
     assert np.max(np.abs(u_fine - interp)) <= est.profile.big_l * step + 1e-6

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -103,35 +101,36 @@ def test_lipschitz_profile_validation():
         LipschitzProfile(ell=1.0, big_l=-1.0, d=1.0)
 
 
+def _sweep(scenario, spec, a, b, resolution=801):
+    """The realized-utility sweep ``estimate_lipschitz`` reads: ``(etas, u)``."""
+    etas = np.linspace(a, b, resolution)
+    return etas, np.array([br.dc_value for br in best_response_curve(scenario, spec, etas)])
+
+
 def test_estimate_ell_exactly_one_for_acceptance_only(unif):
     spec = UtilitySpec(dc_kind="linear", dc_gamma=0.0, ad_kind="product", ad_theta=1.0)
-    est = estimate_lipschitz(unif, spec, (2.0, 3.0), resolution=101)
+    est = estimate_lipschitz(unif, spec, *_sweep(unif, spec, 2.0, 3.0, 101))
     assert est.profile.ell == 1.0
 
 
 def test_estimate_constant_curve_single_piece(unif, spec_pa_only):
     # acceptance-only collector against an acceptance-dominated adversary:
     # the realized curve is constant, so one piece spanning the whole range
-    est = estimate_lipschitz(unif, spec_pa_only, (2.0, 4.0), resolution=101)
+    etas, u = _sweep(unif, spec_pa_only, 2.0, 4.0, 101)
+    est = estimate_lipschitz(unif, spec_pa_only, etas, u)
     assert est.boundaries == ()
     assert est.profile.d == pytest.approx(2.0, abs=1e-12)
     assert est.profile.big_l <= 1e-9
-    u = np.array([br.dc_value for br in
-                  best_response_curve(unif, spec_pa_only, np.linspace(2.0, 4.0, 101))])
     assert np.max(np.abs(u - u[0])) <= 1e-12
 
 
-def test_flagged_windows_collapse_to_one_boundary_per_run(unif, spec_default, monkeypatch):
+def test_flagged_windows_collapse_to_one_boundary_per_run(unif, spec_default):
     # a curve of slope 0.01 with unit steps after etas[1], etas[100] and etas[399]: on 401
     # etas over [2, 6] the slope window is m = 2 steps, so the flagged windows are {0, 1},
     # {99, 100} and {398}, the last one ending the sweep
-    import goc.oracle
-
     etas = np.linspace(2.0, 6.0, 401)
     u = 0.01 * etas + np.searchsorted(etas[[1, 100, 399]], etas, side="left")
-    curve = [SimpleNamespace(dc_value=float(v)) for v in u]
-    monkeypatch.setattr(goc.oracle, "best_response_curve", lambda *args: curve)
-    est = estimate_lipschitz(unif, spec_default, (2.0, 6.0), resolution=401, grid_size=201)
+    est = estimate_lipschitz(unif, spec_default, etas, u, grid_size=201)
     assert est.boundaries == pytest.approx((2.015, 3.005, 5.99), abs=1e-12)
     assert est.profile.d == pytest.approx(0.01, abs=1e-12)
     assert est.profile.big_l == pytest.approx(0.01, abs=1e-12)
@@ -143,7 +142,7 @@ def test_estimate_flags_a_real_best_response_jump():
     scenario = truncated_gaussian_scenario(sigma=0.1, delta=1.0, big_m=1e4)
     spec = UtilitySpec(dc_kind="linear", dc_gamma=0.3, ad_kind="weighted_sum",
                        ad_w_mse=0.5, ad_w_pa=1.0)
-    est = estimate_lipschitz(scenario, spec, (2.0, 6.0))
+    est = estimate_lipschitz(scenario, spec, *_sweep(scenario, spec, 2.0, 6.0))
     assert est.boundaries == pytest.approx((4.5175,), abs=1e-12)
     assert est.profile.d == pytest.approx(1.4825, abs=1e-12)
     before, after = best_response_curve(scenario, spec, [4.51, 4.52])
@@ -153,13 +152,13 @@ def test_estimate_flags_a_real_best_response_jump():
 
 def test_estimate_rejects_a_coarse_sweep_at_its_key():
     with pytest.raises(ValueError, match=r"^estimator\.resolution: must be >= 51, got 1$"):
-        estimate_lipschitz(uniform_scenario(), UtilitySpec(), (2.0, 3.0), resolution=1,
-                           grid_size=201)
+        estimate_lipschitz(uniform_scenario(), UtilitySpec(), np.linspace(2.0, 3.0, 1),
+                           np.zeros(1), grid_size=201)
 
 
 def test_estimate_stable_under_refinement(unif, spec_gamma1):
-    coarse = estimate_lipschitz(unif, spec_gamma1, (2.0, 6.0), resolution=401)
-    fine = estimate_lipschitz(unif, spec_gamma1, (2.0, 6.0), resolution=801)
+    coarse = estimate_lipschitz(unif, spec_gamma1, *_sweep(unif, spec_gamma1, 2.0, 6.0, 401))
+    fine = estimate_lipschitz(unif, spec_gamma1, *_sweep(unif, spec_gamma1, 2.0, 6.0, 801))
     for lo, hi in (
         (coarse.profile.ell, fine.profile.ell),
         (coarse.profile.big_l, fine.profile.big_l),
