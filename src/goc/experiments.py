@@ -21,11 +21,12 @@ from goc.config import ExperimentConfig
 from goc.envelope import EnvelopeTable, build_envelope_tables
 from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
-from goc.oracle import best_response, best_response_curve
-from goc.utility import estimate_lipschitz
+from goc.oracle import best_response
+from goc.utility import dc_slope, estimate_lipschitz
 
 ETC = "etc"
 ELIMINATION = "elim"
+ELL_ETA_POINTS = 17  # prepare_instance: evenly spread sweep tables whose slopes give ell
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,14 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     a, b = config["learner.a"], config["learner.b"]
     grid_size = config["envelope.grid"]
     alpha_min = config["envelope.alpha_min"]
-    etas = np.linspace(a, b, config["estimator.resolution"])  # one sweep: L, d and u_star
-    u = np.array([br.dc_value
-                  for br in best_response_curve(scenario, spec, etas, grid_size, alpha_min)])
-    lip = config.lipschitz_override or estimate_lipschitz(
-        scenario, spec, etas, u, grid_size, alpha_min).profile
+    etas = np.linspace(a, b, config["estimator.resolution"])  # one sweep: ell, L, d and u_star
+    ell_rows = set(np.round(np.linspace(0, etas.size - 1, ELL_ETA_POINTS)).astype(int).tolist())
+    u, slopes = np.empty(etas.size), []
+    for i, table in enumerate(build_envelope_tables(scenario, etas, grid_size, alpha_min)):
+        u[i] = best_response(table, spec).dc_value
+        if i in ell_rows:
+            slopes.append(dc_slope(spec, table))
+    lip = config.lipschitz_override or estimate_lipschitz(etas, u, slopes).profile
     learner = LearnerConfig.derive(
         a, b, config["learner.delta"], config["learner.lambda"], lip,
         budget_scale=config["experiment.budget_scale"],
@@ -206,16 +210,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# _fmt for one exact type, with the isinstance chain resolved once per column slice
-_CELL_TEXT = {
-    float: float.__repr__,
-    int: int.__repr__,
-    str: str,
-    bool: ("false", "true").__getitem__,
-}
-
 # _fmt for the ``.tolist()`` cells of an array, by dtype kind (longdouble excepted)
-_KIND_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__, "b": _CELL_TEXT[bool]}
+_KIND_TEXT = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__,
+              "b": ("false", "true").__getitem__}
 
 CSV_CHUNK = 1024  # rows write_csv formats per column pass
 
@@ -230,9 +227,9 @@ def _column_cells(column) -> tuple[int | None, Callable[[int, int], Iterable[str
     """``(length, cells)`` of one block column; ``cells(start, stop)`` is the text of those rows.
 
     An array is formatted by dtype; a masked array likewise on its shown cells,
-    with ``""`` at its masked ones. A list or tuple is formatted by cell type
-    (each slice of one type at once, a mixed slice cell by cell), and anything
-    else is a scalar: formatted once, repeated on every row, no length.
+    with ``""`` at its masked ones. A list or tuple is formatted cell by cell,
+    and anything else is a scalar: formatted once, repeated on every row, no
+    length.
     """
     if isinstance(column, np.ndarray) and column.ndim:
         ma = sys.modules.get("numpy.ma")  # loaded wherever a masked array exists
@@ -246,13 +243,7 @@ def _column_cells(column) -> tuple[int | None, Callable[[int, int], Iterable[str
             return len(column), masked_cells
         return len(column), lambda start, stop: _array_text(column[start:stop])
     if isinstance(column, (list, tuple)):
-        def cells(start: int, stop: int) -> Iterable[str]:
-            part = column[start:stop]
-            types = set(map(type, part))
-            if len(types) == 1:
-                return map(_CELL_TEXT.get(types.pop(), _fmt), part)
-            return [_CELL_TEXT.get(type(x), _fmt)(x) for x in part]
-        return len(column), cells
+        return len(column), lambda start, stop: map(_fmt, column[start:stop])
     cell = _fmt(column)
     return None, lambda start, stop: repeat(cell, stop - start)
 

@@ -10,24 +10,18 @@ families keep configurations serializable. The argument convention is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import (
-    DEFAULT_ALPHA_MIN,
-    DEFAULT_GRID_SIZE,
-    build_envelope_tables,
-    check_threshold_range,
-)
-from goc.noise import Scenario
+from goc.envelope import EnvelopeTable, check_threshold_range
 
 DC_LINEAR = "linear"  # pa - gamma * mse
 DC_RATIO = "ratio"  # pa / (1 + mse)
 AD_WEIGHTED_SUM = "weighted_sum"  # w_mse * mse + w_pa * pa
 AD_PRODUCT = "product"  # pa^theta * mse
 
-ELL_ETA_POINTS = 17  # estimate_lipschitz: etas in the ell sweep
-WINDOW_FRACTION = 1.0 / 200.0  # ... its slope window, as a share of [a, b]
+WINDOW_FRACTION = 1.0 / 200.0  # estimate_lipschitz: its slope window, as a share of [a, b]
 JUMP_FACTOR = 50.0  # ... windowed slopes above this multiple of the median flag a boundary
 MIN_RESOLUTION = 51  # ... fewest etas in its realized-utility sweep
 
@@ -116,35 +110,29 @@ def check_resolution(resolution: int) -> None:
         raise ValueError(f"estimator.resolution: must be >= {MIN_RESOLUTION}, got {resolution!r}")
 
 
+def dc_slope(spec: UtilitySpec, table: EnvelopeTable) -> float:
+    """Largest segment slope of the piecewise-linear map alpha -> q_dc(c(alpha), alpha)."""
+    u_alpha = q_dc(spec, table.c_values, table.alpha_grid)
+    return float(np.max(np.abs(np.diff(u_alpha) / np.diff(table.alpha_grid))))
+
+
 def estimate_lipschitz(
-    scenario: Scenario,
-    spec: UtilitySpec,
-    etas: np.ndarray,
-    u: np.ndarray,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    alpha_min: float = DEFAULT_ALPHA_MIN,
+    etas: np.ndarray, u: np.ndarray, slopes: Sequence[float]
 ) -> LipschitzEstimate:
     """Estimate (ell, L, d) from the computed curves.
 
-    ``etas`` is an evenly spaced sweep over ``[a, b]`` and ``u`` the realized
-    utility at each of its points. ``ell`` is the exact maximum segment slope
-    of the piecewise-linear map alpha -> q_dc(c(alpha), alpha) over a coarse
-    eta sweep. ``L`` and ``d`` come from finite differences of ``u`` over a
-    fixed physical window (stable under grid refinement); windowed slopes
-    above ``JUMP_FACTOR`` times the median flag piece boundaries and are
-    excluded from ``L``. Overestimates only inflate the learners' budgets.
+    ``etas`` is an evenly spaced sweep over ``[a, b]``, ``u`` the realized
+    utility at each of its points, and ``ell`` the largest of ``slopes``, the
+    ``dc_slope`` of some of its tables. ``L`` and ``d`` come from finite
+    differences of ``u`` over a fixed physical window (stable under grid
+    refinement); windowed slopes above ``JUMP_FACTOR`` times the median flag
+    piece boundaries and are excluded from ``L``. Overestimates only inflate
+    the learners' budgets.
     """
     check_resolution(len(etas))
     a, b = float(etas[0]), float(etas[-1])
     check_threshold_range(a, b)
-    # slope bound in alpha, exact on the piecewise-linear tables
-    ell = 0.0
-    for table in build_envelope_tables(scenario, np.linspace(a, b, ELL_ETA_POINTS), grid_size,
-                                       alpha_min):
-        u_alpha = q_dc(spec, table.c_values, table.alpha_grid)
-        slopes = np.abs(np.diff(u_alpha) / np.diff(table.alpha_grid))
-        ell = max(ell, float(slopes.max()))
-    ell = max(ell, 1e-9)
+    ell = max([1e-9, *slopes])
 
     step = etas[1] - etas[0]
     m = max(1, int(round(WINDOW_FRACTION * (b - a) / step)))

@@ -81,45 +81,28 @@ def two_point_oracle(
     n2 = nz[None, :]
     floor = alpha - 1e-15
     step = max(1, ORACLE_BLOCK_CELLS // z_grid_size)
-    blocks = [(r0, min(r0 + step, z_grid_size)) for r0 in range(0, z_grid_size, step)]
-
-    best_val = -np.inf
-    best_witness = (float(z[0]), float(z[0]), 1.0)
-    held_by_constraint = False  # the best so far came from the constraint-active stage
-
-    def consider(values: np.ndarray, rows_z: np.ndarray, w_of_pair, sweep: bool) -> None:
-        """Keep the first maximum of ``values``, at offsets ``rows_z``, if it beats the best.
-
-        Weight-sweep cells come first in the search order, so one also takes a
-        tie from a constraint-active cell.
-        """
-        nonlocal best_val, best_witness, held_by_constraint
-        flat = int(np.argmax(values))
-        val = float(values.flat[flat])
-        if val > best_val or (sweep and held_by_constraint and val == best_val):
-            i, j = np.unravel_index(flat, values.shape)
-            w = float(w_of_pair[i, j]) if isinstance(w_of_pair, np.ndarray) else float(w_of_pair)
-            best_val = val
-            best_witness = (float(rows_z[i]), float(z[j]), w)
-            held_by_constraint = not sweep
 
     # constraint-active weight per offset pair: acceptance exactly alpha
-    for r0, r1 in blocks:
+    active_val, active_witness = -np.inf, None
+    for r0 in range(0, z_grid_size, step):
         with np.errstate(divide="ignore", invalid="ignore"):
-            w_star = (alpha - k2) / (k1[r0:r1] - k2)
+            w_star = (alpha - k2) / (k1[r0:r0 + step] - k2)
         feasible = np.isfinite(w_star) & (w_star >= 0.0) & (w_star <= 1.0)
         w_safe = np.where(feasible, w_star, 0.0)
         mse = np.where(
             feasible,
-            (w_safe * n1[r0:r1] + (1.0 - w_safe) * n2) / (4.0 * alpha),
+            (w_safe * n1[r0:r0 + step] + (1.0 - w_safe) * n2) / (4.0 * alpha),
             -np.inf,
         )
-        consider(mse, z[r0:r1], w_safe, sweep=False)
+        flat = int(np.argmax(mse))
+        if float(mse.flat[flat]) > active_val:
+            i, j = np.unravel_index(flat, mse.shape)
+            active_val = float(mse.flat[flat])
+            active_witness = (float(z[r0 + i]), float(z[j]), float(w_safe[i, j]))
 
     # The weight sweep skips only rows with no cell at or above the best so far, and takes
-    # the rest in ascending order, so consider still keeps the whole grid's first maximum.
-    # It reuses one block's buffers; k is finite, so pa < floor is exactly the complement
-    # of pa >= floor.
+    # the rest in ascending order, so it still keeps its own first maximum. It reuses one
+    # block's buffers; k is finite, so pa < floor is exactly the complement of pa >= floor.
     # a stable argsort maps in less of numpy's sort code on first use (peak RSS) than the default
     order = np.argsort(kz, kind="stable")
     k_sorted = kz[order]
@@ -127,9 +110,10 @@ def two_point_oracle(
     shape = (step, z_grid_size)
     pa_rows, mse_rows = np.empty(shape), np.empty(shape)
     infeasible_rows = np.empty(shape, dtype=bool)
+    sweep_val, sweep_witness = -np.inf, None
     for w in np.linspace(0.0, 1.0, w_grid_size):
         wk1, wk2, wn1, wn2 = w * k1, (1.0 - w) * k2, w * n1, (1.0 - w) * n2
-        rows = _rows_that_can_win(w, floor, kz, nz, k_sorted, n_top, best_val)
+        rows = _rows_that_can_win(w, floor, kz, nz, k_sorted, n_top, max(active_val, sweep_val))
         for s in range(0, rows.size, step):
             r = rows[s:s + step]
             pa, mse = pa_rows[:r.size], mse_rows[:r.size]
@@ -141,8 +125,15 @@ def two_point_oracle(
             np.maximum(pa, 1e-300, out=pa)
             np.divide(mse, pa, out=mse)
             np.copyto(mse, -np.inf, where=infeasible)
-            consider(mse, z[r], w, sweep=True)
+            flat = int(np.argmax(mse))
+            if float(mse.flat[flat]) > sweep_val:
+                i, j = np.unravel_index(flat, mse.shape)
+                sweep_val = float(mse.flat[flat])
+                sweep_witness = (float(z[r[i]]), float(z[j]), float(w))
 
+    # weight-sweep cells come first in the search order, so the sweep's maximum takes a tie
+    best_val, best_witness = ((sweep_val, sweep_witness) if sweep_val >= active_val
+                              else (active_val, active_witness))
     if best_val == -np.inf:  # every feasible cell is worth at least 0: none reaches the floor
         raise ValueError(_INFEASIBLE)
     envelope_value = float(table.h_star_at(alpha) / (4.0 * alpha))

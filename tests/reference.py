@@ -19,6 +19,8 @@ over the whole offset-pair grid at once, with a fresh ``np.where`` array per
 weight, which the library's buffered sweep over the blocks of grid rows its
 bound keeps must match bit for bit. ``direct_adversary_optimum`` is the
 adversary's own best two-offset mixture, searched with no value curve.
+``ell_by_separate_pass`` is ``ell`` from a pass of its own over fresh tables,
+which the slopes that ``prepare_instance`` takes from its sweep must match.
 """
 
 from __future__ import annotations
@@ -27,10 +29,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from goc.envelope import EnvelopeTable, acceptance_grid, k_eta, k_inverse, nu_eta, offset_domain
+from goc.envelope import (
+    EnvelopeTable,
+    acceptance_grid,
+    build_envelope_tables,
+    k_eta,
+    k_inverse,
+    nu_eta,
+    offset_domain,
+)
 from goc.experiments import _fmt
 from goc.noise import UNIFORM, _big_phi, _phi
-from goc.utility import q_ad
+from goc.utility import q_ad, q_dc
 
 _BISECT_ITERS = 80
 
@@ -305,3 +315,16 @@ def direct_adversary_optimum(scenario, eta: float, spec, alpha_min: float, z_gri
         if q[flat] > best[0]:
             best = (float(q[flat]), float(pa[flat]), float(mse[flat]))
     return best
+
+
+def ell_by_separate_pass(scenario, spec, a: float, b: float, points: int, grid_size: int,
+                         alpha_min: float) -> float:
+    """``ell`` from its own pass of ``points`` fresh tables over ``linspace(a, b, points)``:
+    the largest segment slope of alpha -> q_dc(c(alpha), alpha), at least 1e-9."""
+    ell = 0.0
+    for table in build_envelope_tables(scenario, np.linspace(a, b, points), grid_size,
+                                       alpha_min):
+        u_alpha = q_dc(spec, table.c_values, table.alpha_grid)
+        slopes = np.abs(np.diff(u_alpha) / np.diff(table.alpha_grid))
+        ell = max(ell, float(slopes.max()))
+    return max(ell, 1e-9)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from goc.config import load_config
 from goc.envelope import EnvelopeTable
 from goc.experiments import (
     ELIMINATION,
+    ELL_ETA_POINTS,
     ETC,
     prepare_instance,
     resolve_threads,
@@ -27,9 +29,8 @@ from goc.experiments import (
     summarize,
     write_csv,
 )
-from goc.utility import ELL_ETA_POINTS
 
-from reference import csv_text_per_cell
+from reference import csv_text_per_cell, ell_by_separate_pass
 
 
 SMOKE = {
@@ -82,13 +83,47 @@ def _count_tables(monkeypatch) -> list[float]:
 
 
 def test_an_estimated_profile_costs_one_sweep(monkeypatch):
-    # the ell pass, one realized-utility sweep for L, d and u_star, and the learner's arms
+    # one sweep for ell, L, d and u_star, and the learner's arms
     cfg = load_config(None)
     built = _count_tables(monkeypatch)
     art = prepare_instance(cfg)
     n_arms = art.learner.n + 1
-    assert len(built) == ELL_ETA_POINTS + cfg["estimator.resolution"] + n_arms == 856
+    assert len(built) == cfg["estimator.resolution"] + n_arms == 839
     assert art.u_star >= art.u_grid.max()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"noise.kind": "truncated_gaussian", "noise.sigma": 0.5, "env.mode": "physical",
+     "experiment.budget_scale": 0.1},
+    {"learner.b": 3.0},
+    {"learner.b": 4.0},
+], ids=["defaults", "physical-sigma0.5", "b3", "b4"])
+def test_ell_from_the_sweep_matches_a_separate_pass(overrides):
+    # every (R - 1) / 16-th table of the sweep is a table of linspace(a, b, 17), bit for bit
+    cfg = load_config(None).with_overrides(**overrides)
+    art = prepare_instance(cfg)
+    assert art.learner.lip.ell == ell_by_separate_pass(
+        cfg.scenario, cfg.utility_spec, cfg["learner.a"], cfg["learner.b"], ELL_ETA_POINTS,
+        cfg["envelope.grid"], cfg["envelope.alpha_min"])
+
+
+# The 38 arms' tables that a default set-up keeps take about 2.3 MB; holding the
+# 801 tables of its sweep takes about 50 MB.
+PREPARE_PEAK_BYTES = 6 << 20
+
+
+def test_prepare_instance_streams_its_sweep():
+    cfg = load_config(None)
+    prepare_instance(cfg.with_overrides(**{"learner.b": 3.0}))  # first-call allocations
+    tracemalloc.start()
+    try:
+        art = prepare_instance(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert art.learner.n + 1 == 38
+    assert peak < PREPARE_PEAK_BYTES
 
 
 def test_an_overridden_profile_keeps_the_sweep_for_u_star(smoke_cfg, monkeypatch):

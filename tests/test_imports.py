@@ -57,6 +57,8 @@ def test_module_layering():
     graph = {name: _goc_imports(name) for name in SUBMODULES}
     # arm environments draw from tables alone; best responses come from prepare_instance
     assert graph["environment"] == {"envelope", "noise"}
+    # utility is arithmetic on tables that its callers build
+    assert graph["utility"] == {"envelope"}
     assert graph["noise"] == set()
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 

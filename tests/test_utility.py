@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table
+from goc.config import load_config
+from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table, build_envelope_tables
 from goc.environment import make_rng
-from goc.noise import truncated_gaussian_scenario, uniform_scenario
-from goc.oracle import best_response_curve
-from goc.utility import LipschitzProfile, UtilitySpec, estimate_lipschitz, q_ad, q_dc
+from goc.experiments import prepare_instance
+from goc.noise import truncated_gaussian_scenario
+from goc.oracle import best_response, best_response_curve
+from goc.utility import (
+    LipschitzProfile,
+    UtilitySpec,
+    dc_slope,
+    estimate_lipschitz,
+    q_ad,
+    q_dc,
+)
 
 
 def test_q_dc_values():
@@ -102,35 +111,48 @@ def test_lipschitz_profile_validation():
 
 
 def _sweep(scenario, spec, a, b, resolution=801):
-    """The realized-utility sweep ``estimate_lipschitz`` reads: ``(etas, u)``."""
+    """What ``estimate_lipschitz`` reads of a sweep: ``(etas, u, slopes)``, with the
+    ``dc_slope`` of every table."""
     etas = np.linspace(a, b, resolution)
-    return etas, np.array([br.dc_value for br in best_response_curve(scenario, spec, etas)])
+    u, slopes = [], []
+    for table in build_envelope_tables(scenario, etas):
+        u.append(best_response(table, spec).dc_value)
+        slopes.append(dc_slope(spec, table))
+    return etas, np.array(u), slopes
 
 
 def test_estimate_ell_exactly_one_for_acceptance_only(unif):
+    # q_dc = alpha along every table, so each segment slope is exactly 1
     spec = UtilitySpec(dc_kind="linear", dc_gamma=0.0, ad_kind="product", ad_theta=1.0)
-    est = estimate_lipschitz(unif, spec, *_sweep(unif, spec, 2.0, 3.0, 101))
-    assert est.profile.ell == 1.0
+    etas, u, slopes = _sweep(unif, spec, 2.0, 3.0, 101)
+    assert set(slopes) == {1.0}
+    assert estimate_lipschitz(etas, u, slopes).profile.ell == 1.0
+
+
+def test_ell_is_the_largest_slope_and_at_least_1e_9():
+    etas, u = np.linspace(2.0, 3.0, 51), np.zeros(51)
+    assert estimate_lipschitz(etas, u, [0.5, 2.0, 1.0]).profile.ell == 2.0
+    assert estimate_lipschitz(etas, u, [0.0]).profile.ell == 1e-9
 
 
 def test_estimate_constant_curve_single_piece(unif, spec_pa_only):
     # acceptance-only collector against an acceptance-dominated adversary:
     # the realized curve is constant, so one piece spanning the whole range
-    etas, u = _sweep(unif, spec_pa_only, 2.0, 4.0, 101)
-    est = estimate_lipschitz(unif, spec_pa_only, etas, u)
+    etas, u, slopes = _sweep(unif, spec_pa_only, 2.0, 4.0, 101)
+    est = estimate_lipschitz(etas, u, slopes)
     assert est.boundaries == ()
     assert est.profile.d == pytest.approx(2.0, abs=1e-12)
     assert est.profile.big_l <= 1e-9
     assert np.max(np.abs(u - u[0])) <= 1e-12
 
 
-def test_flagged_windows_collapse_to_one_boundary_per_run(unif, spec_default):
+def test_flagged_windows_collapse_to_one_boundary_per_run():
     # a curve of slope 0.01 with unit steps after etas[1], etas[100] and etas[399]: on 401
     # etas over [2, 6] the slope window is m = 2 steps, so the flagged windows are {0, 1},
     # {99, 100} and {398}, the last one ending the sweep
     etas = np.linspace(2.0, 6.0, 401)
     u = 0.01 * etas + np.searchsorted(etas[[1, 100, 399]], etas, side="left")
-    est = estimate_lipschitz(unif, spec_default, etas, u, grid_size=201)
+    est = estimate_lipschitz(etas, u, [1.0])
     assert est.boundaries == pytest.approx((2.015, 3.005, 5.99), abs=1e-12)
     assert est.profile.d == pytest.approx(0.01, abs=1e-12)
     assert est.profile.big_l == pytest.approx(0.01, abs=1e-12)
@@ -142,7 +164,7 @@ def test_estimate_flags_a_real_best_response_jump():
     scenario = truncated_gaussian_scenario(sigma=0.1, delta=1.0, big_m=1e4)
     spec = UtilitySpec(dc_kind="linear", dc_gamma=0.3, ad_kind="weighted_sum",
                        ad_w_mse=0.5, ad_w_pa=1.0)
-    est = estimate_lipschitz(scenario, spec, *_sweep(scenario, spec, 2.0, 6.0))
+    est = estimate_lipschitz(*_sweep(scenario, spec, 2.0, 6.0))
     assert est.boundaries == pytest.approx((4.5175,), abs=1e-12)
     assert est.profile.d == pytest.approx(1.4825, abs=1e-12)
     before, after = best_response_curve(scenario, spec, [4.51, 4.52])
@@ -152,16 +174,13 @@ def test_estimate_flags_a_real_best_response_jump():
 
 def test_estimate_rejects_a_coarse_sweep_at_its_key():
     with pytest.raises(ValueError, match=r"^estimator\.resolution: must be >= 51, got 1$"):
-        estimate_lipschitz(uniform_scenario(), UtilitySpec(), np.linspace(2.0, 3.0, 1),
-                           np.zeros(1), grid_size=201)
+        estimate_lipschitz(np.linspace(2.0, 3.0, 1), np.zeros(1), [1.0])
 
 
-def test_estimate_stable_under_refinement(unif, spec_gamma1):
-    coarse = estimate_lipschitz(unif, spec_gamma1, *_sweep(unif, spec_gamma1, 2.0, 6.0, 401))
-    fine = estimate_lipschitz(unif, spec_gamma1, *_sweep(unif, spec_gamma1, 2.0, 6.0, 801))
-    for lo, hi in (
-        (coarse.profile.ell, fine.profile.ell),
-        (coarse.profile.big_l, fine.profile.big_l),
-        (coarse.profile.d, fine.profile.d),
-    ):
+def test_estimate_stable_under_refinement():
+    # the whole set-up: ell from the sweep's own tables, L and d from its realized utility
+    cfg = load_config(None).with_overrides(**{"utility.dc.gamma": 1.0})
+    coarse, fine = (prepare_instance(cfg.with_overrides(**{"estimator.resolution": r})).learner.lip
+                    for r in (401, 801))
+    for lo, hi in ((coarse.ell, fine.ell), (coarse.big_l, fine.big_l), (coarse.d, fine.d)):
         assert abs(hi - lo) <= 0.05 * max(abs(lo), 1e-9)
