@@ -8,6 +8,7 @@ Given the same configuration and seed the output bytes are identical across runs
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from goc.experiments import (
     trial_rows,
     write_csv,
 )
-from goc.oracle import best_response, best_response_curve
+from goc.oracle import best_response
 from goc.verify import DEFAULT_W_GRID, DEFAULT_Z_GRID, check_alpha, verify_grid
 
 
@@ -148,8 +149,8 @@ def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> i
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     etas = args.eta_list or np.linspace(cfg["learner.a"], cfg["learner.b"], args.points)
-    curve = best_response_curve(cfg.scenario, cfg.utility_spec, etas,
-                                cfg["envelope.grid"], cfg["envelope.alpha_min"])
+    curve = [best_response(table, cfg.utility_spec) for table in build_envelope_tables(
+        cfg.scenario, etas, cfg["envelope.grid"], cfg["envelope.alpha_min"])]
     names = ("eta", "alpha_star", "mmse", "dc_value", "ad_value")[:len(header)]
     write_csv(args.out, header, [tuple([getattr(br, name) for br in curve] for name in names)],
               cfg.hash(), cfg["experiment.base_seed"])
@@ -157,8 +158,7 @@ def _best_response_sweep(args: argparse.Namespace, header: tuple[str, ...]) -> i
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.points is None:
-        args.points = 101
+    args.points = 101 if args.points is None else args.points
     return _best_response_sweep(args, ("eta", "alpha_star", "mmse", "u_dc", "u_ad"))
 
 
@@ -202,22 +202,45 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_outputs(*outputs: tuple[str, str | None, bool]) -> None:
+    """Fail at the flag of a ``(flag, path, is_dir)`` output that ``write_csv`` could not
+    write: a path of the wrong kind, a nearest existing ancestor that is not a writable
+    directory, or a second file at one path. Creates nothing."""
+    files = {}
+    for flag, raw, is_dir in (o for o in outputs if o[1] is not None):
+        path = Path(raw)
+        if path.exists() and path.is_dir() != is_dir:
+            raise ValueError(f"{flag} {raw} is {'not ' if is_dir else ''}a directory")
+        where = path if is_dir else path.parent
+        ancestor = next(p for p in (where, *where.parents) if p.exists())
+        if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise ValueError(f"{flag} {raw}: {ancestor} is not a writable directory")
+        if files.setdefault(path.resolve(), flag) != flag:
+            raise ValueError(f"{flag} {raw} is the {files[path.resolve()]} file")
+
+
+def _state_work(art) -> None:
+    """Before the first trial, one stderr line: the budgets and the arm-rounds they allow."""
+    n, k, trials = art.learner.n, art.learner.k, art.config["experiment.trials"]
+    print(f"n = {n}, k = {k:,}; each learner may draw (n + 1) * k * trials = "
+          f"{n + 1} * {k:,} * {trials} = {(n + 1) * k * trials:,} arm-rounds", file=sys.stderr)
+
+
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        if path is not None and Path(path).is_dir():
-            raise ValueError(f"{flag} {path} is a directory")
-    if args.trace is not None and Path(args.trace).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--trace {args.trace} is the --out file")
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     threads = resolve_threads(args.threads)
+    _check_outputs(("--out", args.out, False), ("--trace", args.trace, False))
     art = prepare_instance(cfg)
+    _state_work(art)
     results = run_trials(art, algos, threads=threads)
     write_csv(args.out, TRIAL_HEADER, trial_rows(results), cfg.hash(), cfg["experiment.base_seed"])
     if args.trace is not None:
+        etas = art.learner.etas()
+
         def trace_block(r):
             o = r.outcome  # alpha_hat is one IEEE division of two exact integers
-            return (r.trial, r.algo, np.arange(1, len(o.etas) + 1), o.etas, o.rounds_played,
+            return (r.trial, r.algo, np.arange(1, len(etas) + 1), etas, o.rounds_played,
                     o.accept_count, np.divide(o.accept_count, o.rounds_played), o.u_hat,
                     o.eliminated,
                     np.ma.masked_array(o.rounds_played, mask=np.logical_not(o.eliminated)))
@@ -242,24 +265,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.verify_etas and not args.verify_alphas:
-        raise ValueError("--verify-etas requires --verify-alphas")
-    if args.verify_alphas and not args.verify_etas:
-        raise ValueError("--verify-alphas requires --verify-etas")
+    if bool(args.verify_etas) != bool(args.verify_alphas):
+        given, missing = ("--verify-etas", "--verify-alphas")[::1 if args.verify_etas else -1]
+        raise ValueError(f"{given} requires {missing}")
     cfg = _load(args)
     algos = [ETC, ELIMINATION] if args.algo == "both" else [args.algo]
     threads = resolve_threads(args.threads)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # fail before the verify and the trials
+    _check_outputs(("--out", args.out, True))
     gap = None
     if args.verify_etas:
         checks = verify_grid(cfg.scenario, args.verify_etas, args.verify_alphas,
                              cfg["envelope.grid"], cfg["envelope.alpha_min"])
         gap = max((abs(r.gap) for r in checks), default=0.0)
     art = prepare_instance(cfg)
+    _state_work(art)
     results = run_trials(art, algos, threads=threads)
     summaries = summarize(results, lam=art.learner.lam)
-    h, seed = cfg.hash(), cfg["experiment.base_seed"]
+    h, seed, out = cfg.hash(), cfg["experiment.base_seed"], Path(args.out)
     write_csv(out / "trials.csv", TRIAL_HEADER, trial_rows(results), h, seed)
     write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows(summaries, gap), h, seed)
     for s in summaries:

@@ -77,13 +77,10 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
 class TrialResult:
     trial: int
     algo: str
+    eta_hat: float
     regret_raw: float
     best_arm_eliminated: bool
     outcome: LearnerOutcome
-
-    @property
-    def eta_hat(self) -> float:
-        return self.outcome.eta_hat
 
     @property
     def rounds_used(self) -> int:
@@ -104,6 +101,7 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
     return TrialResult(
         trial=trial,
         algo=algo,
+        eta_hat=float(art.learner.etas()[outcome.eta_hat_index - 1]),
         regret_raw=art.u_star - float(art.u_grid[outcome.eta_hat_index - 1]),
         best_arm_eliminated=outcome.eliminated[int(np.argmax(art.u_grid))],
         outcome=outcome,

@@ -29,8 +29,7 @@ _ELIM_BLOCK = 4096
 
 def _least_integer_above(x: float) -> int:
     """Smallest integer strictly greater than ``x``, robust to float fuzz."""
-    n = math.floor(x * (1.0 + 1e-12)) + 1
-    return int(n)
+    return math.floor(x * (1.0 + 1e-12)) + 1
 
 
 def check_learner_targets(delta: float, lam: float, budget_scale: float) -> None:
@@ -116,20 +115,16 @@ class LearnerConfig:
 @dataclass(frozen=True)
 class LearnerOutcome:
     """Learner output: the committed arm (1-based ``eta_hat_index``) and one column per arm
-    field, position ``i`` holding arm ``i + 1``; an eliminated arm stopped at its
-    ``rounds_played``."""
+    field, position ``i`` holding arm ``i + 1`` of the config's ``etas()``; an eliminated arm
+    stopped at its ``rounds_played``. ``clamp_count`` counts rates below the arm table's lower
+    edge: for ETC each arm's final rate, for elimination each arm's estimate per round played."""
 
     eta_hat_index: int
-    etas: tuple[float, ...]
     rounds_played: tuple[int, ...]
     accept_count: tuple[int, ...]
     u_hat: tuple[float, ...]
     eliminated: tuple[bool, ...]
     clamp_count: int = 0
-
-    @property
-    def eta_hat(self) -> float:
-        return self.etas[self.eta_hat_index - 1]
 
     @property
     def total_game_rounds(self) -> int:
@@ -153,14 +148,14 @@ def _first_violation(best, u, eps, start: int) -> int:
     return start + j if hit[j] else len(u)
 
 
-def _outcome(etas, alive, stop, counts, u, clamps) -> LearnerOutcome:
+def _outcome(alive, stop, counts, u, clamps) -> LearnerOutcome:
     """Commit to the best live arm (lowest index on ties) and record every arm's columns.
 
     ``stop[i]`` is the last round arm ``i`` played; ``counts`` and ``u`` hold its
     accept count and estimated utility at that round.
     """
     m = int(np.argmax(np.where(alive, u, -np.inf)))
-    columns = (etas, stop, counts, u, ~alive)
+    columns = (stop, counts, u, ~alive)
     return LearnerOutcome(m + 1, *(tuple(c.tolist()) for c in columns), clamp_count=clamps)
 
 
@@ -182,8 +177,8 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     rates = counts / config.k
     u = np.array([_u_hat(spec, t, a) for t, a in zip(env.tables, rates)])
     clamps = sum(a < t.alpha_grid[0] for t, a in zip(env.tables, rates))
-    return _outcome(config.etas(), np.ones(n_arms, dtype=bool), np.full(n_arms, config.k),
-                    counts, u, clamps=int(clamps))
+    return _outcome(np.ones(n_arms, dtype=bool), np.full(n_arms, config.k), counts, u,
+                    clamps=int(clamps))
 
 
 def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -253,4 +248,4 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         del block, u_live, clamped  # freed before the next block is drawn
         pos += b
 
-    return _outcome(config.etas(), alive, stop, counts, u, clamps)
+    return _outcome(alive, stop, counts, u, clamps)

@@ -9,12 +9,10 @@ only on this (acceptance, conditional MSE) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from goc.envelope import DEFAULT_ALPHA_MIN, DEFAULT_GRID_SIZE, EnvelopeTable, build_envelope_tables
-from goc.noise import Scenario
+from goc.envelope import EnvelopeTable
 from goc.utility import UtilitySpec, q_ad, q_dc
 
 # numerical tolerance for "equally good" adversary responses on the grid
@@ -64,18 +62,4 @@ def realized_u(table: EnvelopeTable, spec: UtilitySpec) -> float:
     ``TRACED``) wraps it by name, so it stays until the tracer drops it.
     """
     return best_response(table, spec).dc_value
-
-
-def best_response_curve(
-    scenario: Scenario,
-    spec: UtilitySpec,
-    eta_grid: Sequence[float],
-    grid_size: int = DEFAULT_GRID_SIZE,
-    alpha_min: float = DEFAULT_ALPHA_MIN,
-) -> list[BestResponse]:
-    """Best responses along an eta grid, one streamed table per point."""
-    return [
-        best_response(table, spec)
-        for table in build_envelope_tables(scenario, eta_grid, grid_size, alpha_min)
-    ]
 

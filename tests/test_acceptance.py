@@ -26,7 +26,7 @@ ETA_MATRIX = (2.0, 2.5, 3.0, 4.0, 6.0)
 ALPHA_MATRIX = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
+def report(criterion: int | str, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
@@ -66,6 +66,13 @@ def interior_art():
 @pytest.fixture(scope="module")
 def interior_results(interior_art):
     return matched_trials(interior_art)
+
+
+@pytest.fixture(scope="module")
+def interior_physical(interior_art):
+    # the interior instance with every arm played as simulated games against its mixture
+    art = prepare_instance(interior_art.config.with_overrides(**{"env.mode": "physical"}))
+    return art, matched_trials(art)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +176,24 @@ def test_criterion_4_elimination_validation_and_efficiency(
         f"{'; '.join(details)}; rounds bounded in 100% ({bounded}); "
         f"strict saving in {strict:.0%} of separated trials",
     )
+    assert ok
+
+
+def test_criteria_3_and_4_in_physical_mode(interior_results, interior_physical):
+    # criterion 3's and 4's failure-rate and round-bound checks, at their tolerances, on the
+    # interior instance in physical mode; the picked arms print beside Bernoulli mode's
+    art, (etc, elim) = interior_physical
+    delta, lam = art.config["learner.delta"], art.config["learner.lambda"]
+    rates = [sum(r.regret_raw > lam for r in rs) / len(rs) for rs in (etc, elim)]
+    bounded = all(e.rounds_used <= c.rounds_used for e, c in zip(elim, etc))
+    ok = max(rates) < delta and bounded and art.learner.budget_scale == 1.0
+    bern_etc, bern_elim = interior_results
+    report("3 and 4, physical mode", ok,
+           f"interior, {len(etc)} matched pairs (n={art.learner.n}, k={art.learner.k}, full "
+           f"budget): failure rate ETC {rates[0]:.4f}, elimination {rates[1]:.4f} (target < "
+           f"{delta}); rounds bounded in 100% ({bounded}); picked arms ETC physical "
+           f"{picked_arms(etc)} vs bernoulli {picked_arms(bern_etc)}, elimination physical "
+           f"{picked_arms(elim)} vs bernoulli {picked_arms(bern_elim)}")
     assert ok
 
 

@@ -9,8 +9,7 @@ import pytest
 import goc.cli
 import goc.experiments
 from goc.cli import MAX_RANGE_VALUES, _parse_adversary, _parse_float_list, build_parser, main
-from goc.config import load_config
-from goc.oracle import best_response_curve
+from goc.oracle import best_response
 
 SMOKE_CONFIG = """
 utility.dc.gamma = 0.3
@@ -341,13 +340,47 @@ def test_curves_command_and_subset_consistency(tmp_path, smoke_cfg):
 
 
 def test_curves_gamma_zero_u_equals_alpha(tmp_path):
-    cfg = load_config(None).with_overrides(**{
-        "utility.dc.gamma": 0.0, "envelope.grid": 401, "learner.b": 3.0,
-    })
-    curve = best_response_curve(cfg.scenario, cfg.utility_spec, np.linspace(2.0, 3.0, 15),
-                                cfg["envelope.grid"], cfg["envelope.alpha_min"])
-    for br in curve:
-        assert br.dc_value == pytest.approx(br.alpha_star, abs=1e-12)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("utility.dc.gamma = 0.0\nenvelope.grid = 401\nlearner.b = 3.0\n")
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--config", str(cfg), "--points", "15", "--out", str(out)]) == 0
+    rows = _csv_body(out)
+    assert len(rows) == 15
+    for _, alpha, _, u in rows:
+        assert float(u) == pytest.approx(float(alpha), abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "curves"])
+def test_sweep_calls_best_response_once_per_point(tmp_path, smoke_cfg, monkeypatch, command):
+    # the benchmark tracer times oracle.best_response by swapping goc.cli's attribute
+    calls = []
+
+    def counted(table, spec):
+        calls.append(table.eta)
+        return best_response(table, spec)
+
+    monkeypatch.setattr(goc.cli, "best_response", counted)
+    argv = [command, "--config", str(smoke_cfg), "--points", "7", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    assert calls == np.linspace(2.0, 3.0, 7).tolist()
+
+
+# One block of rows and a few tables at a time. Holding all 801 tables of the sweep
+# at once takes about 60 MB; a 64-row block takes about 7 MB.
+SWEEP_PEAK_BYTES = 4 << 20
+
+
+def test_solve_streams_its_tables(tmp_path):
+    argv = ["solve", "--eta-list", "2:0.005:6", "--out", str(tmp_path / "solve.csv")]
+    assert main(argv) == 0  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(_csv_body(tmp_path / "solve.csv")) == 801
+    assert peak < SWEEP_PEAK_BYTES
 
 
 def test_curves_are_the_first_four_columns_of_solve(tmp_path, smoke_cfg):
@@ -366,6 +399,19 @@ def test_report_command(tmp_path, smoke_cfg, capsys):
     assert (tmp_path / "rep" / "summary.csv").exists()
     shown = capsys.readouterr().out
     assert "etc:" in shown and "elim:" in shown
+
+
+@pytest.mark.parametrize("command", ["learn", "report"])
+def test_a_run_states_its_work_before_the_first_trial(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise ValueError("run_trials called")
+
+    monkeypatch.setattr(goc.cli, "run_trials", refuse)
+    assert main([command, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "n = 37, k = 123,929; each learner may draw (n + 1) * k * trials = "
+        "38 * 123,929 * 200 = 941,860,400 arm-rounds\nerror: run_trials called\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_reported(tmp_path, capsys):
@@ -460,8 +506,38 @@ def test_report_out_at_existing_file(tmp_path, smoke_cfg, capsys, monkeypatch):
     out.write_text("keep")
     for verify in ([], ["--verify-etas", "2", "--verify-alphas", "0.5"]):
         assert main(["report", "--config", str(smoke_cfg), *verify, "--out", str(out)]) == 2
-        assert "error: [Errno 17] File exists" in capsys.readouterr().err
+        assert f"error: --out {out} is not a directory" in capsys.readouterr().err
         assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command, flag", [("learn", "--out"), ("learn", "--trace"),
+                                           ("report", "--out")])
+def test_outputs_under_a_regular_file_fail_before_set_up(
+    tmp_path, smoke_cfg, capsys, monkeypatch, command, flag
+):
+    # a regular file as the ancestor: root ignores permission bits, but not this
+    _no_set_up(monkeypatch)
+    (tmp_path / "afile").write_text("keep")
+    paths = {"--out": tmp_path / "out", "--trace": tmp_path / "trace.csv"}
+    paths[flag] = tmp_path / "afile" / "sub" / "x.csv"
+    argv = [command, "--config", str(smoke_cfg), "--out", str(paths["--out"])]
+    if command == "learn":
+        argv += ["--trace", str(paths["--trace"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} {paths[flag]}: {tmp_path / 'afile'} is not a writable directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.txt"]
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+def test_a_rejected_report_creates_nothing(tmp_path, capsys, monkeypatch):
+    _no_set_up(monkeypatch)
+    out = tmp_path / "fx" / "sub" / "rep"
+    argv = ["report", "--trials", "1", "--budget-scale", "0.01", "--verify-etas", "3",
+            "--verify-alphas", "1.0000000000005", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: infeasible: alpha exceeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trace"])

@@ -1,13 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goc.envelope import build_envelope_table
+from goc.envelope import build_envelope_table, build_envelope_tables
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
-from goc.oracle import best_response, best_response_curve, realized_u
+from goc.oracle import best_response, realized_u
 from goc.utility import UtilitySpec, q_ad, q_dc
 
 from reference import direct_adversary_optimum
@@ -64,14 +62,15 @@ def test_alpha_star_monotone_as_mse_weight_vanishes(table_unif_2):
     assert alphas[2] == 1.0
 
 
-def _solve(curve):
+def _solve(scenario, spec, etas):
     # the complete-information solve: the eta whose best response pays the collector most
+    curve = [best_response(t, spec) for t in build_envelope_tables(scenario, etas)]
     i = int(np.argmax([br.dc_value for br in curve]))
     return curve[i].eta, curve[i].dc_value
 
 
 def test_solve_single_point_grid(unif, spec_default):
-    eta_hat, value = _solve(best_response_curve(unif, spec_default, [2.5]))
+    eta_hat, value = _solve(unif, spec_default, [2.5])
     assert eta_hat == 2.5
     u = realized_u(build_envelope_table(unif, 2.5), spec_default)
     assert value == pytest.approx(u, abs=1e-12)
@@ -84,7 +83,7 @@ def test_solve_reduces_to_full_acceptance_scan(unif, spec_pa_only):
     with_gamma = UtilitySpec(
         dc_kind="linear", dc_gamma=1.0, ad_kind="weighted_sum", ad_w_mse=1e-9, ad_w_pa=1.0
     )
-    eta_hat, value = _solve(best_response_curve(unif, with_gamma, grid))
+    eta_hat, value = _solve(unif, with_gamma, grid)
     tables = [build_envelope_table(unif, eta) for eta in grid]
     direct = [float(q_dc(with_gamma, t.c_values[-1], 1.0)) for t in tables]  # c at alpha = 1
     assert eta_hat == grid[int(np.argmax(direct))]
@@ -93,7 +92,7 @@ def test_solve_reduces_to_full_acceptance_scan(unif, spec_pa_only):
 
 def test_solve_matches_exhaustive_two_dim_scan(unif, spec_default):
     grid = [2.0, 3.0, 4.0, 5.0, 6.0]
-    eta_hat, value = _solve(best_response_curve(unif, spec_default, grid))
+    eta_hat, value = _solve(unif, spec_default, grid)
     best_eta, best_val = None, -np.inf
     for eta in grid:
         t = build_envelope_table(unif, eta)
@@ -134,28 +133,6 @@ def test_realized_u_fine_grid_consistency(unif, spec_default):
     interp = np.interp(fine, coarse, u_coarse)
     step = coarse[1] - coarse[0]
     assert np.max(np.abs(u_fine - interp)) <= est.profile.big_l * step + 1e-6
-
-
-def test_best_response_curve_lengths(unif, spec_default):
-    curve = best_response_curve(unif, spec_default, [2.0, 2.5], grid_size=401)
-    assert [b.eta for b in curve] == [2.0, 2.5]
-
-
-# One block of rows and a few tables at a time. Holding all 801 tables of the sweep
-# at once takes about 60 MB; a 64-row block takes about 7 MB.
-SWEEP_PEAK_BYTES = 4 << 20
-
-
-def test_best_response_curve_streams_its_tables(unif, spec_default):
-    best_response_curve(unif, spec_default, [2.0])  # first-call allocations outside the trace
-    tracemalloc.start()
-    try:
-        curve = best_response_curve(unif, spec_default, np.linspace(2.0, 6.0, 801), 2001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(curve) == 801
-    assert peak < SWEEP_PEAK_BYTES
 
 
 _LAWS = {

@@ -6,7 +6,7 @@ from goc.envelope import DEFAULT_ALPHA_MIN, build_envelope_table, build_envelope
 from goc.environment import make_rng
 from goc.experiments import prepare_instance
 from goc.noise import truncated_gaussian_scenario
-from goc.oracle import best_response, best_response_curve
+from goc.oracle import best_response
 from goc.utility import (
     LipschitzProfile,
     UtilitySpec,
@@ -167,7 +167,7 @@ def test_estimate_flags_a_real_best_response_jump():
     est = estimate_lipschitz(*_sweep(scenario, spec, 2.0, 6.0))
     assert est.boundaries == pytest.approx((4.5175,), abs=1e-12)
     assert est.profile.d == pytest.approx(1.4825, abs=1e-12)
-    before, after = best_response_curve(scenario, spec, [4.51, 4.52])
+    before, after = (best_response(t, spec) for t in build_envelope_tables(scenario, [4.51, 4.52]))
     assert before.alpha_star > 0.9
     assert after.alpha_star == DEFAULT_ALPHA_MIN
 
