@@ -205,8 +205,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _check_outputs(*outputs: tuple[str, str | None, bool]) -> None:
     """Fail at the flag of a ``(flag, path, is_dir)`` output that ``write_csv`` could not
     write: a path of the wrong kind, a nearest existing ancestor that is not a writable
-    directory, or a second file at one path. Creates nothing."""
-    files = {}
+    directory, or a second output at or inside another's path. Creates nothing."""
+    checked = []  # (flag, path as given, resolved path) of each output so far
     for flag, raw, is_dir in (o for o in outputs if o[1] is not None):
         path = Path(raw)
         if path.exists() and path.is_dir() != is_dir:
@@ -215,8 +215,15 @@ def _check_outputs(*outputs: tuple[str, str | None, bool]) -> None:
         ancestor = next(p for p in (where, *where.parents) if p.exists())
         if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
             raise ValueError(f"{flag} {raw}: {ancestor} is not a writable directory")
-        if files.setdefault(path.resolve(), flag) != flag:
-            raise ValueError(f"{flag} {raw} is the {files[path.resolve()]} file")
+        resolved = path.resolve()
+        for other_flag, other_raw, other in checked:
+            if resolved == other:
+                raise ValueError(f"{flag} {raw} is the {other_flag} file")
+            if other in resolved.parents:
+                raise ValueError(f"{flag} {raw} lies inside {other_flag} {other_raw}")
+            if resolved in other.parents:
+                raise ValueError(f"{other_flag} {other_raw} lies inside {flag} {raw}")
+        checked.append((flag, raw, resolved))
 
 
 def _state_work(art) -> None:

@@ -155,11 +155,12 @@ def _upper_hulls(q: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
         vs = v[r].tolist()
         idx = list(range(int(bad[r].argmax()) + 2))
         for i in range(len(idx), len(qs)):
+            qi, vi = qs[i], vs[i]
             while len(idx) >= 2:
                 i0, i1 = idx[-2], idx[-1]
+                q0, v0 = qs[i0], vs[i0]
                 # middle point on or below the chord i0 -> i: drop it
-                cross = (vs[i1] - vs[i0]) * (qs[i] - qs[i0]) - (vs[i] - vs[i0]) * (qs[i1] - qs[i0])
-                if cross <= 0.0:
+                if (vs[i1] - v0) * (qi - q0) - (vi - v0) * (qs[i1] - q0) <= 0.0:
                     idx.pop()
                 else:
                     break
@@ -176,6 +177,12 @@ class EnvelopeTable:
     ``h_values`` the raw squared-gap mass there; ``c_values`` the value curve
     ``h* / (4 alpha)``; ``hull_q`` / ``hull_values`` the vertices of the envelope
     ``h*``, which ``h_star_at`` interpolates. Immutable after construction.
+
+    A table from ``build_envelope_tables`` owns only ``c_values``: ``alpha_grid``
+    and ``h_values`` are read-only views of its build's grid and of its row of
+    the build's block of rows, and when ``h`` is concave on the grid ``hull_q``
+    and ``hull_values`` are that grid and row themselves. The views keep the
+    whole block alive.
     """
 
     eta: float
@@ -225,25 +232,35 @@ def build_envelope_tables(
     for eta in etas:
         offset_domain(scenario, eta)
     q, keep = acceptance_grid(grid_size, alpha_min)
+    q.setflags(write=False)  # the tables share it, and each block, as views
     p = scenario.noise.ppf(1.0 - q)
-    alpha = q[keep]  # read-only once the first table holds it; every table shares it
+    j0 = int(keep.argmax())  # keep is a suffix of the ascending grid
+    alpha = q[j0:]  # every table shares this view
     rows = max(1, _BLOCK_POINTS // grid_size)
     for start in range(0, len(etas), rows):
         block = etas[start:start + rows]
         col = np.array(block)[:, None]
         h = _gap_mass(scenario, col, _offsets(scenario, col, p))
         h[:, 0] = 0.0  # exact by construction: empty integration range at q = 0
+        h.setflags(write=False)
         for eta, row, hull in zip(block, h, _upper_hulls(q, h)):
-            h_kept, h_star = row[keep], np.interp(q, q[hull], row[hull])[keep]
-            if np.any(h_star < h_kept - 1e-12):
-                raise ValueError("envelope fails to dominate sampled values")
+            h_kept = row[j0:]
+            if hull.size == q.size:
+                # no non-concave triple, since each one pops a point: h* = h on the grid,
+                # which is what interpolating h through its own nodes would return
+                hull_q, hull_values, h_star = q, row, h_kept
+            else:
+                hull_q, hull_values = q[hull], row[hull]
+                h_star = np.interp(alpha, hull_q, hull_values)
+                if np.any(h_star < h_kept - 1e-12):
+                    raise ValueError("envelope fails to dominate sampled values")
             yield EnvelopeTable(
                 eta=eta,
                 alpha_grid=alpha,
                 h_values=h_kept,
                 c_values=h_star / (4.0 * alpha),
-                hull_q=q[hull],
-                hull_values=row[hull],
+                hull_q=hull_q,
+                hull_values=hull_values,
             )
 
 

@@ -561,6 +561,23 @@ def test_learn_trace_cannot_overwrite_out(tmp_path, smoke_cfg, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, trace, inner, outer", [
+    ("x.csv", "x.csv/t.csv", "--trace", "--out"),
+    ("t.csv/x.csv", "t.csv", "--out", "--trace"),
+], ids=["trace-inside-out", "out-inside-trace"])
+def test_learn_trace_and_out_cannot_nest(
+    tmp_path, smoke_cfg, capsys, monkeypatch, out, trace, inner, outer
+):
+    _no_set_up(monkeypatch)
+    paths = {"--out": tmp_path / out, "--trace": tmp_path / trace}
+    argv = ["learn", "--config", str(smoke_cfg), "--out", str(paths["--out"]),
+            "--trace", str(paths["--trace"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {inner} {paths[inner]} lies inside {outer} {paths[outer]}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
 def test_verify_rejects_an_admitted_alpha_that_no_mixture_reaches(tmp_path, capsys):
     # --alpha-list admits 1 + 1e-12; above 1 + 1e-15 no acceptance reaches the floor
     out = tmp_path / "verify.csv"

@@ -261,16 +261,21 @@ def test_hull_indices_match_the_chain(case):
 
 
 def test_hull_resume_on_a_real_table(unif):
-    # uniform noise at eta = 2 is concave up to q = (4 + 9 eta) / 28 = 0.786, then
-    # a chord to q = 1: the numpy pass stops early and the loop takes the rest
+    # uniform noise is concave up to q = (4 + 9 eta) / 28 (0.786 at eta = 2), then a
+    # chord to q = 1: the numpy pass stops at a triple from 1714 on, the loop takes the
+    # rest. These etas are rows 0, 50, 100 and 132 of the default 801-eta sweep.
     q = np.linspace(0.0, 1.0, 2001)
-    h = nu_eta(unif, 2.0, k_inverse(unif, 2.0, q))
-    h[0] = 0.0
-    hull = _upper_hulls(q, h[None, :])[0]
-    assert np.array_equal(hull, np.r_[0:1572, 2000])
-    assert np.array_equal(hull, upper_hull_indices_chain(q, h))
-    t = build_envelope_table(unif, 2.0, 2001)
-    assert np.array_equal(t.hull_q, q[hull]) and np.array_equal(t.hull_values, h[hull])
+    for eta, tangent in ((2.0, 1571), (2.25, 1732), (2.5, 1893), (2.66, 1996)):
+        h = nu_eta(unif, eta, k_inverse(unif, eta, q))
+        h[0] = 0.0
+        hull = _upper_hulls(q, h[None, :])[0]
+        assert np.array_equal(hull, np.r_[0:tangent + 1, 2000]), eta
+        assert np.array_equal(hull, upper_hull_indices_chain(q, h)), eta
+        t = build_envelope_table(unif, eta, 2001)
+        assert np.array_equal(t.hull_q, q[hull]) and np.array_equal(t.hull_values, h[hull])
+        ref = build_envelope_table_per_eta(unif, eta, 2001, DEFAULT_ALPHA_MIN)
+        for name in TABLE_FIELDS:
+            assert getattr(t, name).tobytes() == getattr(ref, name).tobytes(), (eta, name)
 
 
 # -- table construction -------------------------------------------------------
@@ -372,6 +377,24 @@ def test_a_hull_that_misses_a_vertex_fails_the_dominance_check(unif, monkeypatch
     monkeypatch.setattr(goc.envelope, "_upper_hulls", drop_a_vertex)
     with pytest.raises(ValueError, match="^envelope fails to dominate sampled values$"):
         build_envelope_table(unif, 2.0)
+
+
+def test_tables_share_their_builds_arrays(unif):
+    # uniform noise is concave on the grid from eta = 8/3 on; 2 and 2.5 lie below
+    tables = list(build_envelope_tables(unif, [2.0, 2.5, 3.0, 6.0], 2001))
+    grid, block = tables[2].hull_q, tables[0].h_values.base
+    assert np.array_equal(grid, acceptance_grid(2001, DEFAULT_ALPHA_MIN)[0])
+    assert block.shape == (4, 2001)
+    for t in tables:
+        assert not any(getattr(t, name).flags.writeable for name in TABLE_FIELDS), t.eta
+        assert np.shares_memory(t.alpha_grid, grid) and t.h_values.base is block
+        assert t.c_values.flags.owndata
+    for t in tables[2:]:
+        assert t.hull_q is grid and t.hull_values.base is block
+        assert np.shares_memory(t.h_values, t.hull_values)
+    assert not np.shares_memory(tables[2].hull_values, tables[3].hull_values)
+    for t in tables[:2]:
+        assert t.hull_q.flags.owndata and t.hull_values.flags.owndata
 
 
 def test_table_pickle_round_trip(tgauss):
