@@ -9,11 +9,14 @@ order; splitting a run into consecutive blocks yields the same values.
 
 The learners' arm environments draw only the arms a block lists, and an
 arm left out of a block is retired for good, so each stream is still read
-in round order. A learner sees only the accept bit, so the physical arm
-environment decides most rounds from the honest-noise uniform alone (see
-``_gate``) and builds the report pair only for rounds near an acceptance
-edge; the bits equal the full simulation's by construction. ``goc
-simulate`` and ``physical_rounds`` keep the full batch.
+in round order. An environment also keeps each arm's accept count over
+every round it drew, so ``accept_counts`` draws only the rest of each
+stream: a trial's ETC run counts on the environment its elimination run
+used, and each stream is drawn once. A learner sees only the accept bit,
+so the physical arm environment decides most rounds from the honest-noise
+uniform alone (see ``_gate``) and builds the report pair only for rounds
+near an acceptance edge; the bits equal the full simulation's by
+construction. ``goc simulate`` and ``physical_rounds`` keep the full batch.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from goc.noise import Scenario
 # mixture component, offset sign, and a fifth that no output reads, still drawn so that
 # every round reads the same stream positions and every output stays the same
 _PHYS_DRAWS = 5
+# arm-rounds per learner block, which bounds a trial's working set whatever the arm count:
+# accept_counts draws at most this // arms rounds of an arm per call, and an elimination
+# block's utilities take 8 bytes per arm-round
+_BLOCK_ARM_ROUNDS = 1 << 19
 # Generator.random returns multiples of this in [0, 1)
 _UNIT = 2.0 ** -53
 # half-width of the guard band around each acceptance edge in noise space, relative to
@@ -235,6 +242,8 @@ class _ArmEnv:
     requested in round order, and all arms share the block schedule so
     matched-seed algorithm comparisons see identical draws. A block may list
     a subset of the arms; an arm left out is retired and never drawn again.
+    Per arm, the environment records how many rounds it drew and how many
+    of them accepted, for ``accept_counts``.
     """
 
     def __init__(
@@ -251,8 +260,9 @@ class _ArmEnv:
         self.tables = list(tables)
         self.alphas = np.asarray(alphas, dtype=float)
         self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
-        self._pos = 0
-        self._live = np.ones(len(tables), dtype=bool)
+        self._pos: int | None = 0  # the next block's first round; None once counted
+        self._drawn = np.zeros(len(tables), dtype=np.int64)  # an arm is live while this is _pos
+        self._counts = np.zeros(len(tables), dtype=np.int64)
 
     @property
     def n_arms(self) -> int:
@@ -262,25 +272,46 @@ class _ArmEnv:
         """Boolean matrix (listed arm, round) for rounds ``r0 .. r1-1``.
 
         ``arms`` lists arm indices in ascending order, ``None`` meaning every
-        arm. Blocks must follow one another, and an arm left out of a block is
-        retired: asking for it again raises ``ValueError``. Row ``j`` equals
-        arm ``arms[j]``'s row in a block drawn for every arm.
+        arm. Blocks must follow one another, and an arm left out of a block of
+        rounds is retired: asking for it again raises ``ValueError``, and so
+        does any block after ``accept_counts``. Row ``j`` equals arm
+        ``arms[j]``'s row in a block drawn for every arm.
         """
+        if self._pos is None:
+            raise ValueError("no block can follow accept_counts")
         if r0 != self._pos or r1 < r0:
             raise ValueError("blocks must be requested sequentially")
         rows = np.arange(self.n_arms) if arms is None else np.asarray(arms, dtype=np.intp)
         if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
                 rows.size and (rows[0] < 0 or rows[-1] >= self.n_arms)):
             raise ValueError("arms must be ascending indices of this environment's arms")
-        if not self._live[rows].all():
+        if np.any(self._drawn[rows] != r0):
             raise ValueError("a retired arm cannot be drawn again")
         self._pos = r1
-        self._live[:] = False
-        self._live[rows] = True
         out = np.empty((rows.size, r1 - r0), dtype=bool)
         for j, i in enumerate(rows):
             out[j] = self._accepted(int(i), r1 - r0)
+            self._counts[i] += np.count_nonzero(out[j])
+        self._drawn[rows] = r1
         return out
+
+    def accept_counts(self, k: int) -> np.ndarray:
+        """Every arm's accept count over rounds ``0 .. k-1``, as an int64 array.
+
+        Rounds that blocks already drew count as drawn, the whole last block of
+        a retired arm included; only each stream's rest is drawn, at most
+        ``_BLOCK_ARM_ROUNDS // n_arms`` rounds per call. No block may follow,
+        and an arm already drawn past round ``k`` raises ``ValueError``.
+        """
+        if np.any(self._drawn > k):
+            raise ValueError(f"an arm was already drawn past round {k}")
+        self._pos = None
+        chunk = max(1, _BLOCK_ARM_ROUNDS // self.n_arms)
+        for i in range(self.n_arms):
+            for r0 in range(int(self._drawn[i]), k, chunk):
+                self._counts[i] += np.count_nonzero(self._accepted(i, min(chunk, k - r0)))
+        self._drawn[:] = k
+        return self._counts.copy()
 
 
 class BernoulliArmEnv(_ArmEnv):

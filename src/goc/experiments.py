@@ -87,11 +87,21 @@ class TrialResult:
         return self.outcome.total_game_rounds
 
 
-def run_trial(art: InstanceArtifacts, trial: int, algo: str) -> TrialResult:
-    """One seeded learning trial; matched algorithms share the same streams."""
-    base_seed = art.config["experiment.base_seed"]
+def _trial_env(art: InstanceArtifacts, trial: int):
+    """A fresh arm environment on ``trial``'s streams."""
     env_cls = BernoulliArmEnv if art.config["env.mode"] == "bernoulli" else PhysicalArmEnv
-    env = env_cls(art.config.scenario, art.tables, art.alphas, base_seed, trial)
+    return env_cls(art.config.scenario, art.tables, art.alphas,
+                   art.config["experiment.base_seed"], trial)
+
+
+def run_trial(art: InstanceArtifacts, trial: int, algo: str, *, env=None) -> TrialResult:
+    """One seeded learning trial; matched algorithms share the same streams.
+
+    ``env`` is an environment of this trial that an earlier learner used (see
+    ``_trial_runs``); without it the trial draws on a fresh one.
+    """
+    if env is None:
+        env = _trial_env(art, trial)
     if algo == ETC:
         outcome = run_etc(art.learner, env, art.config.utility_spec)
     elif algo == ELIMINATION:
@@ -116,9 +126,23 @@ def _worker_init(art: InstanceArtifacts) -> None:
     _WORKER_ART = art
 
 
-def _worker_run(task: tuple[int, str]) -> TrialResult:
+def _trial_runs(
+    art: InstanceArtifacts, trial: int, algos: Sequence[str]
+) -> dict[str, TrialResult]:
+    """Each of ``algos`` on one environment of ``trial``, elimination first.
+
+    Elimination reads each stream from round 0 and never past ``k``, and ETC
+    then counts each stream's rest, so each stream is drawn once and both
+    results equal those of a fresh environment each.
+    """
+    env = _trial_env(art, trial)
+    order = sorted(algos, key=lambda algo: algo != ELIMINATION)
+    return {algo: run_trial(art, trial, algo, env=env) for algo in order}
+
+
+def _worker_run(task: tuple[int, Sequence[str]]) -> dict[str, TrialResult]:
     assert _WORKER_ART is not None
-    return run_trial(_WORKER_ART, *task)
+    return _trial_runs(_WORKER_ART, *task)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -135,19 +159,27 @@ def resolve_threads(explicit: int | None = None) -> int:
 def run_trials(
     art: InstanceArtifacts, algos: Sequence[str], threads: int | None = None
 ) -> list[TrialResult]:
-    """All ``experiment.trials`` (trial, algo) runs, in deterministic (algo, trial) order."""
-    trials = art.config["experiment.trials"]
-    tasks = [(t, algo) for algo in algos for t in range(trials)]
-    n_threads = resolve_threads(threads)
-    if n_threads == 1 or len(tasks) < 4:
-        return [run_trial(art, *task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # imported only by a run that starts a pool
+    """All ``experiment.trials`` (trial, algo) runs, in deterministic (algo, trial) order.
 
-    # workers run art itself: forked ones inherit it, spawned ones unpickle it once each
-    with ProcessPoolExecutor(
-        max_workers=n_threads, initializer=_worker_init, initargs=(art,)
-    ) as pool:
-        return list(pool.map(_worker_run, tasks, chunksize=max(1, len(tasks) // (4 * n_threads))))
+    One task per trial runs its learners on one environment (``_trial_runs``);
+    a pool starts for more than one thread and at least four runs.
+    """
+    trials = art.config["experiment.trials"]
+    tasks = [(t, algos) for t in range(trials)]
+    n_threads = resolve_threads(threads)
+    if n_threads == 1 or trials * len(algos) < 4:
+        runs = [_trial_runs(art, *task) for task in tasks]
+    else:
+        # imported only by a run that starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        # workers run art itself: forked ones inherit it, spawned ones unpickle it once each
+        with ProcessPoolExecutor(
+            max_workers=n_threads, initializer=_worker_init, initargs=(art,)
+        ) as pool:
+            runs = list(pool.map(_worker_run, tasks,
+                                 chunksize=max(1, trials // (4 * n_threads))))
+    return [runs[t][algo] for algo in algos for t in range(trials)]
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from goc.envelope import EnvelopeTable, check_threshold_range
+from goc.environment import _BLOCK_ARM_ROUNDS
 from goc.utility import LipschitzProfile, UtilitySpec, q_dc
 
-# arm-rounds per block, which bounds a trial's working set whatever the arm count: an ETC
-# block is budget // arms rounds of every arm, and an elimination block's utilities take
-# 8 bytes per arm-round
-_BLOCK_ARM_ROUNDS = 1 << 19
 # rounds per elimination block, unless the budget allows fewer: each arm call per block
 # costs about 30-40 us in physical mode, so blocks much shorter than this slow those trials
 _ELIM_BLOCK = 4096
@@ -162,18 +159,16 @@ def _outcome(alive, stop, counts, u, clamps) -> LearnerOutcome:
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
     """Play every candidate exactly ``k`` rounds, then commit to the best estimate.
 
-    The candidate schedule is round-robin; with per-candidate streams the
-    totals are identical to any interleaving. Exact ties resolve to the
-    lowest index.
+    Its only statistic is each candidate's accept count over rounds
+    ``0 .. k-1``, which ``env.accept_counts`` supplies: with per-candidate
+    streams any interleaving gives the same totals, and an environment that
+    elimination already used counts the rounds it drew without drawing them
+    again. Exact ties resolve to the lowest index.
     """
     n_arms = config.n + 1
     if env.n_arms != n_arms:
         raise ValueError("environment arm count does not match the config grid")
-    counts = np.zeros(n_arms, dtype=np.int64)
-    b = max(1, _BLOCK_ARM_ROUNDS // n_arms)
-    for r0 in range(0, config.k, b):
-        block = env.acceptance_block(r0, min(r0 + b, config.k))
-        counts += [np.count_nonzero(row) for row in block]
+    counts = env.accept_counts(config.k)
     rates = counts / config.k
     u = np.array([_u_hat(spec, t, a) for t, a in zip(env.tables, rates)])
     clamps = sum(a < t.alpha_grid[0] for t, a in zip(env.tables, rates))

@@ -16,7 +16,7 @@ import pytest
 from goc.config import load_config
 from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
-from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
+from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial, run_trials
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.verify import two_point_oracle
 
@@ -31,9 +31,11 @@ def report(criterion: int | str, ok: bool, detail: str) -> None:
 
 
 def matched_trials(art):
-    """ETC and elimination results over ``experiment.trials`` matched-seed trials."""
+    """ETC and elimination results over ``experiment.trials`` matched-seed trials, each trial's
+    two learners sharing one environment as in ``goc report``."""
     trials = art.config["experiment.trials"]
-    return tuple([run_trial(art, t, algo) for t in range(trials)] for algo in (ETC, ELIMINATION))
+    results = run_trials(art, (ETC, ELIMINATION), threads=1)
+    return results[:trials], results[trials:]
 
 
 def picked_arms(results) -> dict[int, int]:

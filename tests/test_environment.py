@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goc.environment
 from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import (
     BernoulliArmEnv,
@@ -191,6 +192,51 @@ def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
     with pytest.raises(ValueError, match="ascending"):
         env.acceptance_block(900, 950, [3, 3])
     assert env.acceptance_block(900, 950, [3]).shape == (1, 50)
+
+
+@pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
+def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypatch):
+    # a small call bound: 250 rounds per arm call, so k = 600 straddles two chunk edges
+    monkeypatch.setattr(goc.environment, "_BLOCK_ARM_ROUNDS", 1000)
+    etas = [2.0, 2.5, 3.0, 4.0]
+    tables = [build_envelope_table(tgauss, e, 801) for e in etas]
+    rates = best_response_rates(tables, spec_default)
+    full = cls(tgauss, tables, rates, base_seed=9, trial=2).acceptance_block(0, 600)
+    calls = []
+
+    def counted(env):
+        accepted = env._accepted
+        monkeypatch.setattr(env, "_accepted", lambda i, n: calls.append(n) or accepted(i, n))
+        return env
+
+    fresh = counted(cls(tgauss, tables, rates, base_seed=9, trial=2))
+    assert fresh.accept_counts(600).tolist() == full.sum(axis=1).tolist()
+    assert calls == [250, 250, 100] * 4
+    # after blocks that retired arm 1 at round 137 and arm 0 at round 300, as elimination
+    # does: their whole blocks count as drawn, and only each stream's rest is drawn
+    used = cls(tgauss, tables, rates, base_seed=9, trial=2)
+    used.acceptance_block(0, 137)
+    used.acceptance_block(137, 300, [0, 2, 3])
+    used.acceptance_block(300, 310, [2, 3])
+    calls.clear()
+    counts = counted(used).accept_counts(600)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == full.sum(axis=1).tolist()
+    assert calls == [250, 50, 250, 213, 250, 40, 250, 40]
+    assert used.accept_counts(600).tolist() == counts.tolist()  # nothing left to draw
+
+
+def test_no_block_follows_accept_counts(unif, spec_default):
+    tables = [build_envelope_table(unif, e, 801) for e in (2.0, 3.0)]
+    rates = best_response_rates(tables, spec_default)
+    env = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
+    env.acceptance_block(0, 50)
+    with pytest.raises(ValueError, match="past round 40"):
+        env.accept_counts(40)
+    env.accept_counts(100)
+    for r0, r1, arms in [(100, 110, None), (50, 60, None), (100, 110, [1])]:
+        with pytest.raises(ValueError, match="accept_counts"):
+            env.acceptance_block(r0, r1, arms)
 
 
 _TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns

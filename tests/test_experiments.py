@@ -227,6 +227,74 @@ def test_physical_mode_trials(smoke_cfg):
     assert abs(a.regret_raw - bern.regret_raw) < 1.0
 
 
+@pytest.fixture(scope="module", params=["bernoulli", "physical"])
+def two_block_art(request):
+    # 38 arms, k = 6,197: elimination's blocks end at rounds 4,096 and 6,197
+    return prepare_instance(load_config(None).with_overrides(**{
+        "env.mode": request.param, "experiment.budget_scale": 0.05, "experiment.trials": 2}))
+
+
+def test_etc_counts_on_the_environment_elimination_used(two_block_art):
+    art, k = two_block_art, two_block_art.learner.k
+    dropped_early = 0
+    for t in range(2):
+        env = experiments._trial_env(art, t)
+        elim = run_trial(art, t, ELIMINATION, env=env)
+        o = elim.outcome
+        # arms dropped partway through the first block: drawn past their stop, not up to k
+        dropped_early += sum(r < d < k for r, d, gone in zip(o.rounds_played, env._drawn,
+                                                              o.eliminated) if gone)
+        assert run_trial(art, t, ETC, env=env) == run_trial(art, t, ETC)
+        assert elim == run_trial(art, t, ELIMINATION)
+    assert dropped_early
+
+
+def test_shared_trials_equal_independent_runs(two_block_art):
+    independent = [run_trial(two_block_art, t, algo) for algo in (ETC, ELIMINATION)
+                   for t in range(2)]
+    assert run_trials(two_block_art, (ETC, ELIMINATION), threads=1) == independent
+    swapped = independent[2:] + independent[:2]
+    assert run_trials(two_block_art, (ELIMINATION, ETC), threads=1) == swapped
+    assert run_trials(two_block_art, (ETC,), threads=1) == independent[:2]
+
+
+def test_two_trials_of_two_learners_start_a_pool(smoke_cfg, monkeypatch):
+    # the pool rule counts (trial, algo) runs, though a task is one trial of both learners
+    art = prepare_instance(smoke_cfg.with_overrides(**{"experiment.trials": 2}))
+    seq = run_trials(art, (ETC, ELIMINATION), threads=1)
+    pools, runs = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    run_trial_ = experiments.run_trial
+
+    def recording_run_trial(art, trial, algo, **kwargs):
+        runs.append((trial, algo))
+        return run_trial_(art, trial, algo, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "_WORKER_ART", None)
+    monkeypatch.setattr(experiments, "run_trial", recording_run_trial)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    assert run_trials(art, (ETC, ELIMINATION), threads=2) == seq
+    assert pools == [2]
+    # one run_trial call per (trial, algo), elimination first on each trial's environment
+    assert runs == [(0, ELIMINATION), (0, ETC), (1, ELIMINATION), (1, ETC)]
+
+
 def test_parallel_trials_match_sequential(smoke_cfg, smoke_art):
     seq = run_trials(smoke_art, (ETC, ELIMINATION), threads=1)
     par = run_trials(smoke_art, (ETC, ELIMINATION), threads=2)

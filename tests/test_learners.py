@@ -87,7 +87,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
 def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
-    # k straddles the first block edge, so run_etc draws two blocks per arm
+    # k straddles the first chunk edge, so accept_counts draws each arm in two calls
     k = goc.learners._BLOCK_ARM_ROUNDS // 2 + 5
     etas = [2.0, 3.0]
     tables = [build_envelope_table(unif, e, 201) for e in etas]
