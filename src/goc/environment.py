@@ -7,9 +7,9 @@ adversary. Randomness comes from per-(trial, arm) streams addressed by a
 seed key, so the draw for any given round is independent of execution
 order; splitting a run into consecutive blocks yields the same values.
 
-The learners' arm environments draw only the arms a block lists, and an
-arm left out of a block is retired for good, so each stream is still read
-in round order. An environment also keeps each arm's accept count over
+The learners' arm environments draw only the arms a block lists, and each
+stream is read in round order: a block of an arm starts at the first round
+that arm has not drawn. An environment also keeps each arm's accept count over
 every round it drew, so ``accept_counts`` draws only the rest of each
 stream: a trial's ETC run counts on the environment its elimination run
 used, and each stream is drawn once. A learner sees only the accept bit,
@@ -238,12 +238,11 @@ class _ArmEnv:
 
     Arm ``i`` is ``tables[i]``'s threshold, accepted at the rate ``alphas[i]``
     (its best response, which ``prepare_instance`` resolves once per instance),
-    and owns the stream keyed ``(seed, trial, i)``; blocks must be
-    requested in round order, and all arms share the block schedule so
-    matched-seed algorithm comparisons see identical draws. A block may list
-    a subset of the arms; an arm left out is retired and never drawn again.
-    Per arm, the environment records how many rounds it drew and how many
-    of them accepted, for ``accept_counts``.
+    and owns the stream keyed ``(seed, trial, i)``, so matched-seed algorithm
+    comparisons see identical draws. Each stream is read in round order: a
+    block may list any subset of the arms, each of which must have been drawn
+    up to the block's first round. Per arm, the environment records how many
+    rounds it drew and how many of them accepted; that is its only draw state.
     """
 
     def __init__(
@@ -260,9 +259,8 @@ class _ArmEnv:
         self.tables = list(tables)
         self.alphas = np.asarray(alphas, dtype=float)
         self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
-        self._pos: int | None = 0  # the next block's first round; None once counted
-        self._drawn = np.zeros(len(tables), dtype=np.int64)  # an arm is live while this is _pos
-        self._counts = np.zeros(len(tables), dtype=np.int64)
+        self._drawn = np.zeros(len(tables), dtype=np.int64)  # each arm's next round
+        self._counts = np.zeros(len(tables), dtype=np.int64)  # its accepts before that round
 
     @property
     def n_arms(self) -> int:
@@ -272,22 +270,18 @@ class _ArmEnv:
         """Boolean matrix (listed arm, round) for rounds ``r0 .. r1-1``.
 
         ``arms`` lists arm indices in ascending order, ``None`` meaning every
-        arm. Blocks must follow one another, and an arm left out of a block of
-        rounds is retired: asking for it again raises ``ValueError``, and so
-        does any block after ``accept_counts``. Row ``j`` equals arm
+        arm. Each stream is read in round order, so every listed arm must have
+        been drawn up to ``r0`` (by blocks or ``accept_counts``), and ``r1``
+        may not precede ``r0``; otherwise ``ValueError``. Row ``j`` equals arm
         ``arms[j]``'s row in a block drawn for every arm.
         """
-        if self._pos is None:
-            raise ValueError("no block can follow accept_counts")
-        if r0 != self._pos or r1 < r0:
-            raise ValueError("blocks must be requested sequentially")
         rows = np.arange(self.n_arms) if arms is None else np.asarray(arms, dtype=np.intp)
         if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
                 rows.size and (rows[0] < 0 or rows[-1] >= self.n_arms)):
             raise ValueError("arms must be ascending indices of this environment's arms")
-        if np.any(self._drawn[rows] != r0):
-            raise ValueError("a retired arm cannot be drawn again")
-        self._pos = r1
+        if r1 < r0 or np.any(self._drawn[rows] != r0):
+            raise ValueError(f"each stream is read in round order: a block of rounds "
+                             f"[{r0}, {r1}) must start at each listed arm's next round")
         out = np.empty((rows.size, r1 - r0), dtype=bool)
         for j, i in enumerate(rows):
             out[j] = self._accepted(int(i), r1 - r0)
@@ -299,13 +293,14 @@ class _ArmEnv:
         """Every arm's accept count over rounds ``0 .. k-1``, as an int64 array.
 
         Rounds that blocks already drew count as drawn, the whole last block of
-        a retired arm included; only each stream's rest is drawn, at most
-        ``_BLOCK_ARM_ROUNDS // n_arms`` rounds per call. No block may follow,
-        and an arm already drawn past round ``k`` raises ``ValueError``.
+        an arm that elimination dropped included; only each stream's rest is
+        drawn, at most ``_BLOCK_ARM_ROUNDS // n_arms`` rounds per call. Each
+        stream is read in round order, so an arm already drawn past round
+        ``k`` raises ``ValueError``, and a later block continues from ``k``.
         """
         if np.any(self._drawn > k):
-            raise ValueError(f"an arm was already drawn past round {k}")
-        self._pos = None
+            raise ValueError(f"each stream is read in round order: an arm was already "
+                             f"drawn past round {k}")
         chunk = max(1, _BLOCK_ARM_ROUNDS // self.n_arms)
         for i in range(self.n_arms):
             for r0 in range(int(self._drawn[i]), k, chunk):

@@ -68,7 +68,8 @@ def elimination_radius(ell: float, n: int, delta: float, r):
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Grid range, accuracy/confidence targets, smoothness profile, and derived budget."""
+    """Grid range, accuracy/confidence targets, smoothness profile, and the budget ``(n, k)``
+    the learners play; ``derive`` builds it from the sample-complexity bound."""
 
     a: float
     b: float
@@ -77,17 +78,6 @@ class LearnerConfig:
     lip: LipschitzProfile
     n: int
     k: int
-    budget_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        n_min, k_min = derive_budget(self.a, self.b, self.delta, self.lam, self.lip)
-        check_learner_targets(self.delta, self.lam, self.budget_scale)
-        if self.n < n_min:
-            raise ValueError(f"n = {self.n} below the required {n_min}")
-        if self.budget_scale == 1.0 and self.k < k_min:
-            raise ValueError(f"k = {self.k} below the required {k_min}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
     @classmethod
     def derive(
@@ -99,10 +89,12 @@ class LearnerConfig:
         lip: LipschitzProfile,
         budget_scale: float = 1.0,
     ) -> "LearnerConfig":
+        """``derive_budget``'s ``(n, k)``, with ``k`` scaled by ``budget_scale`` (rounded up)."""
         n, k = derive_budget(a, b, delta, lam, lip)
+        check_learner_targets(delta, lam, budget_scale)
         if budget_scale != 1.0:
             k = max(1, math.ceil(k * budget_scale))
-        return cls(a=a, b=b, delta=delta, lam=lam, lip=lip, n=n, k=k, budget_scale=budget_scale)
+        return cls(a=a, b=b, delta=delta, lam=lam, lip=lip, n=n, k=k)
 
     def etas(self) -> np.ndarray:
         """Candidate grid ``a + (b - a) (i - 1) / n`` for ``i = 1 .. n + 1``."""
@@ -129,13 +121,15 @@ class LearnerOutcome:
 
 
 def _u_hat(spec: UtilitySpec, table: EnvelopeTable, rate):
-    """Estimated utility at acceptance-rate estimates ``rate``, read through ``table``.
+    """Estimated utility at acceptance-rate estimates ``rate``, read through ``table``, and
+    the mask of the rates below the table's lower edge.
 
-    Rates below the table's lower edge are clamped to it (the singular
-    small-rate region is far from optimal anyway); callers count them.
+    Those rates are clamped to the edge (the singular small-rate region is
+    far from optimal anyway); callers count them from the mask.
     """
-    safe = np.clip(rate, table.alpha_grid[0], 1.0)
-    return q_dc(spec, np.interp(safe, table.alpha_grid, table.c_values), safe)
+    lo = table.alpha_grid[0]
+    safe = np.clip(rate, lo, 1.0)
+    return q_dc(spec, np.interp(safe, table.alpha_grid, table.c_values), safe), rate < lo
 
 
 def _first_violation(best, u, eps, start: int) -> int:
@@ -170,10 +164,9 @@ def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
         raise ValueError("environment arm count does not match the config grid")
     counts = env.accept_counts(config.k)
     rates = counts / config.k
-    u = np.array([_u_hat(spec, t, a) for t, a in zip(env.tables, rates)])
-    clamps = sum(a < t.alpha_grid[0] for t, a in zip(env.tables, rates))
-    return _outcome(np.ones(n_arms, dtype=bool), np.full(n_arms, config.k), counts, u,
-                    clamps=int(clamps))
+    u, clamped = zip(*(_u_hat(spec, t, a) for t, a in zip(env.tables, rates)))
+    return _outcome(np.ones(n_arms, dtype=bool), np.full(n_arms, config.k), counts,
+                    np.array(u), clamps=int(sum(clamped)))
 
 
 def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
@@ -211,10 +204,9 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         u_live /= r_vec
         clamped = {}  # row -> mask of its clamped rates, for the rows that have any
         for j, i in enumerate(rows):
-            lo = env.tables[i].alpha_grid[0]
-            if u_live[j].min() < lo:
-                clamped[j] = u_live[j] < lo
-            u_live[j] = _u_hat(spec, env.tables[i], u_live[j])
+            u_live[j], mask = _u_hat(spec, env.tables[i], u_live[j])
+            if mask.any():
+                clamped[j] = mask
         # one-pass scan: each row's first violating column; dropping rows only lowers best,
         # so no violation moves earlier, and only rows whose first violation sat where best
         # fell need a look further on

@@ -17,6 +17,7 @@ from goc.config import load_config
 from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial, run_trials
+from goc.learners import derive_budget
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.verify import two_point_oracle
 
@@ -41,6 +42,13 @@ def matched_trials(art):
 def picked_arms(results) -> dict[int, int]:
     """How often each 1-based arm was committed to, by arm."""
     return dict(sorted(Counter(r.outcome.eta_hat_index for r in results).items()))
+
+
+def full_budget(art) -> bool:
+    """Whether the trials play the paper's budget: ``derive_budget``'s ``(n, k)``, unscaled."""
+    c = art.config
+    return (art.learner.n, art.learner.k) == derive_budget(
+        c["learner.a"], c["learner.b"], c["learner.delta"], c["learner.lambda"], art.learner.lip)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +156,7 @@ def test_criterion_3_etc_pac_validation(
         delta = art.config["learner.delta"]
         lam = art.config["learner.lambda"]
         rate = sum(r.regret_raw > lam for r in etc) / len(etc)
-        ok = ok and rate < delta and art.learner.budget_scale == 1.0
+        ok = ok and rate < delta and full_budget(art)
         details.append(
             f"{name}: ETC failure rate {rate:.4f} over {len(etc)} trials (n={art.learner.n}, "
             f"k={art.learner.k}, full budget, target < {delta}), picked arms {picked_arms(etc)}")
@@ -188,7 +196,7 @@ def test_criteria_3_and_4_in_physical_mode(interior_results, interior_physical):
     delta, lam = art.config["learner.delta"], art.config["learner.lambda"]
     rates = [sum(r.regret_raw > lam for r in rs) / len(rs) for rs in (etc, elim)]
     bounded = all(e.rounds_used <= c.rounds_used for e, c in zip(elim, etc))
-    ok = max(rates) < delta and bounded and art.learner.budget_scale == 1.0
+    ok = max(rates) < delta and bounded and full_budget(art)
     bern_etc, bern_elim = interior_results
     report("3 and 4, physical mode", ok,
            f"interior, {len(etc)} matched pairs (n={art.learner.n}, k={art.learner.k}, full "

@@ -71,7 +71,7 @@ PROBE = textwrap.dedent(
 
     # tables whose lower edge is the first arm's best response, so elimination clamps
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
-    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=300, budget_scale=0.5)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=300)
     tables = [build_envelope_table(scenario, e, 801, 0.5) for e in etas]
     rates = [best_response(t, spec).alpha_star for t in tables]
     learners = {}

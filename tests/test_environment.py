@@ -17,8 +17,10 @@ from goc.environment import (
     physical_rounds,
     step_bernoulli,
 )
+from goc.learners import LearnerConfig, run_elimination, run_etc
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response
+from goc.utility import LipschitzProfile
 
 from conftest import best_response_rates
 
@@ -187,7 +189,7 @@ def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
         assert got.shape == (len(rows), r1 - r0)
         assert np.array_equal(got, full[rows, r0:r1])
     for arms in ([2], [2, 3], None):
-        with pytest.raises(ValueError, match="retired"):
+        with pytest.raises(ValueError, match="round order"):
             env.acceptance_block(900, 950, arms)
     with pytest.raises(ValueError, match="ascending"):
         env.acceptance_block(900, 950, [3, 3])
@@ -212,7 +214,7 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
     fresh = counted(cls(tgauss, tables, rates, base_seed=9, trial=2))
     assert fresh.accept_counts(600).tolist() == full.sum(axis=1).tolist()
     assert calls == [250, 250, 100] * 4
-    # after blocks that retired arm 1 at round 137 and arm 0 at round 300, as elimination
+    # after blocks that dropped arm 1 at round 137 and arm 0 at round 300, as elimination
     # does: their whole blocks count as drawn, and only each stream's rest is drawn
     used = cls(tgauss, tables, rates, base_seed=9, trial=2)
     used.acceptance_block(0, 137)
@@ -226,17 +228,38 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
     assert used.accept_counts(600).tolist() == counts.tolist()  # nothing left to draw
 
 
-def test_no_block_follows_accept_counts(unif, spec_default):
-    tables = [build_envelope_table(unif, e, 801) for e in (2.0, 3.0)]
+def test_each_stream_is_read_in_round_order(unif, spec_default):
+    tables = [build_envelope_table(unif, e, 801) for e in (2.0, 3.0, 4.0)]
     rates = best_response_rates(tables, spec_default)
-    env = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
-    env.acceptance_block(0, 50)
+
+    def env():
+        return BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
+
+    full = env().acceptance_block(0, 160)
+    # a block after accept_counts(k) continues each stream from round k
+    counted = env()
+    counted.acceptance_block(0, 50, [1])
     with pytest.raises(ValueError, match="past round 40"):
-        env.accept_counts(40)
-    env.accept_counts(100)
-    for r0, r1, arms in [(100, 110, None), (50, 60, None), (100, 110, [1])]:
-        with pytest.raises(ValueError, match="accept_counts"):
-            env.acceptance_block(r0, r1, arms)
+        counted.accept_counts(40)
+    assert counted.accept_counts(100).tolist() == full[:, :100].sum(axis=1).tolist()
+    assert np.array_equal(counted.acceptance_block(100, 130, [0, 2]), full[[0, 2], 100:130])
+    # a block must start at each listed arm's next round: not before it, not after it
+    for r0, r1, arms in [(100, 110, None), (90, 110, [1]), (120, 140, [0]), (140, 150, [0]),
+                         (130, 125, [0])]:
+        with pytest.raises(ValueError, match="round order"):
+            counted.acceptance_block(r0, r1, arms)
+    # arms drawn in separate blocks at the same rounds equal one joint block
+    apart = [counted.acceptance_block(130, 160, [i]) for i in (0, 2)]
+    assert np.array_equal(np.vstack(apart), full[[0, 2], 130:])
+    assert np.array_equal(counted.acceptance_block(100, 160, [1]), full[[1], 100:])
+    # ETC and then elimination on one environment fails at the first block, which is
+    # why a trial runs elimination first
+    cfg = LearnerConfig(a=2.0, b=4.0, delta=0.1, lam=0.5,
+                        lip=LipschitzProfile(ell=2.0, big_l=0.05, d=2.0), n=2, k=60)
+    shared = env()
+    run_etc(cfg, shared, spec_default)
+    with pytest.raises(ValueError, match="round order"):
+        run_elimination(cfg, shared, spec_default)
 
 
 _TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns

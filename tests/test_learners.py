@@ -13,6 +13,7 @@ from goc.environment import BernoulliArmEnv, PhysicalArmEnv, make_rng
 from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
 from goc.learners import (
     LearnerConfig,
+    _u_hat,
     derive_budget,
     elimination_radius,
     run_elimination,
@@ -75,14 +76,13 @@ def test_grid_identity():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=10, k=6477)  # n too small
-    with pytest.raises(ValueError):
-        LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100)  # k too small
     with pytest.raises(ValueError, match=r"^experiment\.budget_scale: "):
-        LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100, budget_scale=1.5)
-    scaled = LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=LIP, n=81, k=100, budget_scale=0.01)
-    assert scaled.k == 100
+        LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=1.5)
+    scaled = LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=0.01)
+    assert (scaled.n, scaled.k) == (81, 65)  # ceil(6477 * 0.01)
+    assert LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=0.001).k == 7  # rounded up
+    full = LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=1.0)
+    assert (full.n, full.k) == derive_budget(2.0, 6.0, 0.05, 0.1, LIP)
 
 
 @pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
@@ -92,7 +92,7 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     etas = [2.0, 3.0]
     tables = [build_envelope_table(unif, e, 201) for e in etas]
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
-    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k, budget_scale=0.5)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k)
     rates = best_response_rates(tables, spec_default)
     out = run_etc(cfg, cls(unif, tables, rates, base_seed=3, trial=1), spec_default)
     full = cls(unif, tables, rates, base_seed=3, trial=1).acceptance_block(0, k)
@@ -101,7 +101,7 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
 
 def _tiny_instance(unif, spec, n_arms=3, k=400, alpha_min=DEFAULT_ALPHA_MIN):
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=1.0)
-    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=n_arms - 1, k=k, budget_scale=0.5)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=n_arms - 1, k=k)
     etas = cfg.etas()
     tables = [build_envelope_table(unif, float(e), 801, alpha_min) for e in etas]
     return cfg, etas, tables
@@ -158,6 +158,20 @@ def test_etc_matches_manual_argmax(unif, spec_default):
         assert out.u_hat[0] == pytest.approx(manual[0], abs=1e-12)
         assert out.clamp_count == clamps
     assert clamps > 0
+
+
+def test_u_hat_masks_exactly_the_rates_it_clamps(unif, spec_default):
+    table = build_envelope_table(unif, 2.5, 201, CLAMPING_ALPHA_MIN)
+    lo = table.alpha_grid[0]
+    below = np.nextafter(lo, 0.0)
+    u_lo, at_edge = _u_hat(spec_default, table, lo)
+    u_below, under = _u_hat(spec_default, table, below)
+    assert (bool(at_edge), bool(under)) == (False, True)
+    assert u_below == u_lo  # read at the edge
+    rates = np.array([0.0, below, lo, 0.75, 1.0])
+    u, mask = _u_hat(spec_default, table, rates)
+    assert mask.tolist() == [True, True, False, False, False]
+    assert u.tolist() == [u_lo] * 3 + [_u_hat(spec_default, table, r)[0] for r in (0.75, 1.0)]
 
 
 def test_elimination_drops_separated_arms(unif, spec_gamma1):
@@ -273,8 +287,7 @@ def test_blocked_scan_matches_sequential_replay(unif, scan_tables, spec_default,
                                                elim_block, arm_rounds, ell, trial):
     """Blocks of any size, down to one round, scan to the round-by-round outcome."""
     lip = LipschitzProfile(ell=ell, big_l=0.05, d=2.0)
-    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=len(arms) - 1, k=k,
-                        budget_scale=0.5)
+    cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=len(arms) - 1, k=k)
     tables = [scan_tables[t] for t, _ in arms]
     rates = [rate for _, rate in arms]
     draws = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=trial).acceptance_block(0, k)
@@ -306,8 +319,7 @@ def test_trial_memory_is_bounded(unif, spec_default):
 
     art = prepare_instance(load_config(None))  # 38 arms, k = 123,929
     lip = LipschitzProfile(ell=art.learner.lip.ell, big_l=0.01, d=1.0)
-    wide = LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=lip, n=400, k=20_000,
-                         budget_scale=0.1)
+    wide = LearnerConfig(a=2.0, b=6.0, delta=0.05, lam=0.1, lip=lip, n=400, k=20_000)
     tables = list(build_envelope_tables(unif, wide.etas(), 201))
     rates = best_response_rates(tables, spec_default)
     peaks = {
@@ -327,7 +339,7 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
 
     alpha = best_response(table_unif_25, spec_default).alpha_star
     lip = LipschitzProfile(ell=2.5, big_l=0.1, d=1.0)
-    cfg = LearnerConfig(a=2.0, b=2.5, delta=0.05, lam=0.5, lip=lip, n=1, k=2000, budget_scale=0.9)
+    cfg = LearnerConfig(a=2.0, b=2.5, delta=0.05, lam=0.5, lip=lip, n=1, k=2000)
     eliminated_trials = 0
     for trial in range(200):
         env = BernoulliArmEnv(unif, [table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
