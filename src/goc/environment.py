@@ -13,10 +13,13 @@ that arm has not drawn. An environment also keeps each arm's accept count over
 every round it drew, so ``accept_counts`` draws only the rest of each
 stream: a trial's ETC run counts on the environment its elimination run
 used, and each stream is drawn once. A learner sees only the accept bit,
-so the physical arm environment decides most rounds from the honest-noise
-uniform alone (see ``_gate``) and builds the report pair only for rounds
-near an acceptance edge; the bits equal the full simulation's by
-construction. ``goc simulate`` and ``physical_rounds`` keep the full batch.
+so the physical arm environment draws each round's five raw 64-bit words,
+of which ``Generator.random`` would make its five uniforms, and decides most
+rounds by one table lookup keyed by the top bits of the honest-noise word,
+the sign word and the component word (see ``_Gate``); it builds the report
+pair only for rounds near an acceptance edge. The bits equal the full
+simulation's by construction. ``goc simulate`` and ``physical_rounds`` keep
+the full batch.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _PHYS_DRAWS = 5
 _BLOCK_ARM_ROUNDS = 1 << 19
 # Generator.random returns multiples of this in [0, 1)
 _UNIT = 2.0 ** -53
+# top bits of the honest-noise word that key a physical round's table lookup: each
+# (component, sign) pair has a table row of 2**_V_BITS entries, about 2 of them edges
+_V_BITS = 12
 # half-width of the guard band around each acceptance edge in noise space, relative to
 # big_m + z + eta * delta; near an edge the acceptance test's rounding stays below 2**-52 of it
 _GATE_BAND = 1e-12
@@ -102,25 +108,17 @@ class PhysicalBatch:
     u_true: np.ndarray
 
 
-def _offset_choice(adv: MixtureAdversary, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each round's mixture component, and whether its offset is added (``True``) or subtracted.
-
-    The component is the number of cumulative weights, the last one excepted,
-    at or below the round's uniform.
-    """
-    comp = np.zeros(len(draws), dtype=np.intp)
-    for w in adv.cumulative_weights()[:-1]:
-        comp += draws[:, 2] >= w
-    return comp, draws[:, 3] >= 0.5
-
-
 def _physical_from_uniforms(
     scenario: Scenario, eta: float, adv: MixtureAdversary, draws: np.ndarray
 ) -> PhysicalBatch:
     u = (2.0 * draws[:, 0] - 1.0) * scenario.big_m
     n_h = scenario.noise.ppf(draws[:, 1])
-    comp, plus = _offset_choice(adv, draws)
-    n_a = np.where(plus, 1.0, -1.0) * np.asarray(adv.offsets, dtype=float)[comp]
+    # the mixture component: how many cumulative weights, the last one excepted, are at or
+    # below the round's uniform; the offset is added at a sign uniform of 0.5 or more
+    comp = np.zeros(len(draws), dtype=np.intp)
+    for w in adv.cumulative_weights()[:-1]:
+        comp += draws[:, 2] >= w
+    n_a = np.where(draws[:, 3] >= 0.5, 1.0, -1.0) * np.asarray(adv.offsets, dtype=float)[comp]
     y_h = u + n_h
     y_a = u + n_a
     return PhysicalBatch(accepted=np.abs(y_h - y_a) <= eta * scenario.delta,
@@ -151,7 +149,8 @@ def envelope_witness_mixture(
 
     Mixes the offsets of the two envelope-hull vertices bracketing
     ``alpha`` so the acceptance probability is exactly ``alpha`` and the
-    conditional midpoint MSE equals ``c_eta(alpha)``.
+    conditional midpoint MSE equals ``c_eta(alpha)``. At a vertex the
+    witness is that vertex's point mass.
     """
     q = table.hull_q
     if not (q[0] - 1e-12 <= alpha <= q[-1] + 1e-12):
@@ -160,10 +159,10 @@ def envelope_witness_mixture(
     j = int(np.searchsorted(q, alpha, side="right"))
     j = min(max(j, 1), q.size - 1)
     q_lo, q_hi = float(q[j - 1]), float(q[j])
+    if alpha == q_lo or alpha >= q_hi:  # a hull vertex, q_hi == q_lo included
+        return MixtureAdversary.point_mass(float(k_inverse(scenario, table.eta, alpha)))
     z_lo = float(k_inverse(scenario, table.eta, q_lo))
     z_hi = float(k_inverse(scenario, table.eta, q_hi))
-    if q_hi == q_lo or alpha >= q_hi:
-        return MixtureAdversary.point_mass(z_hi)
     w_lo = (q_hi - alpha) / (q_hi - q_lo)
     return MixtureAdversary((z_lo, z_hi), (w_lo, 1.0 - w_lo))
 
@@ -178,11 +177,11 @@ def _gate_thresholds(
     ``|u| <= big_m`` and ``n_a = +-z``, so near an edge ``u`` cancels up to
     rounding below ``2**-52 (big_m + z + c)``, and acceptance depends only on
     where ``n_h = ppf(v)`` falls against the edges ``n_a - c`` and ``n_a + c``.
-    Column ``2 * component + plus`` of an arm's ``(4, 2 * components)`` array
-    holds, for the targets ``n_a - c - tau``, ``n_a - c + tau``, ``n_a + c - tau``
-    and ``n_a + c + tau`` (``tau = _GATE_BAND (big_m + z + c)``), the least
-    multiple ``t`` of ``2**-53`` with ``ppf(t)`` at or above the target (1 if
-    none): a bisection on ``noise.ppf`` itself, over every arm at once.
+    Row ``2 * component + plus`` of an arm's int64 ``(2 * components, 4)``
+    array holds, for the targets ``n_a - c - tau``, ``n_a - c + tau``,
+    ``n_a + c - tau`` and ``n_a + c + tau`` (``tau = _GATE_BAND (big_m + z + c)``),
+    the least integer ``t`` with ``ppf(t 2**-53)`` at or above the target
+    (``2**53`` if none): a bisection on ``noise.ppf`` itself, over every arm at once.
     """
     targets = []
     for eta, adv in zip(etas, advs):
@@ -202,35 +201,86 @@ def _gate_thresholds(
         up = ~(scenario.noise.ppf(np.maximum(mid, 0) * _UNIT) < x)
         hi = np.where(open_ & up, mid, hi)
         lo = np.where(open_ & ~up, mid, lo)
-    return np.split(hi * _UNIT, np.cumsum([t.shape[1] for t in targets])[:-1], axis=1)
+    return np.split(np.ascontiguousarray(hi.T), np.cumsum([t.shape[1] for t in targets])[:-1])
 
 
-def _gate(
-    scenario: Scenario, eta: float, adv: MixtureAdversary, thresholds: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance bits of physical rounds equal to ``_physical_from_uniforms(...).accepted``.
+@dataclass(frozen=True)
+class _Gate:
+    """One physical arm's acceptance decision on raw 64-bit draws, built once per environment.
 
-    Counts how many of its pair's four ``thresholds`` (from ``_gate_thresholds``)
-    each round's honest-noise uniform ``v`` reaches. For a ``v`` that
-    ``Generator.random`` can return, ``ppf(v)`` then lies below the first
-    target (count 0: rejected), between the second and third (2: accepted)
-    or above the fourth (4: rejected), up to ``ppf``'s own ulp-level wobble;
-    a guard band ``tau`` wide exceeds that wobble plus the test's rounding, so
-    these rounds decide the same as the full test. Odd counts lie in a band
-    and go through ``_physical_from_uniforms``. Returns the bits and the mask
-    of banded rounds.
+    A round's key is ``pair << _V_BITS | bucket``: ``pair = 2 * component +
+    plus`` and ``bucket``, the top ``_V_BITS`` bits of the honest-noise word,
+    which equal ``floor(v 2**_V_BITS)`` for the uniform ``v`` that
+    ``Generator.random`` makes of it. ``thresholds`` is the arm's array from
+    ``_gate_thresholds``, one row per pair. ``table[key]``, int8, is 1 where
+    every uniform of the bucket reaches exactly two of its pair's thresholds (accepted),
+    0 where they all reach none or all four (rejected), and 2 at an edge: a
+    bucket that holds one of the pair's thresholds, or whose level is odd.
+    ``cuts`` are the raw component words at which the component index steps
+    up, one per cumulative weight, the last one excepted, that a uniform can reach.
     """
-    comp, plus = _offset_choice(adv, draws)
-    pair = 2 * comp + plus
-    v = np.ascontiguousarray(draws[:, 1])
-    level = (v >= thresholds[0].take(pair)).view(np.int8).copy()
-    for t in thresholds[1:]:
-        level += (v >= t.take(pair)).view(np.int8)
-    accepted = level == 2
-    band = (level & 1).view(bool)
-    if band.any():
-        accepted[band] = _physical_from_uniforms(scenario, eta, adv, draws[band]).accepted
-    return accepted, band
+
+    scenario: Scenario
+    eta: float
+    adv: MixtureAdversary
+    thresholds: np.ndarray
+    cuts: np.ndarray
+    table: np.ndarray
+
+    @classmethod
+    def build(
+        cls, scenario: Scenario, eta: float, adv: MixtureAdversary, thresholds: np.ndarray
+    ) -> "_Gate":
+        # d >= w holds for d = (raw >> 11) 2**-53 exactly when raw >= ceil(w 2**53) << 11
+        cuts = np.ceil(adv.cumulative_weights()[:-1] * 2.0 ** 53)
+        cuts = cuts[cuts < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+        # per pair, how many thresholds fall in each bucket (the last one: none); in a
+        # bucket no threshold falls in, every uniform reaches exactly those in the buckets
+        # up to it, a count that assumes nothing about the thresholds' order
+        pairs = np.arange(len(thresholds))[:, None]
+        held = np.zeros((len(thresholds), (1 << _V_BITS) + 1), dtype=np.int64)
+        np.add.at(held, (pairs, thresholds >> (53 - _V_BITS)), 1)
+        level = np.cumsum(held, axis=1)
+        edge = (held > 0) | (level & 1 == 1)
+        table = np.where(edge, 2, level == 2)[:, :-1].astype(np.int8).ravel()
+        return cls(scenario, eta, adv, thresholds, cuts, table)
+
+    def decide(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Acceptance bits of physical rounds equal to ``_physical_from_uniforms(...).accepted``.
+
+        ``raw`` holds each round's five 64-bit words from ``random_raw``, whose
+        uniforms ``Generator.random`` would return as ``(raw >> 11) 2**-53``.
+        Most rounds are decided by one lookup of their key in ``table``. Edge
+        rounds count how many of their pair's four ``thresholds`` the
+        honest-noise uniform ``v`` reaches. For a ``v`` that ``Generator.random``
+        can return, ``ppf(v)`` then lies below the first target (count 0:
+        rejected), between the second and third (2: accepted) or above the fourth
+        (4: rejected), up to ``ppf``'s own ulp-level wobble; a guard band ``tau``
+        wide exceeds that wobble plus the test's rounding, so these rounds decide
+        the same as the full test. Odd counts lie in a band and go through
+        ``_physical_from_uniforms``. Returns the bits and the indices of banded rounds.
+        """
+        key = raw[:, 3] >> 63
+        key <<= _V_BITS
+        key |= raw[:, 1] >> (64 - _V_BITS)
+        key = key.view(np.int64)
+        for cut in self.cuts:
+            key += (raw[:, 2] >= cut) << (_V_BITS + 1)
+        entry = self.table.take(key)
+        accepted = entry == 1
+        edge = (entry == 2).nonzero()[0]
+        band = edge[:0]
+        if edge.size:
+            v = (raw.take(edge, axis=0)[:, 1] >> 11).view(np.int64)  # in units of 2**-53
+            pair = key.take(edge) >> _V_BITS
+            level = np.count_nonzero(v[:, None] >= self.thresholds.take(pair, axis=0), axis=1)
+            accepted[edge] = level == 2
+            band = edge[level & 1 == 1]
+            if band.size:
+                draws = (raw.take(band, axis=0) >> 11) * _UNIT
+                accepted[band] = _physical_from_uniforms(self.scenario, self.eta, self.adv,
+                                                         draws).accepted
+        return accepted, band
 
 
 class _ArmEnv:
@@ -321,8 +371,9 @@ class PhysicalArmEnv(_ArmEnv):
 
     The mixture realizes the arm's best-response acceptance level, so
     acceptance statistics match the Bernoulli mode in law. Each round still
-    consumes five uniforms, but only rounds in a guard band of ``_gate``
-    build the report pair.
+    consumes five 64-bit words, the stream positions of its five uniforms;
+    most rounds are decided by one lookup in the arm's ``_Gate`` table, and
+    only rounds in one of its guard bands build the report pair.
     """
 
     @cached_property
@@ -332,10 +383,12 @@ class PhysicalArmEnv(_ArmEnv):
         ]
 
     @cached_property
-    def _thresholds(self) -> list[np.ndarray]:
-        return _gate_thresholds(self.scenario, [t.eta for t in self.tables], self.adversaries)
+    def _gates(self) -> list[_Gate]:
+        etas = [t.eta for t in self.tables]
+        thresholds = _gate_thresholds(self.scenario, etas, self.adversaries)
+        return [_Gate.build(self.scenario, eta, adv, t)
+                for eta, adv, t in zip(etas, self.adversaries, thresholds)]
 
     def _accepted(self, i: int, n: int) -> np.ndarray:
-        draws = self._gens[i].random((n, _PHYS_DRAWS))
-        return _gate(self.scenario, self.tables[i].eta, self.adversaries[i],
-                     self._thresholds[i], draws)[0]
+        raw = self._gens[i].bit_generator.random_raw(n * _PHYS_DRAWS).reshape(n, _PHYS_DRAWS)
+        return self._gates[i].decide(raw)[0]

@@ -20,7 +20,8 @@ from goc.environment import _BLOCK_ARM_ROUNDS
 from goc.utility import LipschitzProfile, UtilitySpec, q_dc
 
 # rounds per elimination block, unless the budget allows fewer: each arm call per block
-# costs about 30-40 us in physical mode, so blocks much shorter than this slow those trials
+# costs about 10 us in physical mode beside 16-18 ns per round (2 cores, numpy 2.4.6),
+# so blocks much shorter than this slow those trials
 _ELIM_BLOCK = 4096
 
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goc.environment
-from goc.envelope import build_envelope_table, k_eta, nu_eta
+from goc.envelope import build_envelope_table, k_eta, k_inverse, nu_eta
 from goc.environment import (
     BernoulliArmEnv,
     MixtureAdversary,
     PhysicalArmEnv,
-    _gate,
+    _V_BITS,
+    _Gate,
     _gate_thresholds,
     _physical_from_uniforms,
     envelope_witness_mixture,
@@ -20,7 +21,7 @@ from goc.environment import (
 from goc.learners import LearnerConfig, run_elimination, run_etc
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response
-from goc.utility import LipschitzProfile
+from goc.utility import LipschitzProfile, UtilitySpec
 
 from conftest import best_response_rates
 
@@ -262,7 +263,61 @@ def test_each_stream_is_read_in_round_order(unif, spec_default):
         run_elimination(cfg, shared, spec_default)
 
 
-_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
+def test_raw_words_are_the_streams_uniforms():
+    # the physical arm environment reads raw words where physical_rounds reads uniforms:
+    # Generator.random makes each uniform of one raw word, as (raw >> 11) 2**-53
+    def uniforms(words):
+        return ((words >> 11) * 2.0 ** -53).reshape(-1, 5)
+
+    for n in (1, 7, 4096):
+        gen = make_rng(3, 1, n)
+        assert np.array_equal(uniforms(gen.bit_generator.random_raw(5 * n)),
+                              make_rng(3, 1, n).random((n, 5)))
+    # calls interleaved on one generator read consecutive stream positions
+    gen = make_rng(3, 2)
+    parts = [uniforms(gen.bit_generator.random_raw(15)), gen.random((4, 5)),
+             uniforms(gen.bit_generator.random_raw(5 * 1000)), gen.random((2, 5))]
+    assert np.array_equal(np.vstack(parts), make_rng(3, 2).random((1009, 5)))
+
+
+def test_witness_at_a_hull_vertex_is_a_point_mass(unif):
+    eta = 3.0
+    table = build_envelope_table(unif, eta)
+    q = table.hull_q
+    j = q.size // 2
+    for alpha in (q[0], q[j], q[-1]):
+        adv = envelope_witness_mixture(unif, table, float(alpha))
+        assert len(adv.offsets) == 1 and adv.weights == (1.0,)
+        assert k_eta(unif, eta, adv.offsets[0]) == pytest.approx(alpha, abs=1e-9)
+    # the two-offset form it replaces, weights (1, 0) on the vertex and its upper
+    # neighbour, gives the same bits: d >= 1.0 never holds, so its component is the first
+    z_lo, z_hi = (float(k_inverse(unif, eta, q[i])) for i in (j, j + 1))
+    mixed = MixtureAdversary((z_lo, z_hi), (1.0, 0.0))
+    point = envelope_witness_mixture(unif, table, float(q[j]))
+    assert point.offsets == mixed.offsets[:1]
+    old = physical_rounds(unif, eta, mixed, make_rng(7, 1), 10**5)
+    new = physical_rounds(unif, eta, point, make_rng(7, 1), 10**5)
+    for field in ("accepted", "estimate", "u_true"):
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+@pytest.mark.parametrize("gamma,theta,etas", [(0.3, 1.0, (2.0, 3.0, 4.5, 6.0)),
+                                              (0.1, 3.0, (2.0, 2.25, 2.5, 3.0))],
+                         ids=["uniform-defaults", "interior"])
+def test_physical_env_blocks_equal_physical_rounds(unif, gamma, theta, etas):
+    # the environment's lookup decision against the full simulation of the same streams, on
+    # point-mass witnesses (the defaults) and on two-component ones (the interior instance)
+    spec = UtilitySpec(dc_kind="linear", dc_gamma=gamma, ad_kind="product", ad_theta=theta)
+    tables = [build_envelope_table(unif, e) for e in etas]
+    rates = best_response_rates(tables, spec)
+    env = PhysicalArmEnv(unif, tables, rates, base_seed=11, trial=3)
+    if theta > 1.0:
+        assert any(len(adv.offsets) == 2 for adv in env.adversaries)
+    n = 200_000
+    block = env.acceptance_block(0, n)
+    for i, (table, adv) in enumerate(zip(tables, env.adversaries)):
+        full = physical_rounds(unif, table.eta, adv, make_rng(11, 3, i), n).accepted
+        assert np.array_equal(block[i], full), i
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,10 +329,17 @@ _TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
     edge_k=st.integers(0, 2 ** 53 - 1),
     far=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
     weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+    vertex=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# a guard band many buckets wide, whose inner buckets hold no threshold but have odd levels
+@example(gaussian=True, log_sigma=-6.0, delta=1.0, eta=3.0, edge_k=int(0.3 * 2 ** 53), far=[],
+         weights=[0.3, 0.3, 0.4], vertex=False, seed=1)
+# a vertex witness whose weight-0 components have acceptance edges in the noise's support
+@example(gaussian=True, log_sigma=2.0, delta=1.0, eta=3.0, edge_k=2 ** 52, far=[2.5e-4, 3.1e-4],
+         weights=[0.3, 0.3, 0.4], vertex=True, seed=1)
 def test_gate_matches_the_full_acceptance_test(
-    gaussian, log_sigma, delta, eta, edge_k, far, weights, seed
+    gaussian, log_sigma, delta, eta, edge_k, far, weights, vertex, seed
 ):
     big_m = 1e4 * delta
     if gaussian:
@@ -288,32 +350,67 @@ def test_gate_matches_the_full_acceptance_test(
     # the first offset puts an acceptance edge on an attainable honest-noise value; the
     # others range over the whole span, so some thresholds leave [ppf(0), ppf(1)]
     offsets = (c + float(scenario.noise.ppf(edge_k * 2.0 ** -53)), *(f * big_m for f in far))
-    w = np.asarray(weights[: len(offsets)])
+    # a vertex witness weighs its first offset 1.0, so no component cut splits the rounds
+    w = np.asarray([1.0, 0.0, 0.0] if vertex else weights)[: len(offsets)]
     adv = MixtureAdversary(offsets, tuple(w / w.sum()))
     thresholds = _gate_thresholds(scenario, [eta], [adv])[0]
-    assert thresholds.shape == (4, 2 * len(offsets))
+    assert thresholds.shape == (2 * len(offsets), 4)
+    gate = _Gate.build(scenario, eta, adv, thresholds)
 
     rng = make_rng(seed)
-    draws = rng.random((1000, 5))
+    rows = [rng.bit_generator.random_raw(5 * 1000).reshape(1000, 5)]
+
+    def steer(v, comp_word, plus):
+        """Indices of appended rounds of random words but for the honest-noise words ``v``,
+        the component words ``comp_word`` and offset sign ``plus``."""
+        block = rng.bit_generator.random_raw(5 * len(v)).reshape(len(v), 5)
+        block[:, 1] = v
+        block[:, 2] = comp_word
+        block[:, 3] = (block[:, 3] >> np.uint64(1)) | np.uint64(plus << 63)
+        start = sum(map(len, rows))
+        rows.append(block)
+        return range(start, start + len(v))
+
+    def words(u53):
+        """Raw words whose uniforms are ``u53`` 2**-53, their low 11 bits random."""
+        low = rng.bit_generator.random_raw(len(u53)) >> np.uint64(53)
+        return (np.asarray(u53, dtype=np.uint64) << np.uint64(11)) | low
+
     # rounds steered to each (component, sign) pair: the extreme uniforms 0 and 1 - 2**-53,
-    # the ends and middle of each nonempty guard band, and the uniforms just outside it
+    # the ends and middle of each nonempty guard band, the uniforms just outside it, and
+    # the first and last word of each of the pair's edge buckets
     cw = np.concatenate([[0.0], np.cumsum(w / w.sum())])
-    ulp = 2.0 ** -53
+    top = 2 ** 53 - 1
     placed = []
     for pair in range(2 * len(offsets)):
-        t1, t2, t3, t4 = thresholds[:, pair]
-        vs = [0.0, _TOP]
+        comp, plus = divmod(pair, 2)
+        if w[comp] == 0.0:  # a vertex witness never draws this component
+            continue
+        inside = words([min(int(0.5 * (cw[comp] + cw[comp + 1]) * 2 ** 53), top)])
+        t1, t2, t3, t4 = (int(t) for t in thresholds[pair])
+        vs = [0, top]
         for lo, hi in ((t1, t2), (t3, t4)):
-            vs += [max(lo - ulp, 0.0), min(hi, _TOP)]
+            vs += [max(lo - 1, 0), min(hi, top)]
             if lo < hi:
-                placed.extend(range(len(draws) + len(vs), len(draws) + len(vs) + 3))
-                vs += [lo, hi - ulp, (int(lo / ulp) + int(hi / ulp)) // 2 * ulp]
-        rows = rng.random((len(vs), 5))
-        rows[:, 1] = vs
-        rows[:, 2] = 0.5 * (cw[pair // 2] + cw[pair // 2 + 1])
-        rows[:, 3] = 0.75 if pair % 2 else 0.25
-        draws = np.vstack([draws, rows])
+                placed.extend(steer(words([lo, hi - 1, (lo + hi) // 2]), inside, plus))
+        steer(words(vs), inside, plus)
+        row = gate.table[pair << _V_BITS: (pair + 1) << _V_BITS]
+        first = np.flatnonzero(row == 2).astype(np.uint64) << np.uint64(64 - _V_BITS)
+        steer(np.concatenate([first, first + np.uint64((1 << (64 - _V_BITS)) - 1)]), inside, plus)
+    # component words on both sides of each cut, ceil(w 2**53) << 11, with honest-noise
+    # words inside the acceptance region of the components on either side; a cut at
+    # 2**53 << 11 would need 65 bits, so the largest word must stay below it
+    for comp, cum in enumerate(adv.cumulative_weights()[:-1]):
+        cut = int(np.ceil(cum * 2.0 ** 53)) << 11
+        sides = np.array([cut - 1, cut] if cut < 2 ** 64 else [2 ** 64 - 1], dtype=np.uint64)
+        for plus in (0, 1):
+            for side_comp in (comp, comp + 1):
+                t2, t3 = (int(t) for t in thresholds[2 * side_comp + plus, 1:3])
+                if t2 < t3:
+                    steer(words([(t2 + t3) // 2] * sides.size), sides, plus)
+    raw = np.vstack(rows)
 
-    accepted, band = _gate(scenario, eta, adv, thresholds, draws)
+    accepted, band = gate.decide(raw)
+    draws = (raw >> 11) * 2.0 ** -53
     assert np.array_equal(accepted, _physical_from_uniforms(scenario, eta, adv, draws).accepted)
-    assert placed and band[placed].all()
+    assert placed and np.isin(placed, band).all()
