@@ -15,17 +15,15 @@ stream: a trial's ETC run counts on the environment its elimination run
 used, and each stream is drawn once. A learner sees only the accept bit,
 so the physical arm environment draws each round's five raw 64-bit words,
 of which ``Generator.random`` would make its five uniforms, and decides most
-rounds by one table lookup keyed by the top bits of the honest-noise word,
-the sign word and the component word (see ``_Gate``); it builds the report
-pair only for rounds near an acceptance edge. The bits equal the full
-simulation's by construction. ``goc simulate`` and ``physical_rounds`` keep
-the full batch.
+rounds by one lookup in the arm's ``_Gate``, which ``physical_gates`` builds
+once per instance; it builds the report pair only for rounds near an
+acceptance edge. The bits equal the full simulation's by construction.
+``goc simulate`` and ``physical_rounds`` keep the full batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -206,7 +204,7 @@ def _gate_thresholds(
 
 @dataclass(frozen=True)
 class _Gate:
-    """One physical arm's acceptance decision on raw 64-bit draws, built once per environment.
+    """One physical arm's acceptance decision on raw 64-bit draws, built once per instance.
 
     A round's key is ``pair << _V_BITS | bucket``: ``pair = 2 * component +
     plus`` and ``bucket``, the top ``_V_BITS`` bits of the honest-noise word,
@@ -283,31 +281,42 @@ class _Gate:
         return accepted, band
 
 
+def physical_gates(
+    scenario: Scenario, tables: Sequence[EnvelopeTable], alphas: Sequence[float]
+) -> tuple[_Gate, ...]:
+    """Each arm's ``_Gate``: ``tables[i]`` against its witness mixture at the rate ``alphas[i]``.
+
+    Like ``physical_rounds``, it rejects an offset beyond ``scenario.big_m``.
+    """
+    advs = [envelope_witness_mixture(scenario, t, a) for t, a in zip(tables, alphas, strict=True)]
+    for table, adv in zip(tables, advs):
+        try:
+            adv.check_span(scenario)
+        except ValueError as exc:
+            raise ValueError(f"learner.b: arm eta = {table.eta!r}: witness {exc}") from None
+    etas = [t.eta for t in tables]
+    return tuple(_Gate.build(scenario, eta, adv, t)
+                 for eta, adv, t in zip(etas, advs, _gate_thresholds(scenario, etas, advs)))
+
+
 class _ArmEnv:
     """Per-arm streams for one learning trial; subclasses supply each arm's block sampler.
 
-    Arm ``i`` is ``tables[i]``'s threshold, accepted at the rate ``alphas[i]``
-    (its best response, which ``prepare_instance`` resolves once per instance),
-    and owns the stream keyed ``(seed, trial, i)``, so matched-seed algorithm
+    Arm ``i`` is ``tables[i]``'s threshold, and ``arms[i]`` is all its sampler reads:
+    its best-response acceptance rate or its ``_Gate``, resolved once per instance by
+    ``prepare_instance``. It owns the stream keyed ``(seed, trial, i)``, so matched-seed
     comparisons see identical draws. Each stream is read in round order: a
     block may list any subset of the arms, each of which must have been drawn
     up to the block's first round. Per arm, the environment records how many
     rounds it drew and how many of them accepted; that is its only draw state.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        tables: Sequence[EnvelopeTable],
-        alphas: Sequence[float],
-        base_seed: int,
-        trial: int,
-    ) -> None:
-        if len(alphas) != len(tables):
-            raise ValueError("alphas and tables must align")
-        self.scenario = scenario
+    def __init__(self, tables: Sequence[EnvelopeTable], arms: Sequence, base_seed: int,
+                 trial: int) -> None:
+        if len(arms) != len(tables):
+            raise ValueError("arms and tables must align")
         self.tables = list(tables)
-        self.alphas = np.asarray(alphas, dtype=float)
+        self.arms = tuple(arms)
         self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
         self._drawn = np.zeros(len(tables), dtype=np.int64)  # each arm's next round
         self._counts = np.zeros(len(tables), dtype=np.int64)  # its accepts before that round
@@ -360,35 +369,22 @@ class _ArmEnv:
 
 
 class BernoulliArmEnv(_ArmEnv):
-    """Accept/reject coins with each arm's best-response acceptance rate."""
+    """Accept/reject coins; ``arms[i]`` is arm ``i``'s best-response acceptance rate."""
 
     def _accepted(self, i: int, n: int) -> np.ndarray:
-        return self._gens[i].random(n) < self.alphas[i]
+        return self._gens[i].random(n) < self.arms[i]
 
 
 class PhysicalArmEnv(_ArmEnv):
-    """Full simulated games against each arm's envelope-witness mixture.
+    """Full simulated games; ``arms[i]`` is arm ``i``'s ``_Gate`` (see ``physical_gates``).
 
-    The mixture realizes the arm's best-response acceptance level, so
-    acceptance statistics match the Bernoulli mode in law. Each round still
-    consumes five 64-bit words, the stream positions of its five uniforms;
-    most rounds are decided by one lookup in the arm's ``_Gate`` table, and
-    only rounds in one of its guard bands build the report pair.
+    Each arm's envelope-witness mixture realizes its best-response acceptance
+    level, so acceptance statistics match the Bernoulli mode in law. Each round
+    still consumes five 64-bit words, the stream positions of its five
+    uniforms; most rounds are decided by one lookup in the arm's ``_Gate``
+    table, and only rounds in one of its guard bands build the report pair.
     """
-
-    @cached_property
-    def adversaries(self) -> list[MixtureAdversary]:
-        return [
-            envelope_witness_mixture(self.scenario, t, a) for t, a in zip(self.tables, self.alphas)
-        ]
-
-    @cached_property
-    def _gates(self) -> list[_Gate]:
-        etas = [t.eta for t in self.tables]
-        thresholds = _gate_thresholds(self.scenario, etas, self.adversaries)
-        return [_Gate.build(self.scenario, eta, adv, t)
-                for eta, adv, t in zip(etas, self.adversaries, thresholds)]
 
     def _accepted(self, i: int, n: int) -> np.ndarray:
         raw = self._gens[i].bit_generator.random_raw(n * _PHYS_DRAWS).reshape(n, _PHYS_DRAWS)
-        return self._gates[i].decide(raw)[0]
+        return self.arms[i].decide(raw)[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from goc.config import ExperimentConfig
 from goc.envelope import EnvelopeTable, build_envelope_tables
-from goc.environment import BernoulliArmEnv, PhysicalArmEnv
+from goc.environment import BernoulliArmEnv, PhysicalArmEnv, _Gate, physical_gates
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
 from goc.oracle import best_response
 from goc.utility import dc_slope, estimate_lipschitz
@@ -37,12 +37,13 @@ class InstanceArtifacts:
     learner: LearnerConfig
     tables: tuple[EnvelopeTable, ...]
     alphas: np.ndarray  # best-response acceptance rate at the learner grid points
+    gates: tuple[_Gate, ...]  # physical mode: each arm's gate at that rate; none in Bernoulli
     u_grid: np.ndarray  # realized utility at the learner grid points
     u_star: float  # max realized utility over the estimator sweep and the learner grid
 
 
 def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
-    """Resolve smoothness constants, budgets, tables, best responses, and the reference optimum."""
+    """Resolve smoothness constants, budgets, arms (tables, responses, gates) and the optimum."""
     scenario, spec = config.scenario, config.utility_spec
     a, b = config["learner.a"], config["learner.b"]
     grid_size = config["envelope.grid"]
@@ -62,11 +63,13 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     tables = tuple(build_envelope_tables(scenario, learner.etas(), grid_size, alpha_min))
     responses = [best_response(t, spec) for t in tables]
     u_grid = np.array([br.dc_value for br in responses])
+    alphas = np.array([br.alpha_star for br in responses])
     return InstanceArtifacts(
         config=config,
         learner=learner,
         tables=tables,
-        alphas=np.array([br.alpha_star for br in responses]),
+        alphas=alphas,
+        gates=physical_gates(scenario, tables, alphas) if config["env.mode"] == "physical" else (),
         u_grid=u_grid,
         # the learner grid is not nested in the sweep: its maximum keeps every regret >= 0
         u_star=max(float(u.max()), float(u_grid.max())),
@@ -89,9 +92,9 @@ class TrialResult:
 
 def _trial_env(art: InstanceArtifacts, trial: int):
     """A fresh arm environment on ``trial``'s streams."""
-    env_cls = BernoulliArmEnv if art.config["env.mode"] == "bernoulli" else PhysicalArmEnv
-    return env_cls(art.config.scenario, art.tables, art.alphas,
-                   art.config["experiment.base_seed"], trial)
+    env_cls, arms = ((BernoulliArmEnv, art.alphas) if art.config["env.mode"] == "bernoulli"
+                     else (PhysicalArmEnv, art.gates))
+    return env_cls(art.tables, arms, art.config["experiment.base_seed"], trial)
 
 
 def run_trial(art: InstanceArtifacts, trial: int, algo: str, *, env=None) -> TrialResult:

@@ -1,6 +1,7 @@
 import pytest
 
 from goc.envelope import build_envelope_table
+from goc.environment import PhysicalArmEnv, physical_gates
 from goc.noise import uniform_scenario, truncated_gaussian_scenario
 from goc.oracle import best_response
 from goc.utility import UtilitySpec
@@ -48,3 +49,10 @@ def spec_pa_only():
 def best_response_rates(tables, spec):
     """Each table's best-response acceptance rate: the arm rates ``prepare_instance`` resolves."""
     return [best_response(t, spec).alpha_star for t in tables]
+
+
+def arm_inputs(cls, scenario, tables, spec):
+    """What each arm of a ``cls`` environment reads, as ``prepare_instance`` resolves it:
+    its best-response rate, or in physical mode that rate's ``_Gate``."""
+    rates = best_response_rates(tables, spec)
+    return physical_gates(scenario, tables, rates) if cls is PhysicalArmEnv else rates

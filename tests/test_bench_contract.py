@@ -44,23 +44,24 @@ PROBE = textwrap.dedent(
 
     tracer = spans.Tracer(run_id="probe", span_dir=Path(sys.argv[1]))
     spans.install(tracer)
-    from goc.environment import BernoulliArmEnv, PhysicalArmEnv
+    from goc.environment import BernoulliArmEnv, PhysicalArmEnv, physical_gates
 
     scenario = uniform_scenario()
     spec = UtilitySpec()
     etas = [2.0, 3.0]
     tables = [build_envelope_table(scenario, e, 201) for e in etas]
     rates = [best_response(t, spec).alpha_star for t in tables]
+    arm_inputs = {BernoulliArmEnv: rates, PhysicalArmEnv: physical_gates(scenario, tables, rates)}
     blocks = {}
     live = {}
-    for cls in (BernoulliArmEnv, PhysicalArmEnv):
-        env = cls(scenario, tables, rates, base_seed=1, trial=0)
+    for cls, arms in arm_inputs.items():
+        env = cls(tables, arms, base_seed=1, trial=0)
         before = len(tracer.spans)
         env.acceptance_block(0, 10)
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
         blocks[cls.__name__] = [s[6] for s in new]
         # a live-arm block, its arms passed positionally, must still bind in the tracer
-        env = cls(scenario, tables, rates, base_seed=1, trial=0)
+        env = cls(tables, arms, base_seed=1, trial=0)
         before = len(tracer.spans)
         out = env.acceptance_block(0, 10, [1])
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
@@ -76,7 +77,7 @@ PROBE = textwrap.dedent(
     rates = [best_response(t, spec).alpha_star for t in tables]
     learners = {}
     for learner in (run_etc, run_elimination):
-        env = BernoulliArmEnv(scenario, tables, rates, base_seed=1, trial=0)
+        env = BernoulliArmEnv(tables, rates, base_seed=1, trial=0)
         before = len(tracer.spans)
         out = learner(cfg, env, spec)
         new = [s for s in tracer.spans[before:] if s[2] == "learners." + learner.__name__]

@@ -269,6 +269,36 @@ def test_rejected_run_makes_no_directory(tmp_path, capsys):
     assert not (tmp_path / "fx").exists()
 
 
+# the top arm, eta = 150, best-responds at offset 149, beyond big_m = 100
+WIDE_ARMS_CONFIG = """\
+scenario.big_m = 100
+learner.b = 150
+lipschitz.ell = 1
+lipschitz.L = 0.001
+lipschitz.d = 200
+learner.lambda = 1
+experiment.budget_scale = 0.01
+experiment.trials = 1
+"""
+
+
+def test_physical_learners_reject_a_witness_beyond_big_m(tmp_path, capsys):
+    # as goc simulate rejects the same offset, before any output is made
+    cfg = tmp_path / "wide.txt"
+    cfg.write_text(WIDE_ARMS_CONFIG + "env.mode = physical\n")
+    out = tmp_path / "run" / "trials.csv"
+    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: learner.b: arm eta = 150.0: witness offset 149.0 "
+                                   "exceeds scenario.big_m = 100.0")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+    # Bernoulli arms draw no offsets, so the same arms still learn there
+    cfg.write_text(WIDE_ARMS_CONFIG)
+    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("adv, reason", [
     ("z=1:nan,z=2:1", "mixture weights must have a positive finite sum"),
     ("z=1:inf,z=2:1", "mixture weights must have a positive finite sum"),

@@ -15,6 +15,7 @@ from goc.environment import (
     _physical_from_uniforms,
     envelope_witness_mixture,
     make_rng,
+    physical_gates,
     physical_rounds,
     step_bernoulli,
 )
@@ -23,7 +24,7 @@ from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.oracle import best_response
 from goc.utility import LipschitzProfile, UtilitySpec
 
-from conftest import best_response_rates
+from conftest import arm_inputs, best_response_rates
 
 
 def mse_with_stderr(batch):
@@ -164,8 +165,8 @@ def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
     etas = [2.0, 2.5, 3.0]
     tables = [build_envelope_table(unif, e, 801) for e in etas]
     rates = best_response_rates(tables, spec_default)
-    whole = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4).acceptance_block(0, 1000)
-    env2 = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
+    whole = BernoulliArmEnv(tables, rates, base_seed=9, trial=4).acceptance_block(0, 1000)
+    env2 = BernoulliArmEnv(tables, rates, base_seed=9, trial=4)
     parts = np.concatenate(
         [env2.acceptance_block(0, 137), env2.acceptance_block(137, 640), env2.acceptance_block(640, 1000)],
         axis=1,
@@ -179,9 +180,9 @@ def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
 def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
     etas = [2.0, 2.5, 3.0, 4.0]
     tables = [build_envelope_table(tgauss, e, 801) for e in etas]
-    rates = best_response_rates(tables, spec_default)
-    full = cls(tgauss, tables, rates, base_seed=9, trial=2).acceptance_block(0, 900)
-    env = cls(tgauss, tables, rates, base_seed=9, trial=2)
+    inputs = arm_inputs(cls, tgauss, tables, spec_default)
+    full = cls(tables, inputs, base_seed=9, trial=2).acceptance_block(0, 900)
+    env = cls(tables, inputs, base_seed=9, trial=2)
     # each returned row is the listed arm's row of the full draw
     for r0, r1, arms in [(0, 250, None), (250, 400, [0, 1, 2, 3]), (400, 410, [0, 2, 3]),
                          (410, 700, [2, 3]), (700, 900, [3])]:
@@ -203,8 +204,8 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
     monkeypatch.setattr(goc.environment, "_BLOCK_ARM_ROUNDS", 1000)
     etas = [2.0, 2.5, 3.0, 4.0]
     tables = [build_envelope_table(tgauss, e, 801) for e in etas]
-    rates = best_response_rates(tables, spec_default)
-    full = cls(tgauss, tables, rates, base_seed=9, trial=2).acceptance_block(0, 600)
+    inputs = arm_inputs(cls, tgauss, tables, spec_default)
+    full = cls(tables, inputs, base_seed=9, trial=2).acceptance_block(0, 600)
     calls = []
 
     def counted(env):
@@ -212,12 +213,12 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
         monkeypatch.setattr(env, "_accepted", lambda i, n: calls.append(n) or accepted(i, n))
         return env
 
-    fresh = counted(cls(tgauss, tables, rates, base_seed=9, trial=2))
+    fresh = counted(cls(tables, inputs, base_seed=9, trial=2))
     assert fresh.accept_counts(600).tolist() == full.sum(axis=1).tolist()
     assert calls == [250, 250, 100] * 4
     # after blocks that dropped arm 1 at round 137 and arm 0 at round 300, as elimination
     # does: their whole blocks count as drawn, and only each stream's rest is drawn
-    used = cls(tgauss, tables, rates, base_seed=9, trial=2)
+    used = cls(tables, inputs, base_seed=9, trial=2)
     used.acceptance_block(0, 137)
     used.acceptance_block(137, 300, [0, 2, 3])
     used.acceptance_block(300, 310, [2, 3])
@@ -234,7 +235,7 @@ def test_each_stream_is_read_in_round_order(unif, spec_default):
     rates = best_response_rates(tables, spec_default)
 
     def env():
-        return BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=4)
+        return BernoulliArmEnv(tables, rates, base_seed=9, trial=4)
 
     full = env().acceptance_block(0, 160)
     # a block after accept_counts(k) continues each stream from round k
@@ -309,14 +310,14 @@ def test_physical_env_blocks_equal_physical_rounds(unif, gamma, theta, etas):
     # point-mass witnesses (the defaults) and on two-component ones (the interior instance)
     spec = UtilitySpec(dc_kind="linear", dc_gamma=gamma, ad_kind="product", ad_theta=theta)
     tables = [build_envelope_table(unif, e) for e in etas]
-    rates = best_response_rates(tables, spec)
-    env = PhysicalArmEnv(unif, tables, rates, base_seed=11, trial=3)
+    gates = physical_gates(unif, tables, best_response_rates(tables, spec))
+    env = PhysicalArmEnv(tables, gates, base_seed=11, trial=3)
     if theta > 1.0:
-        assert any(len(adv.offsets) == 2 for adv in env.adversaries)
+        assert any(len(gate.adv.offsets) == 2 for gate in gates)
     n = 200_000
     block = env.acceptance_block(0, n)
-    for i, (table, adv) in enumerate(zip(tables, env.adversaries)):
-        full = physical_rounds(unif, table.eta, adv, make_rng(11, 3, i), n).accepted
+    for i, (table, gate) in enumerate(zip(tables, gates)):
+        full = physical_rounds(unif, table.eta, gate.adv, make_rng(11, 3, i), n).accepted
         assert np.array_equal(block[i], full), i
 
 

@@ -62,6 +62,11 @@ def smoke_art(smoke_cfg):
     return prepare_instance(smoke_cfg)
 
 
+@pytest.fixture(scope="module")
+def smoke_physical_art(smoke_cfg):
+    return prepare_instance(smoke_cfg.with_overrides(**{"env.mode": "physical"}))
+
+
 def test_prepare_instance_shapes(smoke_art):
     n_arms = smoke_art.learner.n + 1
     assert len(smoke_art.tables) == n_arms
@@ -315,11 +320,13 @@ def test_workers_run_the_parents_instance(smoke_art, monkeypatch):
     assert run_trials(smoke_art, (ETC, ELIMINATION), threads=2) == seq
 
 
-def test_pickled_instance_runs_the_same_trials(smoke_art):
-    # the copy a spawned worker receives
-    copy = pickle.loads(pickle.dumps(smoke_art))
+@pytest.mark.parametrize("mode", ["bernoulli", "physical"])
+def test_pickled_instance_runs_the_same_trials(request, mode):
+    # the copy a spawned worker receives, a physical one with each arm's gate
+    art = request.getfixturevalue("smoke_art" if mode == "bernoulli" else "smoke_physical_art")
+    copy = pickle.loads(pickle.dumps(art))
     assert any(t.hull_q.size == 401 for t in copy.tables)  # concave tables among them
-    for t, orig in zip(copy.tables, smoke_art.tables, strict=True):
+    for t, orig in zip(copy.tables, art.tables, strict=True):
         for f in dataclasses.fields(t):
             value = getattr(t, f.name)
             if isinstance(value, np.ndarray):
@@ -327,8 +334,31 @@ def test_pickled_instance_runs_the_same_trials(smoke_art):
                 assert value.tobytes() == getattr(orig, f.name).tobytes(), f.name
             else:
                 assert value == getattr(orig, f.name), f.name
+    assert len(copy.gates) == (len(art.tables) if mode == "physical" else 0)
+    for gate, orig in zip(copy.gates, art.gates, strict=True):
+        assert (gate.eta, gate.adv) == (orig.eta, orig.adv)
+        for name in ("table", "thresholds", "cuts"):
+            assert getattr(gate, name).tobytes() == getattr(orig, name).tobytes(), name
     for algo in (ETC, ELIMINATION):
-        assert run_trial(copy, 1, algo) == run_trial(smoke_art, 1, algo)
+        assert run_trial(copy, 1, algo) == run_trial(art, 1, algo)
+
+
+@pytest.mark.parametrize("mode, builds", [("bernoulli", 0), ("physical", 1)])
+def test_gates_are_built_once_per_instance(smoke_cfg, monkeypatch, mode, builds):
+    # a physical arm's gate is an instance fact: prepare_instance bisects every arm's
+    # thresholds at once, and each trial's environment reads those same gates
+    calls = []
+    thresholds = goc.environment._gate_thresholds
+    monkeypatch.setattr(goc.environment, "_gate_thresholds",
+                        lambda *args: calls.append(args) or thresholds(*args))
+    art = prepare_instance(smoke_cfg.with_overrides(**{"env.mode": mode}))
+    assert len(run_trials(art, (ETC, ELIMINATION), threads=1)) == 2 * 3  # 3 trials
+    assert len(calls) == builds
+    assert len(art.gates) == len(art.tables) * builds
+    if mode == "physical":
+        for trial in range(2):
+            env = experiments._trial_env(art, trial)
+            assert all(g is a for g, a in zip(env.arms, art.gates, strict=True)), trial
 
 
 def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):

@@ -21,7 +21,7 @@ from goc.learners import (
 )
 from goc.utility import LipschitzProfile
 
-from conftest import best_response_rates
+from conftest import arm_inputs, best_response_rates
 
 
 LIP = LipschitzProfile(ell=1.0, big_l=1.0, d=0.5)
@@ -93,9 +93,9 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     tables = [build_envelope_table(unif, e, 201) for e in etas]
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k)
-    rates = best_response_rates(tables, spec_default)
-    out = run_etc(cfg, cls(unif, tables, rates, base_seed=3, trial=1), spec_default)
-    full = cls(unif, tables, rates, base_seed=3, trial=1).acceptance_block(0, k)
+    inputs = arm_inputs(cls, unif, tables, spec_default)
+    out = run_etc(cfg, cls(tables, inputs, base_seed=3, trial=1), spec_default)
+    full = cls(tables, inputs, base_seed=3, trial=1).acceptance_block(0, k)
     assert list(out.accept_count) == full.sum(axis=1).tolist()
 
 
@@ -116,7 +116,7 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
     # acceptance-dominated adversary accepts everything; acceptance-only
     # collector sees identical estimates, so the first candidate wins
     cfg, etas, tables = _tiny_instance(unif, spec_pa_only)
-    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_pa_only),
+    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_pa_only),
                           base_seed=3, trial=0)
     out = run_etc(cfg, env, spec_pa_only)
     assert out.eta_hat_index == 1
@@ -126,7 +126,7 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
 
 def test_etc_identifies_best_arm(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=2000)
-    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_default),
+    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_default),
                           base_seed=4, trial=1)
     out = run_etc(cfg, env, spec_default)
     # on this instance the realized utility decreases in eta
@@ -143,11 +143,11 @@ def test_etc_matches_manual_argmax(unif, spec_default):
     for alpha_min, trial in [(DEFAULT_ALPHA_MIN, 2), (CLAMPING_ALPHA_MIN, 3)]:
         cfg, etas, tables = _tiny_instance(unif, spec_default, k=350, alpha_min=alpha_min)
         rates = best_response_rates(tables, spec_default)
-        env = BernoulliArmEnv(unif, tables, rates, base_seed=5, trial=trial)
+        env = BernoulliArmEnv(tables, rates, base_seed=5, trial=trial)
         out = run_etc(cfg, env, spec_default)
         manual = []
         clamps = 0
-        env2 = BernoulliArmEnv(unif, tables, rates, base_seed=5, trial=trial)
+        env2 = BernoulliArmEnv(tables, rates, base_seed=5, trial=trial)
         draws = env2.acceptance_block(0, cfg.k)
         for i, t in enumerate(tables):
             rate = draws[i].sum() / cfg.k
@@ -176,7 +176,7 @@ def test_u_hat_masks_exactly_the_rates_it_clamps(unif, spec_default):
 
 def test_elimination_drops_separated_arms(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=3000)
-    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_gamma1),
+    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_gamma1),
                           base_seed=6, trial=3)
     out = run_elimination(cfg, env, spec_gamma1)
     assert out.total_game_rounds < cfg.k * (cfg.n + 1)
@@ -239,7 +239,7 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         rates = alphas or best_response_rates(tables, spec)
 
         def make_env():
-            return BernoulliArmEnv(unif, tables, rates, base_seed=7, trial=trial)
+            return BernoulliArmEnv(tables, rates, base_seed=7, trial=trial)
 
         draws = make_env().acceptance_block(0, cfg.k)
         alive, played, counts, rate, u_now, log, clamps = _sequential_elimination(
@@ -283,20 +283,20 @@ _SCAN_RATES = st.sampled_from([0.0, 5e-4, 0.05, 0.3, 0.6, 0.9, 1.0]) | st.floats
 @example(arms=[(2, 0.534200021324978), (2, 0.7108481510736502), (0, 0.3), (2, 0.0),
                (1, 0.6069226301458123)], k=111, elim_block=75, arm_rounds=1665, ell=0.05,
          trial=744)
-def test_blocked_scan_matches_sequential_replay(unif, scan_tables, spec_default, arms, k,
+def test_blocked_scan_matches_sequential_replay(scan_tables, spec_default, arms, k,
                                                elim_block, arm_rounds, ell, trial):
     """Blocks of any size, down to one round, scan to the round-by-round outcome."""
     lip = LipschitzProfile(ell=ell, big_l=0.05, d=2.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=len(arms) - 1, k=k)
     tables = [scan_tables[t] for t, _ in arms]
     rates = [rate for _, rate in arms]
-    draws = BernoulliArmEnv(unif, tables, rates, base_seed=9, trial=trial).acceptance_block(0, k)
+    draws = BernoulliArmEnv(tables, rates, base_seed=9, trial=trial).acceptance_block(0, k)
     alive, played, counts, _, u_now, _, clamps = _sequential_elimination(
         cfg, tables, draws, spec_default)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(goc.learners, "_ELIM_BLOCK", elim_block)
         mp.setattr(goc.learners, "_BLOCK_ARM_ROUNDS", arm_rounds)
-        out = run_elimination(cfg, BernoulliArmEnv(unif, tables, rates, 9, trial), spec_default)
+        out = run_elimination(cfg, BernoulliArmEnv(tables, rates, 9, trial), spec_default)
     survivors = [i for i in range(len(arms)) if alive[i]]
     assert out.eta_hat_index == max(survivors, key=lambda i: u_now[i]) + 1
     assert list(out.rounds_played) == played
@@ -326,13 +326,13 @@ def test_trial_memory_is_bounded(unif, spec_default):
         "etc": peak_mb(run_trial, art, 0, ETC),
         "elimination": peak_mb(run_trial, art, 0, ELIMINATION),
         "elimination, 401 arms": peak_mb(lambda: run_elimination(
-            wide, BernoulliArmEnv(unif, tables, rates, 42, 1), spec_default)),
+            wide, BernoulliArmEnv(tables, rates, 42, 1), spec_default)),
     }
     bounds = {"etc": 1.5, "elimination": 3.0, "elimination, 401 arms": 8.0}
     assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
 
 
-def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_unif_25):
+def test_no_spurious_elimination_when_gaps_are_zero(spec_default, table_unif_25):
     # two candidates with identical acceptance laws and identical curves:
     # the confidence radius must keep both alive in almost every trial
     from goc.oracle import best_response
@@ -342,7 +342,7 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
     cfg = LearnerConfig(a=2.0, b=2.5, delta=0.05, lam=0.5, lip=lip, n=1, k=2000)
     eliminated_trials = 0
     for trial in range(200):
-        env = BernoulliArmEnv(unif, [table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
+        env = BernoulliArmEnv([table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
         out = run_elimination(cfg, env, spec_default)
         if any(out.eliminated):
             eliminated_trials += 1
@@ -352,8 +352,8 @@ def test_no_spurious_elimination_when_gaps_are_zero(unif, spec_default, table_un
 def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=500)
     rates = best_response_rates(tables, spec_default)
-    env_a = BernoulliArmEnv(unif, tables, rates, base_seed=12, trial=7)
-    env_b = BernoulliArmEnv(unif, tables, rates, base_seed=12, trial=7)
+    env_a = BernoulliArmEnv(tables, rates, base_seed=12, trial=7)
+    env_b = BernoulliArmEnv(tables, rates, base_seed=12, trial=7)
     out_a = run_etc(cfg, env_a, spec_default)
     out_b = run_elimination(cfg, env_b, spec_default)
     assert out_b.total_game_rounds <= out_a.total_game_rounds
@@ -376,7 +376,7 @@ def test_hoeffding_concentration_of_rate_estimates():
 
 def test_learner_outcome_n_eliminated_consistency(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=2500)
-    env = BernoulliArmEnv(unif, tables, best_response_rates(tables, spec_gamma1),
+    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_gamma1),
                           base_seed=15, trial=0)
     out = run_elimination(cfg, env, spec_gamma1)
     assert out.total_game_rounds == sum(out.rounds_played)
