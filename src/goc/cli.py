@@ -181,12 +181,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "bernoulli":
         table = build_envelope_table(scenario, args.eta, cfg["envelope.grid"], cfg["envelope.alpha_min"])
         alpha = best_response(table, cfg.utility_spec).alpha_star
+    else:
+        args.adv.check_span(scenario)
 
     def blocks():
         # Consecutive bulk draws equal one draw of every round (in Bernoulli mode, also
-        # step_bernoulli's per-round draws). Zero rounds still draw one empty block,
-        # which checks eta and --adv.
-        for start in range(0, max(args.rounds, 1), SIMULATE_BLOCK):
+        # step_bernoulli's per-round draws).
+        for start in range(0, args.rounds, SIMULATE_BLOCK):
             n = min(SIMULATE_BLOCK, args.rounds - start)
             if args.mode == "bernoulli":
                 yield np.arange(start, start + n), args.eta, rng.random(n) < alpha, "", ""

@@ -19,7 +19,7 @@ import numpy as np
 
 from goc.config import ExperimentConfig
 from goc.envelope import EnvelopeTable, build_envelope_tables
-from goc.environment import BernoulliArmEnv, PhysicalArmEnv, _Gate, physical_gates
+from goc.environment import BernoulliArmEnv, PhysicalArmEnv, physical_gates
 from goc.learners import LearnerConfig, LearnerOutcome, run_elimination, run_etc
 from goc.oracle import best_response
 from goc.utility import dc_slope, estimate_lipschitz
@@ -36,14 +36,15 @@ class InstanceArtifacts:
     config: ExperimentConfig
     learner: LearnerConfig
     tables: tuple[EnvelopeTable, ...]
-    alphas: np.ndarray  # best-response acceptance rate at the learner grid points
-    gates: tuple[_Gate, ...]  # physical mode: each arm's gate at that rate; none in Bernoulli
+    env_cls: type  # the arm environment of env.mode: BernoulliArmEnv or PhysicalArmEnv
+    arms: Sequence  # what env_cls draws each learner arm from: its best-response rate, or its _Gate
     u_grid: np.ndarray  # realized utility at the learner grid points
     u_star: float  # max realized utility over the estimator sweep and the learner grid
 
 
 def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
-    """Resolve smoothness constants, budgets, arms (tables, responses, gates) and the optimum."""
+    """Resolve smoothness constants, the budget, the arms and the optimum; the one reader of
+    ``env.mode`` beside ``load_config``, it picks ``env_cls`` and builds physical arms' gates."""
     scenario, spec = config.scenario, config.utility_spec
     a, b = config["learner.a"], config["learner.b"]
     grid_size = config["envelope.grid"]
@@ -64,12 +65,16 @@ def prepare_instance(config: ExperimentConfig) -> InstanceArtifacts:
     responses = [best_response(t, spec) for t in tables]
     u_grid = np.array([br.dc_value for br in responses])
     alphas = np.array([br.alpha_star for br in responses])
+    if config["env.mode"] == "bernoulli":
+        env_cls, arms = BernoulliArmEnv, alphas
+    else:
+        env_cls, arms = PhysicalArmEnv, physical_gates(scenario, tables, alphas)
     return InstanceArtifacts(
         config=config,
         learner=learner,
         tables=tables,
-        alphas=alphas,
-        gates=physical_gates(scenario, tables, alphas) if config["env.mode"] == "physical" else (),
+        env_cls=env_cls,
+        arms=arms,
         u_grid=u_grid,
         # the learner grid is not nested in the sweep: its maximum keeps every regret >= 0
         u_star=max(float(u.max()), float(u_grid.max())),
@@ -91,10 +96,8 @@ class TrialResult:
 
 
 def _trial_env(art: InstanceArtifacts, trial: int):
-    """A fresh arm environment on ``trial``'s streams."""
-    env_cls, arms = ((BernoulliArmEnv, art.alphas) if art.config["env.mode"] == "bernoulli"
-                     else (PhysicalArmEnv, art.gates))
-    return env_cls(art.tables, arms, art.config["experiment.base_seed"], trial)
+    """A fresh environment of the instance's arms on ``trial``'s streams."""
+    return art.env_cls(art.tables, art.arms, art.config["experiment.base_seed"], trial)
 
 
 def run_trial(art: InstanceArtifacts, trial: int, algo: str, *, env=None) -> TrialResult:

@@ -40,23 +40,6 @@ def check_learner_targets(delta: float, lam: float, budget_scale: float) -> None
         raise ValueError("experiment.budget_scale: must lie in (0, 1]")
 
 
-def derive_budget(
-    a: float, b: float, delta: float, lam: float, lip: LipschitzProfile
-) -> tuple[int, int]:
-    """Smallest (n, k) strictly satisfying the grid and per-candidate sampling bounds.
-
-    ``n`` exceeds ``(b - a) max(2 L / lambda, 1 / d)`` and ``k`` exceeds
-    ``(8 ell^2 / lambda^2) ln(2 (n + 1) / delta)``.
-    """
-    check_threshold_range(a, b)
-    check_learner_targets(delta, lam, 1.0)
-    n = _least_integer_above((b - a) * max(2.0 * lip.big_l / lam, 1.0 / lip.d))
-    k = _least_integer_above(
-        (8.0 * lip.ell ** 2 / lam ** 2) * math.log(2.0 * (n + 1) / delta)
-    )
-    return n, k
-
-
 def elimination_radius(ell: float, n: int, delta: float, r):
     """Confidence radius after ``r`` rounds: ``2 ell sqrt(ln(4(n+1)/delta) / (2r))``.
 
@@ -90,10 +73,14 @@ class LearnerConfig:
         lip: LipschitzProfile,
         budget_scale: float = 1.0,
     ) -> "LearnerConfig":
-        """``derive_budget``'s ``(n, k)``, with ``k`` scaled by ``budget_scale`` (rounded up)."""
-        n, k = derive_budget(a, b, delta, lam, lip)
+        """Smallest ``(n, k)`` strictly above the grid bound ``(b - a) max(2 L / lambda, 1 / d)``
+        and the sampling bound ``(8 ell^2 / lambda^2) ln(2 (n + 1) / delta)``, with ``k`` then
+        scaled by ``budget_scale`` (rounded up)."""
+        check_threshold_range(a, b)
         check_learner_targets(delta, lam, budget_scale)
-        if budget_scale != 1.0:
+        n = _least_integer_above((b - a) * max(2.0 * lip.big_l / lam, 1.0 / lip.d))
+        k = _least_integer_above((8.0 * lip.ell ** 2 / lam ** 2) * math.log(2.0 * (n + 1) / delta))
+        if budget_scale != 1.0:  # above 2^53, ceil(k * 1.0) could round k
             k = max(1, math.ceil(k * budget_scale))
         return cls(a=a, b=b, delta=delta, lam=lam, lip=lip, n=n, k=k)
 
@@ -114,7 +101,7 @@ class LearnerOutcome:
     accept_count: tuple[int, ...]
     u_hat: tuple[float, ...]
     eliminated: tuple[bool, ...]
-    clamp_count: int = 0
+    clamp_count: int
 
     @property
     def total_game_rounds(self) -> int:
@@ -148,7 +135,7 @@ def _outcome(alive, stop, counts, u, clamps) -> LearnerOutcome:
     """
     m = int(np.argmax(np.where(alive, u, -np.inf)))
     columns = (stop, counts, u, ~alive)
-    return LearnerOutcome(m + 1, *(tuple(c.tolist()) for c in columns), clamp_count=clamps)
+    return LearnerOutcome(m + 1, *(tuple(c.tolist()) for c in columns), clamps)
 
 
 def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:

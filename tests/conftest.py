@@ -52,7 +52,7 @@ def best_response_rates(tables, spec):
 
 
 def arm_inputs(cls, scenario, tables, spec):
-    """What each arm of a ``cls`` environment reads, as ``prepare_instance`` resolves it:
-    its best-response rate, or in physical mode that rate's ``_Gate``."""
+    """``InstanceArtifacts.arms`` for ``cls`` as ``prepare_instance`` resolves them: each
+    arm's best-response rate, or for ``PhysicalArmEnv`` that rate's ``_Gate``."""
     rates = best_response_rates(tables, spec)
     return physical_gates(scenario, tables, rates) if cls is PhysicalArmEnv else rates

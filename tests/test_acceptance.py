@@ -17,7 +17,7 @@ from goc.config import load_config
 from goc.envelope import build_envelope_table, k_eta, nu_eta
 from goc.environment import MixtureAdversary, make_rng, physical_rounds
 from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial, run_trials
-from goc.learners import derive_budget
+from goc.learners import LearnerConfig
 from goc.noise import truncated_gaussian_scenario, uniform_scenario
 from goc.verify import two_point_oracle
 
@@ -45,9 +45,9 @@ def picked_arms(results) -> dict[int, int]:
 
 
 def full_budget(art) -> bool:
-    """Whether the trials play the paper's budget: ``derive_budget``'s ``(n, k)``, unscaled."""
+    """Whether the trials play the paper's budget: ``LearnerConfig.derive``'s, unscaled."""
     c = art.config
-    return (art.learner.n, art.learner.k) == derive_budget(
+    return art.learner == LearnerConfig.derive(
         c["learner.a"], c["learner.b"], c["learner.delta"], c["learner.lambda"], art.learner.lip)
 
 

@@ -261,6 +261,16 @@ def test_offset_beyond_big_m_names_offset_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_rounds_still_check_the_offset(tmp_path, capsys):
+    # zero rounds draw no block, so --adv is checked before the first one
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--mode", "physical", "--eta", "3", "--rounds", "0", "--adv", "z=2e4",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: offset 20000.0 exceeds scenario.big_m = 10000.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejected_run_makes_no_directory(tmp_path, capsys):
     rc = main(["simulate", "--mode", "physical", "--eta", "3", "--rounds", "5",
                "--adv", "z=2e4", "--out", str(tmp_path / "fx" / "sub" / "sim.csv")])

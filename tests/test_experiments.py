@@ -18,6 +18,7 @@ from goc import experiments
 from goc.cli import main
 from goc.config import load_config
 from goc.envelope import EnvelopeTable
+from goc.environment import BernoulliArmEnv, PhysicalArmEnv
 from goc.experiments import (
     ELIMINATION,
     ELL_ETA_POINTS,
@@ -30,6 +31,7 @@ from goc.experiments import (
     write_csv,
 )
 
+from conftest import best_response_rates
 from reference import csv_text_per_cell, ell_by_separate_pass
 
 
@@ -70,7 +72,8 @@ def smoke_physical_art(smoke_cfg):
 def test_prepare_instance_shapes(smoke_art):
     n_arms = smoke_art.learner.n + 1
     assert len(smoke_art.tables) == n_arms
-    assert smoke_art.alphas.shape == smoke_art.u_grid.shape == (n_arms,)
+    assert smoke_art.env_cls is BernoulliArmEnv
+    assert len(smoke_art.arms) == smoke_art.u_grid.size == n_arms
     assert smoke_art.u_star >= smoke_art.u_grid.max()
 
 
@@ -334,11 +337,14 @@ def test_pickled_instance_runs_the_same_trials(request, mode):
                 assert value.tobytes() == getattr(orig, f.name).tobytes(), f.name
             else:
                 assert value == getattr(orig, f.name), f.name
-    assert len(copy.gates) == (len(art.tables) if mode == "physical" else 0)
-    for gate, orig in zip(copy.gates, art.gates, strict=True):
-        assert (gate.eta, gate.adv) == (orig.eta, orig.adv)
-        for name in ("table", "thresholds", "cuts"):
-            assert getattr(gate, name).tobytes() == getattr(orig, name).tobytes(), name
+    assert copy.env_cls is art.env_cls
+    if mode == "bernoulli":
+        assert copy.arms.tobytes() == art.arms.tobytes()
+    else:
+        for gate, orig in zip(copy.arms, art.arms, strict=True):
+            assert (gate.eta, gate.adv) == (orig.eta, orig.adv)
+            for name in ("table", "thresholds", "cuts"):
+                assert getattr(gate, name).tobytes() == getattr(orig, name).tobytes(), name
     for algo in (ETC, ELIMINATION):
         assert run_trial(copy, 1, algo) == run_trial(art, 1, algo)
 
@@ -346,7 +352,8 @@ def test_pickled_instance_runs_the_same_trials(request, mode):
 @pytest.mark.parametrize("mode, builds", [("bernoulli", 0), ("physical", 1)])
 def test_gates_are_built_once_per_instance(smoke_cfg, monkeypatch, mode, builds):
     # a physical arm's gate is an instance fact: prepare_instance bisects every arm's
-    # thresholds at once, and each trial's environment reads those same gates
+    # thresholds at once, and each trial's environment reads those same gates; a
+    # Bernoulli instance builds none, its arms being its best-response rates
     calls = []
     thresholds = goc.environment._gate_thresholds
     monkeypatch.setattr(goc.environment, "_gate_thresholds",
@@ -354,11 +361,19 @@ def test_gates_are_built_once_per_instance(smoke_cfg, monkeypatch, mode, builds)
     art = prepare_instance(smoke_cfg.with_overrides(**{"env.mode": mode}))
     assert len(run_trials(art, (ETC, ELIMINATION), threads=1)) == 2 * 3  # 3 trials
     assert len(calls) == builds
-    assert len(art.gates) == len(art.tables) * builds
-    if mode == "physical":
-        for trial in range(2):
-            env = experiments._trial_env(art, trial)
-            assert all(g is a for g, a in zip(env.arms, art.gates, strict=True)), trial
+    assert art.env_cls is (PhysicalArmEnv if builds else BernoulliArmEnv)
+    if mode == "bernoulli":
+        assert art.arms.tolist() == best_response_rates(art.tables, art.config.utility_spec)
+    else:
+        assert len(art.arms) == len(art.tables)
+        assert all(isinstance(g, goc.environment._Gate) for g in art.arms)
+    for trial in range(2):
+        env = experiments._trial_env(art, trial)
+        assert type(env) is art.env_cls
+        if mode == "bernoulli":
+            assert env.arms == tuple(art.arms), trial
+        else:
+            assert all(g is a for g, a in zip(env.arms, art.arms, strict=True)), trial
 
 
 def test_threads_capped_at_cpu_count(smoke_art, monkeypatch):

@@ -14,7 +14,6 @@ from goc.experiments import ELIMINATION, ETC, prepare_instance, run_trial
 from goc.learners import (
     LearnerConfig,
     _u_hat,
-    derive_budget,
     elimination_radius,
     run_elimination,
     run_etc,
@@ -27,37 +26,51 @@ from conftest import arm_inputs, best_response_rates
 LIP = LipschitzProfile(ell=1.0, big_l=1.0, d=0.5)
 
 
+def _budget(a, b, delta, lam, lip, budget_scale=1.0):
+    cfg = LearnerConfig.derive(a, b, delta, lam, lip, budget_scale=budget_scale)
+    return cfg.n, cfg.k
+
+
 def test_budget_example_values():
-    assert derive_budget(2.0, 6.0, 0.05, 0.1, LIP) == (81, 6477)
+    assert _budget(2.0, 6.0, 0.05, 0.1, LIP) == (81, 6477)
 
 
 def test_budget_strictness_on_integer_boundary():
     # (b - a) * 2L / lambda lands exactly on 80: strict bound forces 81
-    n, _ = derive_budget(2.0, 6.0, 0.05, 0.1, LIP)
+    n, _ = _budget(2.0, 6.0, 0.05, 0.1, LIP)
     assert n == 81
 
 
 def test_budget_driven_by_piece_width():
     lip = LipschitzProfile(ell=1.0, big_l=0.01, d=0.1)
-    n, _ = derive_budget(2.0, 6.0, 0.05, 1.0, lip)
+    n, _ = _budget(2.0, 6.0, 0.05, 1.0, lip)
     assert n == 41  # 4 * max(0.02, 10) = 40, strictly above
 
 
 def test_budget_delta_halving_additivity():
-    _, k1 = derive_budget(2.0, 6.0, 0.05, 0.1, LIP)
-    _, k2 = derive_budget(2.0, 6.0, 0.025, 0.1, LIP)
+    _, k1 = _budget(2.0, 6.0, 0.05, 0.1, LIP)
+    _, k2 = _budget(2.0, 6.0, 0.025, 0.1, LIP)
     assert abs((k2 - k1) - (8.0 / 0.01) * math.log(2.0)) <= 1.0
 
 
 def test_budget_rejects_bad_ranges():
     with pytest.raises(ValueError, match=r"^learner\.b: "):
-        derive_budget(2.0, 2.0, 0.05, 0.1, LIP)  # degenerate interval
+        _budget(2.0, 2.0, 0.05, 0.1, LIP)  # degenerate interval
     with pytest.raises(ValueError, match=r"^learner\.a: "):
-        derive_budget(1.5, 6.0, 0.05, 0.1, LIP)
+        _budget(1.5, 6.0, 0.05, 0.1, LIP)
     with pytest.raises(ValueError, match=r"^learner\.lambda: "):
-        derive_budget(2.0, 6.0, 0.05, 0.0, LIP)
+        _budget(2.0, 6.0, 0.05, 0.0, LIP)
     with pytest.raises(ValueError, match=r"^learner\.delta: "):
-        derive_budget(2.0, 6.0, 1.5, 0.1, LIP)
+        _budget(2.0, 6.0, 1.5, 0.1, LIP)
+
+
+def test_unscaled_budget_keeps_a_k_beyond_float_precision():
+    # k lies above 2^53 and is odd, so k * 1.0 is not k and ceil(k * 1.0) would move it
+    lip = LipschitzProfile(ell=1e8, big_l=1.0, d=0.5)
+    n, k = _budget(2.0, 6.0, 0.05, 0.1, lip)
+    bound = (8.0 * 1e8 ** 2 / 0.1 ** 2) * math.log(2.0 * (n + 1) / 0.05)
+    assert (n, k) == (81, math.floor(bound * (1.0 + 1e-12)) + 1)
+    assert k > 2 ** 53 and math.ceil(k * 1.0) != k
 
 
 def test_elimination_radius_value_and_decrease():
@@ -82,7 +95,7 @@ def test_config_validation():
     assert (scaled.n, scaled.k) == (81, 65)  # ceil(6477 * 0.01)
     assert LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=0.001).k == 7  # rounded up
     full = LearnerConfig.derive(2.0, 6.0, 0.05, 0.1, LIP, budget_scale=1.0)
-    assert (full.n, full.k) == derive_budget(2.0, 6.0, 0.05, 0.1, LIP)
+    assert (full.n, full.k) == _budget(2.0, 6.0, 0.05, 0.1, LIP) == (81, 6477)
 
 
 @pytest.mark.parametrize("cls", [BernoulliArmEnv, PhysicalArmEnv])
