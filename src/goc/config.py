@@ -20,6 +20,7 @@ from goc.envelope import (
     DEFAULT_GRID_SIZE,
     acceptance_grid,
     check_threshold_range,
+    offset_domain,
 )
 from goc.learners import check_learner_targets
 from goc.noise import UNIFORM, HonestNoiseModel, Scenario
@@ -141,6 +142,10 @@ def validate_config(values: dict[str, object]) -> ExperimentConfig:
             raise ValueError("lipschitz.ell: override requires all of ell, L, d")
         lip = None if None in lipschitz else LipschitzProfile(*lipschitz)
         check_threshold_range(resolved["learner.a"], resolved["learner.b"])
+        try:  # the sweep and the learner grid reach learner.b
+            offset_domain(scenario, resolved["learner.b"])
+        except ValueError as exc:
+            raise ValueError(f"learner.b: {exc}") from None
         check_learner_targets(resolved["learner.delta"], resolved["learner.lambda"],
                               resolved["experiment.budget_scale"])
         acceptance_grid(resolved["envelope.grid"], resolved["envelope.alpha_min"])

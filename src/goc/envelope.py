@@ -195,8 +195,8 @@ class EnvelopeTable:
     def __post_init__(self) -> None:
         for a in (self.alpha_grid, self.h_values, self.c_values, self.hull_q, self.hull_values):
             a.setflags(write=False)
-        if np.any(self.c_values < 0.0):
-            raise ValueError("value curve must be nonnegative")
+        if not np.all(self.c_values >= 0.0):  # NaN fails this too
+            raise ValueError("value curve must be nonnegative, not NaN")
 
     def __reduce__(self):
         # unpickle through the constructor, so copies are read-only and checked too

@@ -7,17 +7,15 @@ adversary. Randomness comes from per-(trial, arm) streams addressed by a
 seed key, so the draw for any given round is independent of execution
 order; splitting a run into consecutive blocks yields the same values.
 
-The learners' arm environments draw only the arms a block lists, and each
-stream is read in round order: a block of an arm starts at the first round
-that arm has not drawn. An environment also keeps each arm's accept count over
-every round it drew, so ``accept_counts`` draws only the rest of each
-stream: a trial's ETC run counts on the environment its elimination run
-used, and each stream is drawn once. A learner sees only the accept bit,
-so the physical arm environment draws each round's five raw 64-bit words,
-of which ``Generator.random`` would make its five uniforms, and decides most
-rounds by one lookup in the arm's ``_Gate``, which ``physical_gates`` builds
-once per instance; it builds the report pair only for rounds near an
-acceptance edge. The bits equal the full simulation's by construction.
+A learner's arm environment holds only what each arm draws from; the learner
+scores arms with the instance's value curves. It draws only the arms a block
+lists, and each stream is read in round order: a block of an arm starts at the
+first round that arm has not drawn. It also keeps each arm's accept count over
+every round it drew, so ``accept_counts`` draws only the rest of each stream: a
+trial's ETC run counts on the environment its elimination run used, and each
+stream is drawn once. A learner sees only the accept bit, so the physical arm
+environment decides most rounds by one lookup in the arm's ``_Gate`` (see
+``PhysicalArmEnv``), and the bits equal the full simulation's by construction.
 ``goc simulate`` and ``physical_rounds`` keep the full batch.
 """
 
@@ -302,28 +300,25 @@ def physical_gates(
 class _ArmEnv:
     """Per-arm streams for one learning trial; subclasses supply each arm's block sampler.
 
-    Arm ``i`` is ``tables[i]``'s threshold, and ``arms[i]`` is all its sampler reads:
-    its best-response acceptance rate or its ``_Gate``, resolved once per instance by
-    ``prepare_instance``. It owns the stream keyed ``(seed, trial, i)``, so matched-seed
+    ``arms[i]`` is all arm ``i``'s sampler reads: its best-response acceptance
+    rate or its ``_Gate``, resolved once per instance by ``prepare_instance``.
+    The environment draws only: the value curves that score an arm stay with the
+    learners. Arm ``i`` owns the stream keyed ``(seed, trial, i)``, so matched-seed
     comparisons see identical draws. Each stream is read in round order: a
     block may list any subset of the arms, each of which must have been drawn
     up to the block's first round. Per arm, the environment records how many
     rounds it drew and how many of them accepted; that is its only draw state.
     """
 
-    def __init__(self, tables: Sequence[EnvelopeTable], arms: Sequence, base_seed: int,
-                 trial: int) -> None:
-        if len(arms) != len(tables):
-            raise ValueError("arms and tables must align")
-        self.tables = list(tables)
+    def __init__(self, arms: Sequence, base_seed: int, trial: int) -> None:
         self.arms = tuple(arms)
-        self._gens = [make_rng(base_seed, trial, i) for i in range(len(tables))]
-        self._drawn = np.zeros(len(tables), dtype=np.int64)  # each arm's next round
-        self._counts = np.zeros(len(tables), dtype=np.int64)  # its accepts before that round
+        self._gens = [make_rng(base_seed, trial, i) for i in range(self.n_arms)]
+        self._drawn = np.zeros(self.n_arms, dtype=np.int64)  # each arm's next round
+        self._counts = np.zeros(self.n_arms, dtype=np.int64)  # its accepts before that round
 
     @property
     def n_arms(self) -> int:
-        return len(self.tables)
+        return len(self.arms)
 
     def acceptance_block(self, r0: int, r1: int, arms: Sequence[int] | None = None) -> np.ndarray:
         """Boolean matrix (listed arm, round) for rounds ``r0 .. r1-1``.

@@ -97,7 +97,7 @@ class TrialResult:
 
 def _trial_env(art: InstanceArtifacts, trial: int):
     """A fresh environment of the instance's arms on ``trial``'s streams."""
-    return art.env_cls(art.tables, art.arms, art.config["experiment.base_seed"], trial)
+    return art.env_cls(art.arms, art.config["experiment.base_seed"], trial)
 
 
 def run_trial(art: InstanceArtifacts, trial: int, algo: str, *, env=None) -> TrialResult:
@@ -109,9 +109,9 @@ def run_trial(art: InstanceArtifacts, trial: int, algo: str, *, env=None) -> Tri
     if env is None:
         env = _trial_env(art, trial)
     if algo == ETC:
-        outcome = run_etc(art.learner, env, art.config.utility_spec)
+        outcome = run_etc(art.learner, art.tables, art.config.utility_spec, env)
     elif algo == ELIMINATION:
-        outcome = run_elimination(art.learner, env, art.config.utility_spec)
+        outcome = run_elimination(art.learner, art.tables, art.config.utility_spec, env)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     return TrialResult(

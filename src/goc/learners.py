@@ -138,39 +138,43 @@ def _outcome(alive, stop, counts, u, clamps) -> LearnerOutcome:
     return LearnerOutcome(m + 1, *(tuple(c.tolist()) for c in columns), clamps)
 
 
-def run_etc(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
+def _arm_count(config: LearnerConfig, tables, env) -> int:
+    """``config.n + 1``, once ``tables`` and ``env`` are checked to hold that many arms."""
+    if not len(tables) == env.n_arms == config.n + 1:
+        raise ValueError(f"arm counts differ: {len(tables)} tables, {env.n_arms} environment "
+                         f"arms, {config.n + 1} grid points")
+    return config.n + 1
+
+
+def run_etc(config: LearnerConfig, tables, spec: UtilitySpec, env) -> LearnerOutcome:
     """Play every candidate exactly ``k`` rounds, then commit to the best estimate.
 
-    Its only statistic is each candidate's accept count over rounds
-    ``0 .. k-1``, which ``env.accept_counts`` supplies: with per-candidate
-    streams any interleaving gives the same totals, and an environment that
-    elimination already used counts the rounds it drew without drawing them
-    again. Exact ties resolve to the lowest index.
+    Arm ``i`` is scored through ``tables[i]``, its value curve. The only statistic is each
+    candidate's accept count over rounds ``0 .. k-1``, which ``env.accept_counts`` supplies:
+    with per-candidate streams any interleaving gives the same totals, and an environment
+    that elimination already used counts the rounds it drew without drawing them again.
+    Exact ties resolve to the lowest index.
     """
-    n_arms = config.n + 1
-    if env.n_arms != n_arms:
-        raise ValueError("environment arm count does not match the config grid")
+    n_arms = _arm_count(config, tables, env)
     counts = env.accept_counts(config.k)
     rates = counts / config.k
-    u, clamped = zip(*(_u_hat(spec, t, a) for t, a in zip(env.tables, rates)))
+    u, clamped = zip(*(_u_hat(spec, t, a) for t, a in zip(tables, rates)))
     return _outcome(np.ones(n_arms, dtype=bool), np.full(n_arms, config.k), counts,
                     np.array(u), clamps=int(sum(clamped)))
 
 
-def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOutcome:
+def run_elimination(config: LearnerConfig, tables, spec: UtilitySpec, env) -> LearnerOutcome:
     """Round-by-round play with confidence-radius elimination of trailing candidates.
 
-    Each surviving candidate plays one game per round; a candidate is
-    dropped as soon as the best current estimate exceeds its own by more
-    than the shrinking radius. Processing is blocked for speed, which is
-    equivalent to the sequential rule because candidate streams are
-    independent: a block draws and scores only the candidates alive at its
-    start, and its scan drops each one at the first round where it trails
-    the best of the candidates still alive then.
+    Arm ``i`` is scored through ``tables[i]``, its value curve. Each surviving
+    candidate plays one game per round; a candidate is dropped as soon as the
+    best current estimate exceeds its own by more than the shrinking radius.
+    Processing is blocked for speed, which is equivalent to the sequential rule
+    because candidate streams are independent: a block draws and scores only the
+    candidates alive at its start, and its scan drops each one at the first
+    round where it trails the best of the candidates still alive then.
     """
-    n_arms, k = config.n + 1, config.k
-    if env.n_arms != n_arms:
-        raise ValueError("environment arm count does not match the config grid")
+    n_arms, k = _arm_count(config, tables, env), config.k
     # per arm: the last round it played, and its accept count and estimated utility there
     alive = np.ones(n_arms, dtype=bool)
     stop = np.zeros(n_arms, dtype=np.int64)
@@ -192,7 +196,7 @@ def run_elimination(config: LearnerConfig, env, spec: UtilitySpec) -> LearnerOut
         u_live /= r_vec
         clamped = {}  # row -> mask of its clamped rates, for the rows that have any
         for j, i in enumerate(rows):
-            u_live[j], mask = _u_hat(spec, env.tables[i], u_live[j])
+            u_live[j], mask = _u_hat(spec, tables[i], u_live[j])
             if mask.any():
                 clamped[j] = mask
         # one-pass scan: each row's first violating column; dropping rows only lowers best,

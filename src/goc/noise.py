@@ -59,8 +59,10 @@ class HonestNoiseModel:
                 raise ValueError("noise.sigma: only meaningful for truncated_gaussian")
         elif self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("noise.sigma: truncated_gaussian requires sigma > 0")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("scenario.delta: must be a positive finite real")
+        tiny = float(np.finfo(float).smallest_normal)  # below it, 1 / (2 delta) overflows
+        if not tiny <= self.delta < math.inf:
+            raise ValueError(f"scenario.delta: must be finite and at least {tiny!r}, the smallest "
+                             f"normal float, got {self.delta!r}")
         if self.kind == TRUNCATED_GAUSSIAN:
             sigma_max = MAX_SIGMA_RATIO * self.delta
             if self.sigma > sigma_max:

@@ -52,7 +52,7 @@ def best_response_rates(tables, spec):
 
 
 def arm_inputs(cls, scenario, tables, spec):
-    """``InstanceArtifacts.arms`` for ``cls`` as ``prepare_instance`` resolves them: each
-    arm's best-response rate, or for ``PhysicalArmEnv`` that rate's ``_Gate``."""
+    """The ``arms`` of ``cls(arms, base_seed, trial)`` as ``prepare_instance`` resolves them:
+    each arm's best-response rate, or for ``PhysicalArmEnv`` that rate's ``_Gate``."""
     rates = best_response_rates(tables, spec)
     return physical_gates(scenario, tables, rates) if cls is PhysicalArmEnv else rates

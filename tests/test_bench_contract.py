@@ -55,13 +55,13 @@ PROBE = textwrap.dedent(
     blocks = {}
     live = {}
     for cls, arms in arm_inputs.items():
-        env = cls(tables, arms, base_seed=1, trial=0)
+        env = cls(arms, base_seed=1, trial=0)
         before = len(tracer.spans)
         env.acceptance_block(0, 10)
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
         blocks[cls.__name__] = [s[6] for s in new]
         # a live-arm block, its arms passed positionally, must still bind in the tracer
-        env = cls(tables, arms, base_seed=1, trial=0)
+        env = cls(arms, base_seed=1, trial=0)
         before = len(tracer.spans)
         out = env.acceptance_block(0, 10, [1])
         new = [s for s in tracer.spans[before:] if s[2] == "environment.acceptance_block"]
@@ -77,9 +77,9 @@ PROBE = textwrap.dedent(
     rates = [best_response(t, spec).alpha_star for t in tables]
     learners = {}
     for learner in (run_etc, run_elimination):
-        env = BernoulliArmEnv(tables, rates, base_seed=1, trial=0)
+        env = BernoulliArmEnv(rates, base_seed=1, trial=0)
         before = len(tracer.spans)
-        out = learner(cfg, env, spec)
+        out = learner(cfg, tables, spec, env)
         new = [s for s in tracer.spans[before:] if s[2] == "learners." + learner.__name__]
         learners[learner.__name__] = {
             "spans": [s[6] for s in new],

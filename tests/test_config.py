@@ -38,9 +38,13 @@ INVARIANT_VIOLATIONS = [
     ("noise.sigma", "noise.kind = truncated_gaussian\nnoise.sigma = -0.5\n"),
     ("noise.sigma", "noise.kind = uniform\nnoise.sigma = 0.5\n"),
     ("scenario.delta", "scenario.delta = -1.0\n"),
+    # a subnormal delta overflows 1 / (2 delta), and every value curve would be NaN
+    ("scenario.delta", "scenario.delta = 1e-320\nscenario.big_m = 1.0\n"),
     ("scenario.big_m", "scenario.big_m = 0.0\n"),
     ("learner.a", "learner.a = 1.5\n"),
     ("learner.b", "learner.a = 3.0\nlearner.b = 2.5\n"),
+    # past the offset domain: (b - 1) * delta == (b + 1) * delta
+    ("learner.b", "learner.b = 1e17\n"),
     ("learner.delta", "learner.delta = 1.5\n"),
     ("learner.lambda", "learner.lambda = 0.0\n"),
     ("envelope.grid", "envelope.grid = 50\n"),

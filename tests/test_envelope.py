@@ -502,6 +502,14 @@ def test_table_rejects_bad_grid(unif):
         build_envelope_table(unif, 2.0, alpha_min=0.0)
 
 
+def test_table_rejects_a_nan_value_curve(table_unif_2):
+    # NaN compares false both ways, so a check for negative entries alone lets it through
+    c = table_unif_2.c_values.copy()
+    c[3] = np.nan
+    with pytest.raises(ValueError, match="value curve must be nonnegative"):
+        dataclasses.replace(table_unif_2, c_values=c)
+
+
 def test_table_needs_two_kept_points():
     # alpha_min = 0.995 keeps only q = 1 of 101 points, and a one-point table has no slope:
     # estimate_lipschitz on that grid failed inside numpy

@@ -165,8 +165,8 @@ def test_arm_env_blocks_are_chunk_invariant(unif, spec_default):
     etas = [2.0, 2.5, 3.0]
     tables = [build_envelope_table(unif, e, 801) for e in etas]
     rates = best_response_rates(tables, spec_default)
-    whole = BernoulliArmEnv(tables, rates, base_seed=9, trial=4).acceptance_block(0, 1000)
-    env2 = BernoulliArmEnv(tables, rates, base_seed=9, trial=4)
+    whole = BernoulliArmEnv(rates, base_seed=9, trial=4).acceptance_block(0, 1000)
+    env2 = BernoulliArmEnv(rates, base_seed=9, trial=4)
     parts = np.concatenate(
         [env2.acceptance_block(0, 137), env2.acceptance_block(137, 640), env2.acceptance_block(640, 1000)],
         axis=1,
@@ -181,8 +181,8 @@ def test_live_arm_blocks_match_full_draws(tgauss, spec_default, cls):
     etas = [2.0, 2.5, 3.0, 4.0]
     tables = [build_envelope_table(tgauss, e, 801) for e in etas]
     inputs = arm_inputs(cls, tgauss, tables, spec_default)
-    full = cls(tables, inputs, base_seed=9, trial=2).acceptance_block(0, 900)
-    env = cls(tables, inputs, base_seed=9, trial=2)
+    full = cls(inputs, base_seed=9, trial=2).acceptance_block(0, 900)
+    env = cls(inputs, base_seed=9, trial=2)
     # each returned row is the listed arm's row of the full draw
     for r0, r1, arms in [(0, 250, None), (250, 400, [0, 1, 2, 3]), (400, 410, [0, 2, 3]),
                          (410, 700, [2, 3]), (700, 900, [3])]:
@@ -205,7 +205,7 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
     etas = [2.0, 2.5, 3.0, 4.0]
     tables = [build_envelope_table(tgauss, e, 801) for e in etas]
     inputs = arm_inputs(cls, tgauss, tables, spec_default)
-    full = cls(tables, inputs, base_seed=9, trial=2).acceptance_block(0, 600)
+    full = cls(inputs, base_seed=9, trial=2).acceptance_block(0, 600)
     calls = []
 
     def counted(env):
@@ -213,12 +213,12 @@ def test_accept_counts_equal_block_row_sums(tgauss, spec_default, cls, monkeypat
         monkeypatch.setattr(env, "_accepted", lambda i, n: calls.append(n) or accepted(i, n))
         return env
 
-    fresh = counted(cls(tables, inputs, base_seed=9, trial=2))
+    fresh = counted(cls(inputs, base_seed=9, trial=2))
     assert fresh.accept_counts(600).tolist() == full.sum(axis=1).tolist()
     assert calls == [250, 250, 100] * 4
     # after blocks that dropped arm 1 at round 137 and arm 0 at round 300, as elimination
     # does: their whole blocks count as drawn, and only each stream's rest is drawn
-    used = cls(tables, inputs, base_seed=9, trial=2)
+    used = cls(inputs, base_seed=9, trial=2)
     used.acceptance_block(0, 137)
     used.acceptance_block(137, 300, [0, 2, 3])
     used.acceptance_block(300, 310, [2, 3])
@@ -235,7 +235,7 @@ def test_each_stream_is_read_in_round_order(unif, spec_default):
     rates = best_response_rates(tables, spec_default)
 
     def env():
-        return BernoulliArmEnv(tables, rates, base_seed=9, trial=4)
+        return BernoulliArmEnv(rates, base_seed=9, trial=4)
 
     full = env().acceptance_block(0, 160)
     # a block after accept_counts(k) continues each stream from round k
@@ -259,9 +259,9 @@ def test_each_stream_is_read_in_round_order(unif, spec_default):
     cfg = LearnerConfig(a=2.0, b=4.0, delta=0.1, lam=0.5,
                         lip=LipschitzProfile(ell=2.0, big_l=0.05, d=2.0), n=2, k=60)
     shared = env()
-    run_etc(cfg, shared, spec_default)
+    run_etc(cfg, tables, spec_default, shared)
     with pytest.raises(ValueError, match="round order"):
-        run_elimination(cfg, shared, spec_default)
+        run_elimination(cfg, tables, spec_default, shared)
 
 
 def test_raw_words_are_the_streams_uniforms():
@@ -311,7 +311,7 @@ def test_physical_env_blocks_equal_physical_rounds(unif, gamma, theta, etas):
     spec = UtilitySpec(dc_kind="linear", dc_gamma=gamma, ad_kind="product", ad_theta=theta)
     tables = [build_envelope_table(unif, e) for e in etas]
     gates = physical_gates(unif, tables, best_response_rates(tables, spec))
-    env = PhysicalArmEnv(tables, gates, base_seed=11, trial=3)
+    env = PhysicalArmEnv(gates, base_seed=11, trial=3)
     if theta > 1.0:
         assert any(len(gate.adv.offsets) == 2 for gate in gates)
     n = 200_000

@@ -107,8 +107,8 @@ def test_etc_blocks_match_one_full_block(unif, spec_default, cls):
     lip = LipschitzProfile(ell=2.0, big_l=0.05, d=2.0)
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=1, k=k)
     inputs = arm_inputs(cls, unif, tables, spec_default)
-    out = run_etc(cfg, cls(tables, inputs, base_seed=3, trial=1), spec_default)
-    full = cls(tables, inputs, base_seed=3, trial=1).acceptance_block(0, k)
+    out = run_etc(cfg, tables, spec_default, cls(inputs, base_seed=3, trial=1))
+    full = cls(inputs, base_seed=3, trial=1).acceptance_block(0, k)
     assert list(out.accept_count) == full.sum(axis=1).tolist()
 
 
@@ -120,6 +120,19 @@ def _tiny_instance(unif, spec, n_arms=3, k=400, alpha_min=DEFAULT_ALPHA_MIN):
     return cfg, etas, tables
 
 
+@pytest.mark.parametrize("learner", [run_etc, run_elimination])
+def test_arm_count_mismatch_is_rejected_before_any_draw(unif, spec_default, learner):
+    # the grid has 3 arms: too few tables, too few environment arms, or both agreeing on 2
+    cfg, _, tables = _tiny_instance(unif, spec_default)
+    rates = best_response_rates(tables, spec_default)
+    for arm_tables, arm_rates in [(tables[:2], rates), (tables, rates[:2]),
+                                  (tables[:2], rates[:2])]:
+        env = BernoulliArmEnv(arm_rates, base_seed=3, trial=0)
+        with pytest.raises(ValueError, match="^arm counts differ: "):
+            learner(cfg, arm_tables, spec_default, env)
+        assert env._drawn.tolist() == [0] * len(arm_rates)
+
+
 # Tables whose lower edge sits at the best response of the first candidate,
 # so about half of that candidate's rate estimates fall below it and are clamped.
 CLAMPING_ALPHA_MIN = 0.5
@@ -129,9 +142,8 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
     # acceptance-dominated adversary accepts everything; acceptance-only
     # collector sees identical estimates, so the first candidate wins
     cfg, etas, tables = _tiny_instance(unif, spec_pa_only)
-    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_pa_only),
-                          base_seed=3, trial=0)
-    out = run_etc(cfg, env, spec_pa_only)
+    env = BernoulliArmEnv(best_response_rates(tables, spec_pa_only), base_seed=3, trial=0)
+    out = run_etc(cfg, tables, spec_pa_only, env)
     assert out.eta_hat_index == 1
     assert out.total_game_rounds == cfg.k * (cfg.n + 1)
     assert all(a / r == 1.0 for a, r in zip(out.accept_count, out.rounds_played))
@@ -139,9 +151,8 @@ def test_etc_constant_utility_breaks_ties_low(unif, spec_pa_only):
 
 def test_etc_identifies_best_arm(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=2000)
-    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_default),
-                          base_seed=4, trial=1)
-    out = run_etc(cfg, env, spec_default)
+    env = BernoulliArmEnv(best_response_rates(tables, spec_default), base_seed=4, trial=1)
+    out = run_etc(cfg, tables, spec_default, env)
     # on this instance the realized utility decreases in eta
     assert out.eta_hat_index == 1
     for a, r in zip(out.accept_count, out.rounds_played):
@@ -156,11 +167,11 @@ def test_etc_matches_manual_argmax(unif, spec_default):
     for alpha_min, trial in [(DEFAULT_ALPHA_MIN, 2), (CLAMPING_ALPHA_MIN, 3)]:
         cfg, etas, tables = _tiny_instance(unif, spec_default, k=350, alpha_min=alpha_min)
         rates = best_response_rates(tables, spec_default)
-        env = BernoulliArmEnv(tables, rates, base_seed=5, trial=trial)
-        out = run_etc(cfg, env, spec_default)
+        env = BernoulliArmEnv(rates, base_seed=5, trial=trial)
+        out = run_etc(cfg, tables, spec_default, env)
         manual = []
         clamps = 0
-        env2 = BernoulliArmEnv(tables, rates, base_seed=5, trial=trial)
+        env2 = BernoulliArmEnv(rates, base_seed=5, trial=trial)
         draws = env2.acceptance_block(0, cfg.k)
         for i, t in enumerate(tables):
             rate = draws[i].sum() / cfg.k
@@ -189,9 +200,8 @@ def test_u_hat_masks_exactly_the_rates_it_clamps(unif, spec_default):
 
 def test_elimination_drops_separated_arms(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=3000)
-    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_gamma1),
-                          base_seed=6, trial=3)
-    out = run_elimination(cfg, env, spec_gamma1)
+    env = BernoulliArmEnv(best_response_rates(tables, spec_gamma1), base_seed=6, trial=3)
+    out = run_elimination(cfg, tables, spec_gamma1, env)
     assert out.total_game_rounds < cfg.k * (cfg.n + 1)
     assert any(out.eliminated)
     for eliminated, played in zip(out.eliminated, out.rounds_played):
@@ -252,7 +262,7 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         rates = alphas or best_response_rates(tables, spec)
 
         def make_env():
-            return BernoulliArmEnv(tables, rates, base_seed=7, trial=trial)
+            return BernoulliArmEnv(rates, base_seed=7, trial=trial)
 
         draws = make_env().acceptance_block(0, cfg.k)
         alive, played, counts, rate, u_now, log, clamps = _sequential_elimination(
@@ -263,7 +273,7 @@ def test_elimination_matches_sequential_reference(unif, spec_default, spec_gamma
         best_i = max(survivors, key=lambda i: u_now[i])
         for block in (cfg.k, 7):  # one block, then blocks of 7 rounds
             monkeypatch.setattr(goc.learners, "_ELIM_BLOCK", block)
-            out = run_elimination(cfg, make_env(), spec)
+            out = run_elimination(cfg, tables, spec, make_env())
             assert sorted((r, i + 1) for i, r in enumerate(out.rounds_played)
                           if out.eliminated[i]) == log
             assert out.eta_hat_index == best_i + 1
@@ -303,13 +313,13 @@ def test_blocked_scan_matches_sequential_replay(scan_tables, spec_default, arms,
     cfg = LearnerConfig(a=2.0, b=3.0, delta=0.1, lam=0.5, lip=lip, n=len(arms) - 1, k=k)
     tables = [scan_tables[t] for t, _ in arms]
     rates = [rate for _, rate in arms]
-    draws = BernoulliArmEnv(tables, rates, base_seed=9, trial=trial).acceptance_block(0, k)
+    draws = BernoulliArmEnv(rates, base_seed=9, trial=trial).acceptance_block(0, k)
     alive, played, counts, _, u_now, _, clamps = _sequential_elimination(
         cfg, tables, draws, spec_default)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(goc.learners, "_ELIM_BLOCK", elim_block)
         mp.setattr(goc.learners, "_BLOCK_ARM_ROUNDS", arm_rounds)
-        out = run_elimination(cfg, BernoulliArmEnv(tables, rates, 9, trial), spec_default)
+        out = run_elimination(cfg, tables, spec_default, BernoulliArmEnv(rates, 9, trial))
     survivors = [i for i in range(len(arms)) if alive[i]]
     assert out.eta_hat_index == max(survivors, key=lambda i: u_now[i]) + 1
     assert list(out.rounds_played) == played
@@ -339,7 +349,7 @@ def test_trial_memory_is_bounded(unif, spec_default):
         "etc": peak_mb(run_trial, art, 0, ETC),
         "elimination": peak_mb(run_trial, art, 0, ELIMINATION),
         "elimination, 401 arms": peak_mb(lambda: run_elimination(
-            wide, BernoulliArmEnv(tables, rates, 42, 1), spec_default)),
+            wide, tables, spec_default, BernoulliArmEnv(rates, 42, 1))),
     }
     bounds = {"etc": 1.5, "elimination": 3.0, "elimination, 401 arms": 8.0}
     assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
@@ -355,8 +365,8 @@ def test_no_spurious_elimination_when_gaps_are_zero(spec_default, table_unif_25)
     cfg = LearnerConfig(a=2.0, b=2.5, delta=0.05, lam=0.5, lip=lip, n=1, k=2000)
     eliminated_trials = 0
     for trial in range(200):
-        env = BernoulliArmEnv([table_unif_25] * 2, [alpha] * 2, base_seed=11, trial=trial)
-        out = run_elimination(cfg, env, spec_default)
+        env = BernoulliArmEnv([alpha] * 2, base_seed=11, trial=trial)
+        out = run_elimination(cfg, [table_unif_25] * 2, spec_default, env)
         if any(out.eliminated):
             eliminated_trials += 1
     assert eliminated_trials <= 10  # delta * trials
@@ -365,10 +375,10 @@ def test_no_spurious_elimination_when_gaps_are_zero(spec_default, table_unif_25)
 def test_matched_seed_draws_agree_between_learners(unif, spec_default):
     cfg, etas, tables = _tiny_instance(unif, spec_default, k=500)
     rates = best_response_rates(tables, spec_default)
-    env_a = BernoulliArmEnv(tables, rates, base_seed=12, trial=7)
-    env_b = BernoulliArmEnv(tables, rates, base_seed=12, trial=7)
-    out_a = run_etc(cfg, env_a, spec_default)
-    out_b = run_elimination(cfg, env_b, spec_default)
+    env_a = BernoulliArmEnv(rates, base_seed=12, trial=7)
+    env_b = BernoulliArmEnv(rates, base_seed=12, trial=7)
+    out_a = run_etc(cfg, tables, spec_default, env_a)
+    out_b = run_elimination(cfg, tables, spec_default, env_b)
     assert out_b.total_game_rounds <= out_a.total_game_rounds
     # if nothing was eliminated the final estimates coincide
     if not any(out_b.eliminated):
@@ -389,9 +399,8 @@ def test_hoeffding_concentration_of_rate_estimates():
 
 def test_learner_outcome_n_eliminated_consistency(unif, spec_gamma1):
     cfg, etas, tables = _tiny_instance(unif, spec_gamma1, n_arms=4, k=2500)
-    env = BernoulliArmEnv(tables, best_response_rates(tables, spec_gamma1),
-                          base_seed=15, trial=0)
-    out = run_elimination(cfg, env, spec_gamma1)
+    env = BernoulliArmEnv(best_response_rates(tables, spec_gamma1), base_seed=15, trial=0)
+    out = run_elimination(cfg, tables, spec_gamma1, env)
     assert out.total_game_rounds == sum(out.rounds_played)
     surviving = [i + 1 for i, eliminated in enumerate(out.eliminated) if not eliminated]
     assert out.eta_hat_index in surviving

@@ -116,6 +116,9 @@ def test_model_validation():
         HonestNoiseModel("uniform", 1.0, 0.5)  # stray sigma
     with pytest.raises(ValueError, match=r"^scenario\.delta: "):
         HonestNoiseModel("uniform", -1.0)
+    with pytest.raises(ValueError, match=r"^scenario\.delta: .*smallest normal float"):
+        HonestNoiseModel("uniform", 1e-320)
+    assert HonestNoiseModel("uniform", 2.2250738585072014e-308).delta > 0.0
 
 
 def test_sigma_bound_enforced_by_the_model():
